@@ -47,7 +47,6 @@ from .substitution import (
     SubstitutionReport,
     build_substitution_matrix,
     is_approximate_substitution,
-    sheffer_check,
     truncate_rn,
     truncate_taun,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "random_unipotent",
     "range_sweep",
     "run_experiment",
-    "sheffer_check",
     "stirling_matrix",
     "trial_stream",
     "truncate_rn",

@@ -160,11 +160,10 @@ def random_unipotent(
         raise ValidationError(f"range must be at least 1, got {range_r}")
     count = size * (size - 1) // 2
     values = rng.integers(1, range_r, size=count, endpoint=True).tolist()
-    it = iter(values)
     rows = []
     for i in range(size):
-        row = [next(it) if k < i else (1 if k == i else 0) for k in range(size)]
-        rows.append(row)
+        start = i * (i - 1) // 2
+        rows.append(values[start:start + i] + [1] + [0] * (size - 1 - i))
     return FiniteMatrix.from_rows(rows)
 
 

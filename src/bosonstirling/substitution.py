@@ -9,8 +9,17 @@ identity holds:
     c_k = [c_0 · (c_1/c_0)^k / k!]_n     for all 0 ≤ k ≤ n,
 
 with c_k the column-k EGF polynomial.  Columns 0 and 1 satisfy this
-identically; columns 2..n are genuine constraints.  Equality is exact
-rational equality throughout — no tolerances.
+identically; columns 2..n are genuine constraints.
+
+The verdict takes no series arithmetic: :func:`recurrence_failure` checks
+the equivalent division-free column recurrence
+c_0·(k+1)·c_{k+1} ≡ c_k·c_1 on the matrix entries in integer arithmetic
+(a rational matrix is scaled by the LCM of its denominators first) and stops
+at the first failing step.  The diagnostics of a report — g, φ and every
+failing column with its expected and actual series — are computed from the
+matrix when first read.  Equality is exact throughout: no tolerances and no
+floats.  Matrix entries are stored as ``int`` when integral and as
+``Fraction`` otherwise.
 
 The module also provides the two truncation operators on larger matrices:
 r_n (principal submatrix, defined for all row-finite matrices, not
@@ -20,23 +29,47 @@ matrices, where it is a morphism for the product).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from math import factorial
+from functools import cached_property, lru_cache
+from math import comb, factorial, lcm
 
 from .errors import RangeError, ValidationError
 from .series import TruncatedSeries
 from .stirling import column_egf
 
 
+_INT = frozenset((int,))
+
+
+def _all_int(row) -> bool:
+    return _INT.issuperset(map(type, row))
+
+
+def _exact(v) -> int | Fraction:
+    """`v` as an exact number: ``int`` when integral, else ``Fraction``."""
+    if type(v) is int:
+        return v
+    q = Fraction(v)
+    return q.numerator if q.denominator == 1 else q
+
+
 @dataclass(frozen=True)
 class FiniteMatrix:
-    """Square matrix of exact rationals, indexed [i, k] from 0."""
+    """Square matrix of exact rationals, indexed [i, k] from 0.
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    Integral entries are stored as ``int`` and the others as ``Fraction``,
+    whatever type they were given in; an ``int`` compares and hashes equal
+    to the ``Fraction`` of the same value.
+    """
+
+    entries: tuple[tuple[int | Fraction, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(Fraction(v) for v in row) for row in self.entries)
+        rows = tuple(
+            tuple(row) if _all_int(row) else tuple(map(_exact, row))
+            for row in self.entries
+        )
         n = len(rows)
         if n == 0:
             raise ValidationError("matrix must have at least one row")
@@ -51,9 +84,14 @@ class FiniteMatrix:
     def size(self) -> int:
         return len(self.entries)
 
+    @property
+    def n_max(self) -> int:
+        """Index of the last row, as on a materialized Stirling matrix."""
+        return len(self.entries) - 1
+
     @classmethod
     def from_rows(cls, rows) -> FiniteMatrix:
-        return cls(tuple(tuple(Fraction(v) for v in row) for row in rows))
+        return cls(rows)
 
     @classmethod
     def identity(cls, size: int) -> FiniteMatrix:
@@ -61,21 +99,17 @@ class FiniteMatrix:
             [[1 if i == k else 0 for k in range(size)] for i in range(size)]
         )
 
-    def entry(self, i: int, k: int) -> Fraction:
+    def entry(self, i: int, k: int) -> int | Fraction:
         if not (0 <= i < self.size and 0 <= k < self.size):
             raise RangeError(f"index ({i}, {k}) outside size-{self.size} matrix")
         return self.entries[i][k]
 
     def is_lower_triangular(self) -> bool:
-        return all(
-            self.entries[i][k] == 0
-            for i in range(self.size)
-            for k in range(i + 1, self.size)
-        )
+        return not any(any(row[i + 1:]) for i, row in enumerate(self.entries))
 
     def is_unipotent(self) -> bool:
         return self.is_lower_triangular() and all(
-            self.entries[i][i] == 1 for i in range(self.size)
+            row[i] == 1 for i, row in enumerate(self.entries)
         )
 
     def __matmul__(self, other: FiniteMatrix) -> FiniteMatrix:
@@ -88,8 +122,7 @@ class FiniteMatrix:
         n = self.size
         rows = [
             [
-                sum((self.entries[i][j] * other.entries[j][k] for j in range(n)),
-                    Fraction(0))
+                sum(self.entries[i][j] * other.entries[j][k] for j in range(n))
                 for k in range(n)
             ]
             for i in range(n)
@@ -104,9 +137,7 @@ class FiniteMatrix:
 
     @classmethod
     def from_json_obj(cls, obj) -> FiniteMatrix:
-        m = cls.from_rows(
-            [[Fraction(v) for v in row] for row in obj["entries"]]
-        )
+        m = cls.from_rows(obj["entries"])
         if m.size != int(obj["size"]):
             raise ValidationError(
                 f"declared size {obj['size']} does not match {m.size} rows"
@@ -123,19 +154,87 @@ class ColumnMismatch:
     actual: TruncatedSeries
 
 
-@dataclass(frozen=True)
 class SubstitutionReport:
     """Verdict plus per-column diagnostics of the substitution condition.
 
     ``extracted_g`` is the column-0 EGF and ``extracted_phi`` the exact
     quotient c_1/c_0; for a unipotent input, phi has zero constant term and
-    unit linear coefficient.
+    unit linear coefficient.  ``failing_columns`` holds every column k whose
+    EGF differs from g·φ^k/k!, with both series.
+
+    A report returned by :func:`is_approximate_substitution` holds only its
+    verdict and its source matrix: each diagnostic is computed on first
+    access and then cached.  Reports are immutable, and equality and hashing
+    compare the verdict and all three diagnostics.
     """
 
-    verdict: bool
-    failing_columns: tuple[ColumnMismatch, ...]
-    extracted_g: TruncatedSeries
-    extracted_phi: TruncatedSeries
+    def __init__(self, verdict, failing_columns, extracted_g, extracted_phi):
+        vars(self).update(
+            verdict=verdict,
+            failing_columns=failing_columns,
+            extracted_g=extracted_g,
+            extracted_phi=extracted_phi,
+        )
+
+    @classmethod
+    def _of_matrix(cls, m: FiniteMatrix, first_failure: int | None) -> SubstitutionReport:
+        """Report on `m`, whose recurrence first fails at step `first_failure`."""
+        report = cls.__new__(cls)
+        vars(report).update(
+            verdict=first_failure is None, _matrix=m, _first_failure=first_failure
+        )
+        return report
+
+    @cached_property
+    def extracted_g(self) -> TruncatedSeries:
+        return column_egf(self._matrix, 0, self._matrix.n_max)
+
+    @cached_property
+    def extracted_phi(self) -> TruncatedSeries:
+        c1 = column_egf(self._matrix, 1, self._matrix.n_max)
+        return c1.multiply(self.extracted_g.invert())
+
+    @cached_property
+    def failing_columns(self) -> tuple[ColumnMismatch, ...]:
+        """Scanned from column k+1, k the first failing step: columns 0..k hold."""
+        k = self._first_failure
+        if k is None:
+            return ()
+        m = self._matrix
+        expected = _columns_from(
+            column_egf(m, k, m.n_max), self.extracted_phi, k, m.size
+        )
+        next(expected)
+        failing = []
+        for j, column in enumerate(expected, k + 1):
+            actual = column_egf(m, j, m.n_max)
+            if column != actual:
+                failing.append(ColumnMismatch(k=j, expected=column, actual=actual))
+        return tuple(failing)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.verdict, self.failing_columns, self.extracted_g, self.extracted_phi)
+
+    def __eq__(self, other):
+        if not isinstance(other, SubstitutionReport):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"SubstitutionReport(verdict={self.verdict!r}, "
+            f"failing_columns={self.failing_columns!r}, "
+            f"extracted_g={self.extracted_g!r}, extracted_phi={self.extracted_phi!r})"
+        )
 
     def to_json_obj(self) -> dict:
         return {
@@ -170,6 +269,81 @@ class SubstitutionReport:
         )
 
 
+def _columns_from(column: TruncatedSeries, phi: TruncatedSeries, k: int, size: int):
+    """Yield columns k, k+1, ..., size−1 of g·φ^j/j!, starting from column k.
+
+    Each step is c_{j+1} = c_j·φ/(j+1): one series product per column.
+    """
+    yield column
+    for j in range(k + 1, size):
+        column = column.multiply(phi).scale(Fraction(1, j))
+        yield column
+
+
+@lru_cache(maxsize=32)
+def _binomial_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(comb(i, j) for j in range(i + 1)) for i in range(n + 1))
+
+
+def recurrence_failure(rows) -> int | None:
+    """First step k at which the column recurrence fails, or None if none does.
+
+    `rows` is L·M for a unipotent M of size n+1 ≥ 2 and an integer L ≥ 1,
+    given as integer rows.  Step k, for k = 1..n−1, is the identity
+
+        c_0·(k+1)·c_{k+1} ≡ c_k·c_1   (mod x^{n+1})
+
+    of column EGFs.  The EGF product has Σ_j C(i,j)·a_j·b_{i−j} at x^i/i!,
+    so coefficient i of step k reads
+
+        (k+1)·Σ_j C(i,j)·M[j,0]·M[i−j,k+1] = Σ_j C(i,j)·M[j,k]·M[i−j,1],
+
+    with no division.  For i ≤ k both sides vanish (c_{k+1} and c_k·c_1 start
+    at x^{k+1}), and for i = k+1 both equal (k+1)·L², so only i = k+2..n are
+    checked.  The scan goes k = 1, 2, ... and i upwards, and returns at the
+    first failing pair.
+
+    Equivalence with the column-EGF condition c_k = c_0·φ^k/k! for all
+    k = 0..n, where φ = c_1/c_0 exists because c_0 has constant term 1:
+
+    * Forward: multiplying c_k = c_0·φ^k/k! by c_1 = c_0·φ gives
+      c_k·c_1 = c_0·(c_0·φ^{k+1}/k!) = c_0·(k+1)·c_{k+1}, all mod x^{n+1}.
+    * Backward, by induction on k: c_0 = c_0·φ^0/0! and c_1 = c_0·φ hold by
+      the definition of φ.  If c_k = c_0·φ^k/k! and step k holds, dividing
+      step k by the unit (k+1)·c_0 gives
+      c_{k+1} = c_k·φ/(k+1) = c_0·φ^{k+1}/(k+1)!.
+
+    So the matrix passes exactly when every step holds, and when step k is
+    the first to fail, columns 0..k satisfy the condition and column k+1 is
+    the first that does not.
+
+    Scaling: every term on either side is a product of two entries, so the
+    identity is homogeneous of degree 2 and holds for L·M exactly when it
+    holds for M, since L² ≠ 0.  Rational matrices therefore take this same
+    integer path after multiplying by the LCM of their denominators.
+    """
+    n = len(rows) - 1
+    binomials = _binomial_rows(n)
+    col0 = [row[0] for row in rows]
+    col1 = [row[1] for row in rows]
+    for k in range(1, n - 1):
+        for i in range(k + 2, n + 1):
+            binomial = binomials[i]
+            lhs = sum(binomial[j] * col0[j] * rows[i - j][k + 1] for j in range(i - k))
+            rhs = sum(binomial[j] * rows[j][k] * col1[i - j] for j in range(k, i))
+            if (k + 1) * lhs != rhs:
+                return k
+    return None
+
+
+def _integer_rows(m: FiniteMatrix):
+    """The entries of L·m as integers, L the LCM of the entry denominators."""
+    if all(map(_all_int, m.entries)):
+        return m.entries
+    scale = lcm(*[v.denominator for row in m.entries for v in row])
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in m.entries]
+
+
 def _require_unipotent(m: FiniteMatrix) -> None:
     if m.size < 2:
         raise ValidationError(
@@ -185,38 +359,11 @@ def _require_unipotent(m: FiniteMatrix) -> None:
 def is_approximate_substitution(m: FiniteMatrix) -> SubstitutionReport:
     """Test the column-EGF condition c_k = [c_0(c_1/c_0)^k/k!]_n exactly.
 
-    Columns 0 and 1 are evaluated too, as a cheap self-check of the series
-    engine, even though they hold identically for any unipotent input.
+    The verdict comes from :func:`recurrence_failure`; reading it does no
+    series work.  The report's diagnostics are computed on first access.
     """
     _require_unipotent(m)
-    n = m.size - 1
-    columns = [column_egf(m, k, n) for k in range(m.size)]
-    g = columns[0]
-    phi = columns[1].multiply(g.invert())
-    failing = []
-    phi_power = TruncatedSeries.one(n)
-    for k, actual in enumerate(columns):
-        expected = g.multiply(phi_power).scale(Fraction(1, factorial(k)))
-        if expected != actual:
-            failing.append(ColumnMismatch(k=k, expected=expected, actual=actual))
-        phi_power = phi_power.multiply(phi)
-    return SubstitutionReport(
-        verdict=not failing,
-        failing_columns=tuple(failing),
-        extracted_g=g,
-        extracted_phi=phi,
-    )
-
-
-def sheffer_check(m: FiniteMatrix) -> SubstitutionReport:
-    """Column-wise Sheffer-condition view of the same test.
-
-    The bivariate identity Σ T(n,k) x^n/n! y^k = g(x)·e^{y·φ(x)} holds
-    column-by-column exactly when every column EGF matches g·φ^k/k!, so the
-    verdict and the extracted (g, φ) coincide with
-    :func:`is_approximate_substitution`.
-    """
-    return is_approximate_substitution(m)
+    return SubstitutionReport._of_matrix(m, recurrence_failure(_integer_rows(m)))
 
 
 def build_substitution_matrix(
@@ -239,26 +386,10 @@ def build_substitution_matrix(
         raise ValidationError("g must have constant term 1")
     if phi.coeffs[0] != 0 or phi.coeffs[1] != 1:
         raise ValidationError("phi must have constant term 0 and linear coefficient 1")
-    g = g.truncate(n)
-    phi = phi.truncate(n)
-    columns = []
-    phi_power = TruncatedSeries.one(n)
-    for k in range(size):
-        col = g.multiply(phi_power).scale(Fraction(1, factorial(k)))
-        columns.append(col)
-        phi_power = phi_power.multiply(phi)
-    rows = [
-        [columns[k].coeffs[i] * factorial(i) for k in range(size)]
-        for i in range(size)
-    ]
-    return FiniteMatrix.from_rows(rows)
-
-
-def _materialized_rows(m) -> int:
-    """Last materialized row index of a FiniteMatrix or a Stirling matrix."""
-    if isinstance(m, FiniteMatrix):
-        return m.size - 1
-    return m.n_max
+    columns = list(_columns_from(g.truncate(n), phi.truncate(n), 0, size))
+    return FiniteMatrix.from_rows(
+        [[column.coeffs[i] * factorial(i) for column in columns] for i in range(size)]
+    )
 
 
 def truncate_rn(m, n: int) -> FiniteMatrix:
@@ -270,12 +401,10 @@ def truncate_rn(m, n: int) -> FiniteMatrix:
     """
     if n < 0:
         raise ValidationError(f"truncation order must be non-negative, got {n}")
-    if n > _materialized_rows(m):
-        raise RangeError(
-            f"matrix materialized through row {_materialized_rows(m)}, need {n}"
-        )
+    if n > m.n_max:
+        raise RangeError(f"matrix materialized through row {m.n_max}, need {n}")
     return FiniteMatrix.from_rows(
-        [[Fraction(m.entry(i, k)) for k in range(n + 1)] for i in range(n + 1)]
+        [[m.entry(i, k) for k in range(n + 1)] for i in range(n + 1)]
     )
 
 
@@ -285,12 +414,13 @@ def truncate_taun(m, n: int) -> FiniteMatrix:
     The domain restriction is what makes τ_n multiplicative:
     τ_n(AB) = τ_n(A)·τ_n(B) for lower-triangular A, B.
     """
-    last = _materialized_rows(m)
     if isinstance(m, FiniteMatrix):
         lower = m.is_lower_triangular()
     else:
         lower = all(
-            m.entry(i, k) == 0 for i in range(last + 1) for k in range(i + 1, len(m.row(i)))
+            m.entry(i, k) == 0
+            for i in range(m.n_max + 1)
+            for k in range(i + 1, len(m.row(i)))
         )
     if not lower:
         raise ValidationError("τ_n is only defined on lower-triangular matrices")

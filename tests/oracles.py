@@ -2,13 +2,17 @@
 
 Nothing here may call into the closed-form code paths it verifies: the
 rewriter works letter by letter with the elementary relation
-a a† → a† a + 1, and the helpers below stay at that level.
+a a† → a† a + 1, the substitution check works on plain lists of Fractions
+with series division and powers of φ, and the helpers below stay at that
+level.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import defaultdict
+from fractions import Fraction
+from math import factorial
 
 
 def rewrite_normal_order(letters: tuple[str, ...]) -> dict[tuple[int, int], int]:
@@ -41,6 +45,53 @@ def all_words(length: int):
 
 def geometric_inverse_coeffs(c: int, order: int) -> list:
     """Coefficients of 1/(1 + c·x) up to `order`, by the geometric series."""
-    from fractions import Fraction
-
     return [Fraction((-c) ** i) for i in range(order + 1)]
+
+
+def _series_multiply(a: list, b: list) -> list:
+    return [sum(a[j] * b[i - j] for j in range(i + 1)) for i in range(len(a))]
+
+
+def _series_divide(a: list, b: list) -> list:
+    """q with q·b ≡ a, for b with a nonzero constant term."""
+    q: list = []
+    for i in range(len(a)):
+        q.append((a[i] - sum(q[j] * b[i - j] for j in range(i))) / b[0])
+    return q
+
+
+def _series_json(coeffs: list) -> dict:
+    return {"order": len(coeffs) - 1, "coeffs": [str(c) for c in coeffs]}
+
+
+def substitution_report(rows) -> dict:
+    """The column-EGF condition c_k = [c_0·(c_1/c_0)^k/k!]_n, column by column.
+
+    Builds every column EGF, takes g = c_0 and φ = c_1/c_0 by series
+    division, forms the powers of φ and compares every column, 0 and 1
+    included, with g·φ^k/k!; there is no early exit.  Returns the JSON
+    object of a substitution report: verdict, failing columns with their
+    expected and actual series, g and φ.
+    """
+    n = len(rows) - 1
+    columns = [
+        [Fraction(rows[i][k]) / factorial(i) for i in range(n + 1)]
+        for k in range(n + 1)
+    ]
+    g = columns[0]
+    phi = _series_divide(columns[1], g)
+    failing = []
+    power = [Fraction(1)] + [Fraction(0)] * n
+    for k, actual in enumerate(columns):
+        expected = [c / factorial(k) for c in _series_multiply(g, power)]
+        if expected != actual:
+            failing.append(
+                {"k": k, "expected": _series_json(expected), "actual": _series_json(actual)}
+            )
+        power = _series_multiply(power, phi)
+    return {
+        "verdict": not failing,
+        "failing_columns": failing,
+        "g": _series_json(g),
+        "phi": _series_json(phi),
+    }

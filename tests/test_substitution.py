@@ -8,6 +8,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bosonstirling import (
     FiniteMatrix,
@@ -17,12 +19,14 @@ from bosonstirling import (
     build_substitution_matrix,
     is_approximate_substitution,
     parse_word,
-    sheffer_check,
+    random_unipotent,
     stirling_matrix,
+    trial_stream,
     truncate_rn,
     truncate_taun,
 )
 
+from oracles import substitution_report
 from tables import STIRLING2_ROWS
 
 
@@ -81,6 +85,30 @@ def sympy_condition_verdict(rows):
         if sp.expand(rhs - cols[k]) != 0:
             return False
     return True
+
+
+SMALL_FRACTIONS = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@st.composite
+def unipotent_rows(draw, entries):
+    size = draw(st.integers(2, 9))
+    return [
+        [draw(entries) if k < i else int(i == k) for k in range(size)]
+        for i in range(size)
+    ]
+
+
+@st.composite
+def built_matrices(draw):
+    size = draw(st.integers(2, 9))
+    g = TruncatedSeries.from_coeffs(
+        [1] + [draw(SMALL_FRACTIONS) for _ in range(size - 1)], size - 1
+    )
+    phi = TruncatedSeries.from_coeffs(
+        [0, 1] + [draw(SMALL_FRACTIONS) for _ in range(size - 2)], size - 1
+    )
+    return build_substitution_matrix(g, phi, size)
 
 
 class TestFiniteMatrix:
@@ -181,6 +209,117 @@ class TestCondition:
         assert SubstitutionReport.from_json_obj(report.to_json_obj()) == report
 
 
+class TestAgainstOracle:
+    """Reports agree with the series-pipeline oracle, diagnostics included."""
+
+    @settings(max_examples=100)
+    @given(unipotent_rows(st.integers(-3, 12)))
+    def test_random_integer_matrices(self, rows):
+        report = is_approximate_substitution(FiniteMatrix.from_rows(rows))
+        assert report.to_json_obj() == substitution_report(rows)
+
+    @settings(max_examples=50)
+    @given(unipotent_rows(SMALL_FRACTIONS))
+    def test_random_rational_matrices(self, rows):
+        report = is_approximate_substitution(FiniteMatrix.from_rows(rows))
+        assert report.to_json_obj() == substitution_report(rows)
+
+    @settings(max_examples=40)
+    @given(built_matrices())
+    def test_built_matrices_pass(self, m):
+        report = is_approximate_substitution(m)
+        assert report.verdict
+        assert report.to_json_obj() == substitution_report(m.entries)
+
+    @settings(max_examples=80)
+    @given(built_matrices(), st.data())
+    def test_one_changed_entry(self, m, data):
+        # Changing M[i,c] by δ ≠ 0 in a passing matrix changes, in degree
+        # order: column c alone for c ≥ 2; φ at x^i for c = 1, which moves
+        # g·φ^k/k! first at x^{k−1+i}; g at x^i for c = 0, which moves
+        # c_1^k·g^{1−k}/k! first at x^{k+i}.  A column fails when that
+        # degree is at most n.
+        n = m.n_max
+        i = data.draw(st.integers(1, n), label="row")
+        c = data.draw(st.integers(0, i - 1), label="column")
+        delta = data.draw(SMALL_FRACTIONS.filter(bool), label="delta")
+        rows = [list(row) for row in m.entries]
+        rows[i][c] += delta
+        if c >= 2:
+            expected = [c]
+        elif c == 1:
+            expected = list(range(2, n + 2 - i))
+        else:
+            expected = list(range(2, n + 1 - i))
+        report = is_approximate_substitution(FiniteMatrix.from_rows(rows))
+        assert [f.k for f in report.failing_columns] == expected
+        assert report.verdict == (not expected)
+        assert report.to_json_obj() == substitution_report(rows)
+
+
+class TestLazyDiagnostics:
+    def test_verdict_does_no_series_work(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("series arithmetic while deciding a verdict")
+
+        monkeypatch.setattr(TruncatedSeries, "multiply", refuse)
+        monkeypatch.setattr(TruncatedSeries, "invert", refuse)
+        verdicts = {
+            is_approximate_substitution(
+                random_unipotent(4, 3, trial_stream(7, trial))
+            ).verdict
+            for trial in range(300)
+        }
+        assert verdicts == {True, False}
+        rational = FiniteMatrix.from_rows(
+            [[1, 0, 0, 0], [Fraction(1, 2), 1, 0, 0], [1, 1, 1, 0], [1, 1, 1, 1]]
+        )
+        assert is_approximate_substitution(rational).verdict is False
+
+    def test_diagnostics_are_cached(self):
+        rows = [[1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 0], [1, 1, 1, 1]]
+        report = is_approximate_substitution(FiniteMatrix.from_rows(rows))
+        assert report.failing_columns is report.failing_columns
+        assert report.extracted_phi is report.extracted_phi
+
+    def test_report_is_immutable(self):
+        report = is_approximate_substitution(FiniteMatrix.identity(3))
+        with pytest.raises(AttributeError):
+            report.verdict = False
+        with pytest.raises(AttributeError):
+            report.extracted_g = TruncatedSeries.one(2)
+
+
+class TestEntryTypes:
+    def test_integral_inputs_become_int(self):
+        m = FiniteMatrix.from_rows([[Fraction(4, 2), 0], ["6/3", 1.0]])
+        assert m.entries == ((2, 0), (2, 1))
+        assert all(type(v) is int for row in m.entries for v in row)
+
+    def test_other_inputs_become_fraction(self):
+        m = FiniteMatrix.from_rows([[Fraction(1, 2), "1/3"], [0.25, True]])
+        assert m.entries == ((Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 4), 1))
+        assert [type(v) for row in m.entries for v in row] == [
+            Fraction, Fraction, Fraction, int,
+        ]
+
+    def test_entries_are_int_or_non_integral_fraction(self):
+        half = TruncatedSeries.from_coeffs([1, Fraction(1, 2), 3, Fraction(-2, 3)])
+        phi = TruncatedSeries.from_coeffs([0, 1, Fraction(1, 3), 2])
+        a = FiniteMatrix.from_rows([[1, 0], [Fraction(1, 3), 1]])
+        matrices = [
+            random_unipotent(6, 10, trial_stream(3, 0)),
+            build_substitution_matrix(half, phi, 4),
+            FiniteMatrix.from_json_obj({"size": 2, "entries": [["1", "0"], ["4/2", "1"]]}),
+            a @ a @ a,
+            truncate_rn(stirling_matrix(parse_word("d a d"), 5), 4),
+            FiniteMatrix.identity(3),
+        ]
+        for m in matrices:
+            for v in (v for row in m.entries for v in row):
+                assert type(v) is int or (type(v) is Fraction and v.denominator != 1)
+
+
 class TestBuilder:
     def test_identity_from_trivial_pair(self):
         built = build_substitution_matrix(TruncatedSeries.one(4), TruncatedSeries.x(4), 5)
@@ -233,28 +372,29 @@ class TestBuilder:
 
 
 class TestShefferCheck:
+    """Known Sheffer matrices pass and give back their (g, φ)."""
+
     def test_stirling2_truncation(self):
-        report = sheffer_check(truncate_rn(stirling_matrix(parse_word("d a"), 5), 5))
+        report = is_approximate_substitution(
+            truncate_rn(stirling_matrix(parse_word("d a"), 5), 5)
+        )
         assert report.verdict
         assert report.extracted_g == TruncatedSeries.one(5)
         assert report.extracted_phi == exp_minus_one(5)
 
     def test_prefunction_truncation(self):
-        report = sheffer_check(truncate_rn(stirling_matrix(parse_word("d a d"), 5), 5))
+        report = is_approximate_substitution(
+            truncate_rn(stirling_matrix(parse_word("d a d"), 5), 5)
+        )
         assert report.verdict
         assert report.extracted_g == geometric(5)
         assert report.extracted_phi == x_over_one_minus_x(5)
 
     def test_identity(self):
-        report = sheffer_check(FiniteMatrix.identity(4))
+        report = is_approximate_substitution(FiniteMatrix.identity(4))
         assert report.verdict
         assert report.extracted_g == TruncatedSeries.one(3)
         assert report.extracted_phi == TruncatedSeries.x(3)
-
-    def test_same_verdict_as_condition(self):
-        rows = [[1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 0], [1, 1, 1, 1]]
-        m = FiniteMatrix.from_rows(rows)
-        assert sheffer_check(m) == is_approximate_substitution(m)
 
 
 class TestSingleAnnihilatorWords:
