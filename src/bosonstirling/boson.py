@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb, perm
 
 from .errors import ParseError, ValidationError
 
@@ -276,14 +276,15 @@ def multiply_normal_forms(p: NormalForm, q: NormalForm) -> NormalForm:
         a^l (a†)^r = Σ_k C(l,k) C(r,k) k! (a†)^{r−k} a^{l−k}
 
     which collapses the exponential blowup of letter-by-letter rewriting
-    into a polynomial-size sum.  Bilinear and associative.
+    into a polynomial-size sum.  The weight C(l,k)·C(r,k)·k! is computed as
+    perm(l,k)·C(r,k).  Bilinear and associative.
     """
     acc: defaultdict[tuple[int, int], int] = defaultdict(int)
     for (j1, l1), c1 in p.terms.items():
         for (j2, l2), c2 in q.terms.items():
             c = c1 * c2
             for k in range(min(l1, j2) + 1):
-                weight = comb(l1, k) * comb(j2, k) * factorial(k)
+                weight = perm(l1, k) * comb(j2, k)
                 acc[(j1 + j2 - k, l1 + l2 - k)] += c * weight
     return NormalForm(acc)
 

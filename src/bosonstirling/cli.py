@@ -55,7 +55,11 @@ def dumps_canonical(obj) -> str:
 
 def load_matrix_file(path: str) -> FiniteMatrix:
     with open(path, encoding="utf-8") as fh:
-        return FiniteMatrix.from_json_obj(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise ValidationError("matrix file is nested too deeply") from None
+    return FiniteMatrix.from_json_obj(obj)
 
 
 def dump_matrix_file(path: str, matrix: FiniteMatrix) -> None:

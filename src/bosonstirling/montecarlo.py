@@ -18,6 +18,7 @@ configuration no matter how trials are scheduled across workers.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -209,16 +210,21 @@ def wilson_interval_95(successes: int, draws: int) -> tuple[Fraction, Fraction]:
     return max(Fraction(0), lo), min(Fraction(1), hi)
 
 
+def worker_count(jobs: int, draws: int) -> int:
+    """Processes to start for `jobs` requested: at most one per draw and per CPU."""
+    return min(jobs, draws, os.cpu_count() or 1)
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Draw cfg.draws unipotent matrices and count substitution-test passes.
 
     The per-trial streams make the outcome a pure function of
     (seed, size, draws, range_r); `jobs` only changes the schedule.
     """
-    if cfg.jobs <= 1 or cfg.draws == 1:
+    jobs = worker_count(cfg.jobs, cfg.draws)
+    if jobs == 1:
         successes = _count_successes(cfg.seed, cfg.size, cfg.range_r, 0, cfg.draws)
     else:
-        jobs = min(cfg.jobs, cfg.draws)
         step = -(-cfg.draws // jobs)
         spans = [
             (start, min(start + step, cfg.draws))

@@ -18,11 +18,13 @@ and the Bell numbers their values at x = 1.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
+from operator import add
 
-from .boson import BosonWord, NormalForm, excess, multiply_normal_forms, normal_order
+from .boson import BosonWord, excess, normal_order
 from .errors import RangeError, ValidationError
 from .series import TruncatedSeries
 
@@ -88,47 +90,80 @@ class GeneralizedStirlingMatrix:
 
 
 def stirling_matrix(w: BosonWord, n_max: int) -> GeneralizedStirlingMatrix:
-    """Materialize rows 0..n_max of S_w by incremental normal ordering.
+    """Materialize rows 0..n_max of S_w by a row-step kernel on ``int`` lists.
 
-    Row n is read off N(w^n), computed as N(w^{n-1})·N(w) — the normally
-    ordered product is a homomorphism, so this matches ordering w^n from
-    scratch at a fraction of the cost.
+    Write d⁺ = max(d, 0), d⁻ = max(−d, 0) and the normal form of w once as
+    N(w) = Σ_t c_t (a†)^{j_t} a^{l_t}.  Row n is read off N(w^n) =
+    N(w^{n−1})·N(w), whose column-k1 term in row n−1 is
+
+        S(n−1,k1) (a†)^{k1+(n−1)d⁺} a^{L},    L = k1 + (n−1)d⁻.
+
+    The Weyl identity a^L (a†)^j = Σ_κ C(L,κ)C(j,κ)κ! (a†)^{j−κ} a^{L−κ},
+    with C(L,κ)·κ! = perm(L,κ), turns that term times c_t (a†)^{j_t} a^{l_t}
+    into Σ_κ S(n−1,k1)·c_t·C(j_t,κ)·perm(L,κ) times a monomial with
+    annihilator exponent L − κ + l_t = k + n·d⁻, that is column
+    k = k1 + (l_t − κ − d⁻).  So, with the step list
+    (shift = l_t − κ − d⁻, mult = c_t·C(j_t,κ), κ) for κ = 0..j_t,
+
+        row_n[k1 + shift] += row_{n−1}[k1] · mult · perm(k1 + (n−1)·d⁻, κ).
+
+    Every nonzero contribution is a term of N(w^n), so it lands in columns
+    0..n·s; a contribution aimed left of column 0 has perm(L,κ) = 0, so the
+    columns k1 < −shift are skipped.  Steps with equal (κ, shift) share one
+    summed mult, and the factors perm(L,κ) are built for κ = 0, 1, ... by
+    multiplying by L − κ + 1, which is zero once κ passes L.
     """
     if len(w) == 0:
         raise ValidationError("the empty word has no Stirling matrix")
     if n_max < 0:
         raise ValidationError(f"row count must be non-negative, got {n_max}")
     s_tot = w.annihilator_count
-    r_tot = w.creator_count
     d = excess(w)
-    nf_w = normal_order(w)
-    rows = []
-    nf = NormalForm.identity()
-    for n in range(n_max + 1):
-        if n > 0:
-            nf = multiply_normal_forms(nf, nf_w)
-        j_shift = n * d if d > 0 else 0
-        l_shift = -n * d if d < 0 else 0
-        rows.append(
-            tuple(
-                nf.coefficient(k + j_shift, k + l_shift)
-                for k in range(n * s_tot + 1)
-            )
-        )
+    d_minus = max(-d, 0)
+    # steps[κ] maps shift to mult; the term (r_tot, s_tot) of N(w) makes
+    # every κ = 0..r_tot occur.
+    steps = [Counter() for _ in range(w.creator_count + 1)]
+    for (j, l), c in normal_order(w).terms.items():
+        for kappa in range(j + 1):
+            steps[kappa][l - kappa - d_minus] += c * comb(j, kappa)
+    rows = [[1]]
+    for n in range(1, n_max + 1):
+        out = [0] * (n * s_tot + 1)
+        base = (n - 1) * d_minus + 1
+        weighted = rows[-1]
+        for kappa, shifts in enumerate(steps):
+            if kappa:
+                weighted = [v * (k1 + base - kappa) for k1, v in enumerate(weighted)]
+            for shift, mult in shifts.items():
+                lo = max(-shift, 0)
+                src = weighted[lo:] if mult == 1 else [mult * v for v in weighted[lo:]]
+                start, stop = lo + shift, lo + shift + len(src)
+                out[start:stop] = map(add, out[start:stop], src)
+        rows.append(out)
     return GeneralizedStirlingMatrix(
-        word=w, rows=tuple(rows), s_tot=s_tot, r_tot=r_tot, d=d
+        word=w, rows=tuple(map(tuple, rows)), s_tot=s_tot, r_tot=w.creator_count, d=d
     )
 
 
 def bell_polynomial(m: GeneralizedStirlingMatrix, n: int, x) -> Fraction:
-    """Evaluate B_w(n, x) = Σ_k S_w(n,k) x^k at an exact rational x."""
+    """Evaluate B_w(n, x) = Σ_k S_w(n,k) x^k at an exact rational x.
+
+    With x = p/q in lowest terms (q > 0) and D the row's last column,
+    B_w(n, x) = N/q^D for the integer N = Σ_k S_w(n,k)·p^k·q^{D−k}.  The
+    homogenised Horner scheme h_D = S(n,D), h_k = h_{k+1}·p + S(n,k)·q^{D−k}
+    gives N = h_0 in ``int`` arithmetic, so the fraction is reduced once
+    instead of at every step.
+    """
     if not 0 <= n <= m.n_max:
         raise RangeError(f"row {n} not materialized (have 0..{m.n_max})")
     x = Fraction(x)
-    value = Fraction(0)
-    for coeff in reversed(m.rows[n]):
-        value = value * x + coeff
-    return value
+    p, q = x.numerator, x.denominator
+    row = m.rows[n]
+    value, q_power = row[-1], 1
+    for coeff in reversed(row[:-1]):
+        q_power *= q
+        value = value * p + coeff * q_power
+    return Fraction(value, q_power)
 
 
 def bell_numbers(m: GeneralizedStirlingMatrix) -> list[int]:

@@ -40,6 +40,7 @@ from .stirling import column_egf
 
 
 _INT = frozenset((int,))
+_JSON_ENTRY = frozenset((int, str))
 
 
 def _all_int(row) -> bool:
@@ -137,10 +138,30 @@ class FiniteMatrix:
 
     @classmethod
     def from_json_obj(cls, obj) -> FiniteMatrix:
-        m = cls.from_rows(obj["entries"])
-        if m.size != int(obj["size"]):
+        """Read ``{"size": int, "entries": [[int or "p/q" string, ...], ...]}``.
+
+        Anything else, a JSON float or boolean entry included, raises
+        ValidationError.
+        """
+        if not isinstance(obj, dict):
+            raise ValidationError("a matrix must be a JSON object")
+        size, entries = obj.get("size"), obj.get("entries")
+        if type(size) is not int:
+            raise ValidationError(f"size must be an integer, got {size!r}")
+        if not isinstance(entries, list) or not all(
+            isinstance(row, list) for row in entries
+        ):
+            raise ValidationError("entries must be a list of lists")
+        for row in entries:
+            if not _JSON_ENTRY.issuperset(map(type, row)):
+                bad = next(v for v in row if type(v) not in _JSON_ENTRY)
+                raise ValidationError(
+                    f"entry {bad!r} is neither an integer nor a string"
+                )
+        m = cls.from_rows(entries)
+        if m.size != size:
             raise ValidationError(
-                f"declared size {obj['size']} does not match {m.size} rows"
+                f"declared size {size} does not match {m.size} rows"
             )
         return m
 

@@ -3,7 +3,8 @@
 Nothing here may call into the closed-form code paths it verifies: the
 rewriter works letter by letter with the elementary relation
 a a† → a† a + 1, the x^m action applies a = d/dx and a† = x letter by
-letter to a monomial, the substitution check works on plain lists of
+letter to a monomial (and, through forward differences, recovers whole
+Stirling rows from it), the substitution check works on plain lists of
 Fractions with series division and powers of φ, and the helpers below stay
 at that level.
 """
@@ -55,6 +56,35 @@ def x_power_action(letters: tuple[str, ...], m: int) -> int:
         else:
             exponent += 1
     return coeff
+
+
+def stirling_rows_by_action(letters: tuple[str, ...], n_max: int) -> list[list[int]]:
+    """Rows 0..n_max of S_w(n,k), recovered from the action of w^n on x^m.
+
+    With s annihilators, excess d and d⁻ = max(−d, 0), the normal form
+    N(w^n) = Σ_k S(n,k) (a†)^{k+n·d⁺} a^{k+n·d⁻} sends x^m to c_n(m)·x^(m+n·d)
+    with c_n(m) = Σ_k S(n,k)·m^(k+n·d⁻), m^(i) the falling factorial.
+    Newton's forward-difference formula then gives
+    S(n,k) = Δ^(k+n·d⁻) c_n(0) / (k+n·d⁻)!, read off the differences of
+    c_n(0), c_n(1), ..., c_n(n·s + n·d⁻).
+    """
+    s = letters.count("a")
+    d_minus = max(2 * s - len(letters), 0)
+    rows = []
+    for n in range(n_max + 1):
+        shift = n * d_minus
+        values = [x_power_action(tuple(letters) * n, m) for m in range(n * s + shift + 1)]
+        leading = []
+        while values:
+            leading.append(values[0])
+            values = [b - a for a, b in zip(values, values[1:])]
+        row = []
+        for k in range(n * s + 1):
+            entry, rest = divmod(leading[k + shift], factorial(k + shift))
+            assert rest == 0, "a forward difference is not divisible by its factorial"
+            row.append(entry)
+        rows.append(row)
+    return rows
 
 
 def all_words(length: int):

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import bosonstirling
 from bosonstirling import (
     ExperimentResult,
     FiniteMatrix,
@@ -44,6 +47,19 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_process(*argv):
+    """Run the CLI in a fresh interpreter that imports this package."""
+    src = str(Path(bosonstirling.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "bosonstirling", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
 
 
 def write_matrix_file(tmp_path, rows, name="matrix.json"):
@@ -232,6 +248,25 @@ class TestCheckSubstCommand:
         code, _, err = run_cli(capsys, "check-subst", str(bad))
         assert code == 2 and err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"size": 2, "entries": 5}',
+            '[[1, 0], [0, 1]]',
+            '{"size": 2, "entries": [[1, 0], [null, 1]]}',
+            '{"size": 2, "entries": [[1, 0], [0.5, 1]]}',
+            "[" * 100_000 + "]" * 100_000,
+        ],
+        ids=["entries-not-list", "top-level-list", "null-entry", "float-entry", "deep-nesting"],
+    )
+    def test_schema_violation_exit_2_without_traceback(self, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        proc = run_cli_process("check-subst", str(bad))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
     def test_non_unipotent_file_exit_2(self, capsys, tmp_path):
         path = write_matrix_file(tmp_path, [[1, 0], [1, 2]])
         code, _, err = run_cli(capsys, "check-subst", path)
@@ -386,10 +421,6 @@ class TestTopLevel:
         assert exc.value.code == 2
 
     def test_console_script_runs(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "bosonstirling", "bound", "--size", "4", "--range", "10"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_cli_process("bound", "--size", "4", "--range", "10")
         assert proc.returncode == 0
         assert proc.stdout == "1/10\n"

@@ -20,6 +20,7 @@ from bosonstirling import (
     trial_stream,
     wilson_interval_95,
 )
+from bosonstirling.montecarlo import worker_count
 
 # Recorded from the reference generator at first run; guards against stream
 # drift in Philox keying or triangle fill order.
@@ -133,6 +134,16 @@ class TestRunExperiment:
         )
         assert serial.successes == parallel.successes
         assert serial.estimate == parallel.estimate
+
+    def test_worker_count_is_capped(self, monkeypatch):
+        # Only the helper is called: no process is started for these values.
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        assert worker_count(1, 10**9) == 1
+        assert worker_count(10**6, 10**9) == 2
+        assert worker_count(10**6, 1) == 1
+        assert worker_count(2, 10**9) == 2
+        monkeypatch.setattr("os.cpu_count", lambda: None)
+        assert worker_count(10**6, 10**9) == 1
 
     @pytest.mark.parametrize("size", [4, 5])
     def test_wilson_lower_edge_respects_bound(self, size):

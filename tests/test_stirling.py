@@ -7,6 +7,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bosonstirling import (
     BosonWord,
@@ -23,7 +25,19 @@ from bosonstirling import (
     stirling_matrix,
 )
 
+from oracles import stirling_rows_by_action
 from tables import PREFUNCTION_ROWS, STIRLING2_ROWS, WIDE_STAIRCASE_ROWS
+
+BELL_POINTS = (Fraction(0), Fraction(1), Fraction(-3, 2), Fraction(5, 7), Fraction(4))
+
+words_up_to_6 = st.lists(st.sampled_from("ad"), min_size=1, max_size=6).map(tuple)
+
+
+def fraction_horner(row, x):
+    value = Fraction(0)
+    for coeff in reversed(row):
+        value = value * x + coeff
+    return value
 
 
 def random_words(seed, count, max_len=5, min_creators=0, min_excess=None):
@@ -135,6 +149,37 @@ class TestStirlingMatrix:
         assert obj["word"] == "dad"
         assert obj["rows"][2] == ["2", "4", "1"]
         assert GeneralizedStirlingMatrix.from_json_obj(obj) == m
+
+
+class TestAgainstActionOracle:
+    """Rows and Bell values against x^m action with forward differences."""
+
+    # The pinned examples cover excess below, at and above zero, s_tot = 0..3
+    # and words that start with the annihilator.
+    @settings(max_examples=80, deadline=None)
+    @given(words_up_to_6, st.integers(0, 7))
+    @example(tuple("a"), 7)
+    @example(tuple("aad"), 7)
+    @example(tuple("aaaddd"), 7)
+    @example(tuple("ad"), 7)
+    @example(tuple("da"), 7)
+    @example(tuple("dd"), 7)
+    @example(tuple("adaddd"), 7)
+    @example(tuple("daaadd"), 7)
+    @example(tuple("ddddda"), 7)
+    def test_rows_match_oracle(self, letters, n_max):
+        m = stirling_matrix(BosonWord(letters), n_max)
+        assert [list(row) for row in m.rows] == stirling_rows_by_action(letters, n_max)
+
+    @settings(max_examples=40, deadline=None)
+    @given(words_up_to_6, st.integers(0, 7))
+    @example(tuple("aad"), 7)
+    @example(tuple("daaadd"), 7)
+    def test_bell_polynomial_matches_fraction_horner(self, letters, n_max):
+        m = stirling_matrix(BosonWord(letters), n_max)
+        for n, row in enumerate(stirling_rows_by_action(letters, n_max)):
+            for x in BELL_POINTS:
+                assert bell_polynomial(m, n, x) == fraction_horner(row, x), (n, x)
 
 
 class TestBell:

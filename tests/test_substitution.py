@@ -142,6 +142,28 @@ class TestFiniteMatrix:
         with pytest.raises(ValidationError):
             FiniteMatrix.from_json_obj({"size": 3, "entries": [["1"]]})
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [["1"]],
+            {"entries": [["1"]]},
+            {"size": "1", "entries": [["1"]]},
+            {"size": True, "entries": [["1"]]},
+            {"size": 1, "entries": 5},
+            {"size": 1, "entries": ["1"]},
+            {"size": 1, "entries": [[None]]},
+            {"size": 1, "entries": [[1.0]]},
+            {"size": 1, "entries": [[True]]},
+        ],
+    )
+    def test_json_schema_violations_rejected(self, obj):
+        with pytest.raises(ValidationError):
+            FiniteMatrix.from_json_obj(obj)
+
+    def test_json_accepts_int_and_string_entries(self):
+        m = FiniteMatrix.from_json_obj({"size": 2, "entries": [[1, 0], ["-1/2", 1]]})
+        assert m.entries == ((1, 0), (Fraction(-1, 2), 1))
+
 
 class TestCondition:
     def test_identity_passes_any_size(self):
