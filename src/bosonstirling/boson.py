@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import groupby
 from math import comb, perm
 
 from .errors import ParseError, ValidationError
@@ -26,74 +27,63 @@ _WHITESPACE = " \t\r\n"
 class BosonWord:
     """A finite word over the two-letter alphabet {annihilator, creator}.
 
-    Letters are stored as ``"a"`` (annihilator) and ``"d"`` (creator, a†).
-    The empty word is valid and denotes the identity operator.
+    The word ``(a†)^{r_1} a^{s_1} ··· (a†)^{r_M} a^{s_M}`` is stored as its
+    maximal runs ``((r_1, s_1), ..., (r_M, s_M))``: no pair is (0, 0), only
+    the first may have r = 0 and only the last s = 0.  The constructor merges
+    any sequence of non-negative (r, s) pairs into that form, so equal words
+    compare equal however their runs were given.  The empty word (no runs)
+    is valid and denotes the identity operator.  Letters, as ``"a"``
+    (annihilator) and ``"d"`` (creator, a†), are derived from the runs.
     """
 
-    letters: tuple[str, ...] = ()
+    runs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for x in self.letters:
+        runs: list[tuple[int, int]] = []
+        for r, s in self.runs:
+            if r < 0 or s < 0:
+                raise ValidationError(f"negative exponent in (r, s) pair ({r}, {s})")
+            if runs and (runs[-1][1] == 0 or r == 0):
+                r0, s0 = runs.pop()
+                r, s = r0 + r, s0 + s
+            if r or s:
+                runs.append((r, s))
+        object.__setattr__(self, "runs", tuple(runs))
+
+    @classmethod
+    def from_letters(cls, letters) -> BosonWord:
+        """Build a word from a sequence of ``"a"`` and ``"d"`` letters."""
+        runs = []
+        for x, group in groupby(letters):
             if x not in (ANNIHILATOR, CREATOR):
                 raise ValidationError(f"invalid letter {x!r}; expected 'a' or 'd'")
+            n = sum(1 for _ in group)
+            runs.append((n, 0) if x == CREATOR else (0, n))
+        return cls(runs)
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return self.creator_count + self.annihilator_count
 
     @property
     def annihilator_count(self) -> int:
-        return sum(1 for x in self.letters if x == ANNIHILATOR)
+        return sum(s for _, s in self.runs)
 
     @property
     def creator_count(self) -> int:
-        return sum(1 for x in self.letters if x == CREATOR)
+        return sum(r for r, _ in self.runs)
+
+    @property
+    def letters(self) -> tuple[str, ...]:
+        return tuple(self.text)
 
     @property
     def text(self) -> str:
         """Canonical parseable form, e.g. ``"da"`` for a†a."""
-        return "".join(self.letters)
+        return "".join(CREATOR * r + ANNIHILATOR * s for r, s in self.runs)
 
     def pretty(self) -> str:
         """Human-readable form, e.g. ``"a†a"``; the empty word prints as ``"1"``."""
-        if not self.letters:
-            return "1"
-        return "".join("a†" if x == CREATOR else "a" for x in self.letters)
-
-    def rs_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Exponent-sequence encoding: maximal runs as pairs (creators, annihilators).
-
-        The word equals ``(a†)^{r_1} a^{s_1} ··· (a†)^{r_M} a^{s_M}`` for the
-        returned pairs ``(r_m, s_m)``; a leading annihilator run yields a
-        first pair with ``r_1 = 0``.
-        """
-        pairs: list[tuple[int, int]] = []
-        i, n = 0, len(self.letters)
-        while i < n:
-            r = 0
-            while i < n and self.letters[i] == CREATOR:
-                r += 1
-                i += 1
-            s = 0
-            while i < n and self.letters[i] == ANNIHILATOR:
-                s += 1
-                i += 1
-            pairs.append((r, s))
-        return tuple(pairs)
-
-    @classmethod
-    def from_rs(cls, pairs) -> BosonWord:
-        """Build the word ``(a†)^{r_1} a^{s_1} ···`` from (r, s) pairs."""
-        letters: list[str] = []
-        for r, s in pairs:
-            if r < 0 or s < 0:
-                raise ValidationError(f"negative exponent in (r, s) pair ({r}, {s})")
-            letters.extend([CREATOR] * r)
-            letters.extend([ANNIHILATOR] * s)
-        return cls(tuple(letters))
-
-    def __repr__(self) -> str:
-        return f"BosonWord({self.text!r})"
+        return "".join("a†" * r + "a" * s for r, s in self.runs) or "1"
 
 
 class NormalForm:
@@ -175,8 +165,9 @@ def parse_word(text: str) -> BosonWord:
 
     * letter tokens, each ``a`` or ``d`` (case-insensitive), with ``a+`` as a
       synonym for ``d``; whitespace is ignored: ``"a a+ a a a+ a"``;
-    * the vector form ``rs:[r1,s1;r2,s2;...]`` which expands to
-      ``(a†)^{r1} a^{s1} (a†)^{r2} a^{s2} ···``.
+    * the vector form ``rs:[r1,s1;r2,s2;...]`` for
+      ``(a†)^{r1} a^{s1} (a†)^{r2} a^{s2} ···``, stored as these runs
+      without expanding them into letters.
 
     Unknown tokens raise :class:`ParseError` carrying the character offset;
     a negative exponent in the ``rs:`` form raises :class:`ValidationError`.
@@ -204,7 +195,7 @@ def parse_word(text: str) -> BosonWord:
             i += 1
         else:
             raise ParseError(f"unknown token {ch!r}", offset=i)
-    return BosonWord(tuple(letters))
+    return BosonWord.from_letters(letters)
 
 
 def _parse_rs(text: str, offset: int) -> BosonWord:
@@ -253,7 +244,7 @@ def _parse_rs(text: str, offset: int) -> BosonWord:
     i = skip_ws(i)
     if i != n:
         raise ParseError(f"trailing input {text[i]!r}", offset=i)
-    return BosonWord.from_rs(pairs)
+    return BosonWord(pairs)
 
 
 def excess(w: BosonWord) -> int:
@@ -265,7 +256,7 @@ def word_power(w: BosonWord, n: int) -> BosonWord:
     """Concatenation of n copies of w; n = 0 gives the empty word."""
     if n < 0:
         raise ValidationError(f"word power must be non-negative, got {n}")
-    return BosonWord(w.letters * n)
+    return BosonWord(w.runs * n)
 
 
 def multiply_normal_forms(p: NormalForm, q: NormalForm) -> NormalForm:
@@ -297,7 +288,7 @@ def normal_order(w: BosonWord) -> NormalForm:
     excess in every term.
     """
     result = NormalForm.identity()
-    for r, s in w.rs_pairs():
+    for r, s in w.runs:
         result = multiply_normal_forms(result, NormalForm({(r, s): 1}))
     return result
 

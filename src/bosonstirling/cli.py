@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import zip_longest
 
 from . import __version__
 from .boson import double_dot, normal_order, parse_word
@@ -29,7 +30,7 @@ from .montecarlo import (
     range_sweep,
     run_experiment,
 )
-from .series import TruncatedSeries
+from .series import TruncatedSeries, parse_rational
 from .stirling import (
     bell_numbers,
     bell_polynomial,
@@ -69,10 +70,7 @@ def dump_matrix_file(path: str, matrix: FiniteMatrix) -> None:
 
 def format_columns(rows: list[list[str]]) -> str:
     """Right-justified fixed-width columns, two spaces apart, no trailing blanks."""
-    widths = [
-        max(len(row[i]) for row in rows if i < len(row))
-        for i in range(max(len(row) for row in rows))
-    ]
+    widths = [max(map(len, col)) for col in zip_longest(*rows, fillvalue="")]
     lines = []
     for row in rows:
         cells = [cell.rjust(widths[i]) for i, cell in enumerate(row)]
@@ -164,7 +162,7 @@ def cmd_bell(args) -> int:
     if args.x is None:
         values = bell_numbers(m)
     else:
-        x = Fraction(args.x)
+        x = parse_rational(args.x)
         values = [bell_polynomial(m, n, x) for n in range(m.n_max + 1)]
     if args.format == "json":
         text = dumps_canonical([str(v) for v in values])
@@ -215,7 +213,7 @@ def cmd_check_subst(args) -> int:
 
 
 def _parse_series_arg(text: str, order: int) -> TruncatedSeries:
-    coeffs = [Fraction(part.strip()) for part in text.split(",")]
+    coeffs = [parse_rational(part.strip()) for part in text.split(",")]
     if len(coeffs) > order + 1:
         coeffs = coeffs[: order + 1]
     return TruncatedSeries.from_coeffs(coeffs, order)
@@ -359,7 +357,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bell", help="Bell numbers (or polynomial values) of a word")
     sp.add_argument("word")
     sp.add_argument("--rows", type=int, required=True)
-    sp.add_argument("--x", help="evaluate the Bell polynomials at this rational")
+    sp.add_argument(
+        "--x",
+        help="evaluate the Bell polynomials at this rational; "
+        "write a negative value as --x=-3/2",
+    )
     _add_format(sp)
     _add_out(sp)
     sp.set_defaults(func=cmd_bell)

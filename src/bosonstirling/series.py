@@ -6,6 +6,9 @@ only up to its truncation order.  The order is carried by the value itself,
 never by ambient context: results of binary operations carry the minimum of
 the operand orders, and truncating beyond the stored order is an error
 because the dropped coefficients are unknown, not zero.
+
+:func:`parse_rational` is the one reader of rationals from outside text
+(matrix files and command-line values).
 """
 
 from __future__ import annotations
@@ -14,6 +17,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import RangeError, ValidationError
+
+
+def parse_rational(text: str) -> Fraction:
+    """Read an exact rational (an integer, ``p/q`` or a decimal) from outside text.
+
+    Exponent notation is rejected: ``Fraction("1e999999999")`` builds the
+    power of ten digit by digit, in time superlinear in the exponent, so a
+    few bytes of input could stall the program.
+    """
+    if "e" in text or "E" in text:
+        raise ValidationError(f"exponent notation is not accepted: {text!r}")
+    return Fraction(text)
 
 
 @dataclass(frozen=True)
@@ -57,11 +72,6 @@ class TruncatedSeries:
     @classmethod
     def x(cls, order: int) -> TruncatedSeries:
         return cls.from_coeffs([0, 1], order)
-
-    def coefficient(self, i: int) -> Fraction:
-        if not 0 <= i <= self.order:
-            raise RangeError(f"coefficient {i} outside stored range 0..{self.order}")
-        return self.coeffs[i]
 
     def truncate(self, n: int) -> TruncatedSeries:
         """Drop all terms of degree > n.  Raising the order is not possible."""
@@ -108,39 +118,9 @@ class TruncatedSeries:
             out.append(-s / a0)
         return TruncatedSeries(self.order, tuple(out))
 
-    def power(self, k: int) -> TruncatedSeries:
-        """k-fold product; k = 0 gives 1 at this order."""
-        if k < 0:
-            raise ValidationError(f"power must be non-negative, got {k}")
-        result = TruncatedSeries.one(self.order)
-        for _ in range(k):
-            result = result.multiply(self)
-        return result
-
     def scale(self, q) -> TruncatedSeries:
         q = Fraction(q)
         return TruncatedSeries(self.order, tuple(c * q for c in self.coeffs))
-
-    def __add__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.add(other)
-
-    def __mul__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.multiply(other)
-
-    def __pow__(self, k: int):
-        return self.power(k)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.add(-other)
 
     def __str__(self) -> str:
         parts: list[str] = []

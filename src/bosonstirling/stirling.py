@@ -38,23 +38,29 @@ class GeneralizedStirlingMatrix:
     """Rows 0..n_max of the row-finite staircase matrix S_w(n,k).
 
     ``rows[n]`` stores the dense staircase slice k = 0..n·s_tot; entries to
-    the right of the staircase are implicitly zero.  Immutable once built.
+    the right of the staircase are implicitly zero.  ``s_tot``, ``r_tot``
+    and ``d`` are the word's annihilator count, creator count and excess.
+    Immutable once built.
     """
 
     word: BosonWord
     rows: tuple[tuple[int, ...], ...]
-    s_tot: int
-    r_tot: int
-    d: int
+
+    @property
+    def s_tot(self) -> int:
+        return self.word.annihilator_count
+
+    @property
+    def r_tot(self) -> int:
+        return self.word.creator_count
+
+    @property
+    def d(self) -> int:
+        return excess(self.word)
 
     @property
     def n_max(self) -> int:
         return len(self.rows) - 1
-
-    def row(self, n: int) -> tuple[int, ...]:
-        if not 0 <= n <= self.n_max:
-            raise RangeError(f"row {n} not materialized (have 0..{self.n_max})")
-        return self.rows[n]
 
     def entry(self, n: int, k: int):
         """S_w(n,k); zero beyond the staircase, RangeError beyond row n_max."""
@@ -64,6 +70,9 @@ class GeneralizedStirlingMatrix:
             raise RangeError(f"column index {k} is negative")
         row = self.rows[n]
         return row[k] if k < len(row) else 0
+
+    def is_lower_triangular(self) -> bool:
+        return not any(any(row[n + 1:]) for n, row in enumerate(self.rows))
 
     def to_json_obj(self) -> dict:
         return {
@@ -75,15 +84,8 @@ class GeneralizedStirlingMatrix:
 
     @classmethod
     def from_json_obj(cls, obj) -> GeneralizedStirlingMatrix:
-        word = BosonWord(tuple(obj["word"]))
         rows = tuple(tuple(int(v) for v in row) for row in obj["rows"])
-        m = cls(
-            word=word,
-            rows=rows,
-            s_tot=word.annihilator_count,
-            r_tot=word.creator_count,
-            d=excess(word),
-        )
+        m = cls(word=BosonWord.from_letters(obj["word"]), rows=rows)
         if m.s_tot != int(obj["s_tot"]) or m.d != int(obj["d"]):
             raise ValidationError("serialized s_tot/d do not match the word")
         return m
@@ -118,8 +120,7 @@ def stirling_matrix(w: BosonWord, n_max: int) -> GeneralizedStirlingMatrix:
     if n_max < 0:
         raise ValidationError(f"row count must be non-negative, got {n_max}")
     s_tot = w.annihilator_count
-    d = excess(w)
-    d_minus = max(-d, 0)
+    d_minus = max(-excess(w), 0)
     # steps[κ] maps shift to mult; the term (r_tot, s_tot) of N(w) makes
     # every κ = 0..r_tot occur.
     steps = [Counter() for _ in range(w.creator_count + 1)]
@@ -140,9 +141,7 @@ def stirling_matrix(w: BosonWord, n_max: int) -> GeneralizedStirlingMatrix:
                 start, stop = lo + shift, lo + shift + len(src)
                 out[start:stop] = map(add, out[start:stop], src)
         rows.append(out)
-    return GeneralizedStirlingMatrix(
-        word=w, rows=tuple(map(tuple, rows)), s_tot=s_tot, r_tot=w.creator_count, d=d
-    )
+    return GeneralizedStirlingMatrix(word=w, rows=tuple(map(tuple, rows)))
 
 
 def bell_polynomial(m: GeneralizedStirlingMatrix, n: int, x) -> Fraction:
@@ -178,14 +177,18 @@ class WordClassification:
     A word with exactly one annihilator factors uniquely as
     ``(a†)^{r−p} a (a†)^p``; its matrix is the matrix of a substitution
     (p = 0) or of a substitution with prefunction (p > 0).  ``ends_with_a``
-    equivalently reports whether the first matrix column is (1, 0, 0, ...).
+    equivalently reports whether the first matrix column is (1, 0, 0, ...),
+    which ``first_column_unit`` names.
     """
 
     kind: str
     r: int | None
     p: int | None
     ends_with_a: bool
-    first_column_unit: bool
+
+    @property
+    def first_column_unit(self) -> bool:
+        return self.ends_with_a
 
     def to_json_obj(self) -> dict:
         return {
@@ -198,35 +201,30 @@ class WordClassification:
 
     @classmethod
     def from_json_obj(cls, obj) -> WordClassification:
-        return cls(
+        c = cls(
             kind=str(obj["kind"]),
             r=None if obj["r"] is None else int(obj["r"]),
             p=None if obj["p"] is None else int(obj["p"]),
             ends_with_a=bool(obj["ends_with_a"]),
-            first_column_unit=bool(obj["first_column_unit"]),
         )
+        if c.first_column_unit != bool(obj["first_column_unit"]):
+            raise ValidationError("serialized first_column_unit does not match ends_with_a")
+        return c
 
 
 def classify_word(w: BosonWord) -> WordClassification:
     """Classify w by its single-annihilator decomposition, if any."""
-    ends_with_a = len(w) > 0 and w.letters[-1] == "a"
+    ends_with_a = bool(w.runs) and w.runs[-1][1] > 0
     if w.annihilator_count != 1:
         return WordClassification(
-            kind=NOT_SINGLE_ANNIHILATOR,
-            r=None,
-            p=None,
-            ends_with_a=ends_with_a,
-            first_column_unit=ends_with_a,
+            kind=NOT_SINGLE_ANNIHILATOR, r=None, p=None, ends_with_a=ends_with_a
         )
-    p = len(w) - 1 - w.letters.index("a")
-    r = w.creator_count
+    # The one annihilator ends the first run; p creators follow it in a
+    # last run (p, 0) unless the word ends with it.
+    p = 0 if ends_with_a else w.runs[-1][0]
     kind = PURE_SUBSTITUTION if p == 0 else SUBSTITUTION_WITH_PREFUNCTION
     return WordClassification(
-        kind=kind,
-        r=r,
-        p=p,
-        ends_with_a=ends_with_a,
-        first_column_unit=ends_with_a,
+        kind=kind, r=w.creator_count, p=p, ends_with_a=ends_with_a
     )
 
 

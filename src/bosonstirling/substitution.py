@@ -35,7 +35,7 @@ from functools import cached_property, lru_cache
 from math import comb, factorial, lcm
 
 from .errors import RangeError, ValidationError
-from .series import TruncatedSeries
+from .series import TruncatedSeries, parse_rational
 from .stirling import column_egf
 
 
@@ -51,7 +51,7 @@ def _exact(v) -> int | Fraction:
     """`v` as an exact number: ``int`` when integral, else ``Fraction``."""
     if type(v) is int:
         return v
-    q = Fraction(v)
+    q = parse_rational(v) if type(v) is str else Fraction(v)
     return q.numerator if q.denominator == 1 else q
 
 
@@ -435,14 +435,6 @@ def truncate_taun(m, n: int) -> FiniteMatrix:
     The domain restriction is what makes τ_n multiplicative:
     τ_n(AB) = τ_n(A)·τ_n(B) for lower-triangular A, B.
     """
-    if isinstance(m, FiniteMatrix):
-        lower = m.is_lower_triangular()
-    else:
-        lower = all(
-            m.entry(i, k) == 0
-            for i in range(m.n_max + 1)
-            for k in range(i + 1, len(m.row(i)))
-        )
-    if not lower:
+    if not m.is_lower_triangular():
         raise ValidationError("τ_n is only defined on lower-triangular matrices")
     return truncate_rn(m, n)

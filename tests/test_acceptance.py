@@ -89,7 +89,7 @@ def test_criterion_3_oracle_equivalence():
     checked = 0
     for length in range(1, 7):
         for letters in all_words(length):
-            w = BosonWord(letters)
+            w = BosonWord.from_letters(letters)
             assert normal_order(w).terms == rewrite_normal_order(letters), letters
             checked += 1
     assert checked == 126
@@ -141,7 +141,7 @@ def test_criterion_6_single_annihilator_words():
         for position in range(length):
             letters = ["d"] * length
             letters[position] = "a"
-            words.append(BosonWord(tuple(letters)))
+            words.append(BosonWord.from_letters(tuple(letters)))
     assert len(words) == 9
     for w in words:
         matrix = stirling_matrix(w, 8)
@@ -203,7 +203,7 @@ def test_criterion_9_projective_consistency():
     words = []
     while len(words) < 10:
         letters = tuple(rng.choice("ad") for _ in range(rng.randint(1, 4)))
-        words.append(BosonWord(letters))
+        words.append(BosonWord.from_letters(letters))
     for w in words:
         matrices = [stirling_matrix(w, n) for n in range(9)]
         for n in range(9):

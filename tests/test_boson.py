@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from bosonstirling import (
     NormalForm,
     ParseError,
     ValidationError,
+    classify_word,
     double_dot,
     excess,
     multiply_normal_forms,
@@ -72,7 +74,58 @@ class TestParseWord:
     def test_rs_pairs_round_trip(self):
         for text in ("", "a", "d", "ad", "da", "aadd", "ddaada"):
             w = parse_word(text)
-            assert BosonWord.from_rs(w.rs_pairs()) == w
+            assert BosonWord(w.runs) == w
+
+
+class TestRuns:
+    def test_only_field_is_runs(self):
+        assert [f.name for f in fields(BosonWord)] == ["runs"]
+
+    def test_equal_however_runs_are_given(self):
+        w = BosonWord(((1, 0), (1, 0), (0, 0), (0, 2)))
+        assert w == parse_word("dd aa")
+        assert w.runs == ((2, 2),)
+        assert BosonWord(((0, 0),)) == BosonWord()
+        assert BosonWord(((0, 1), (0, 2), (3, 0), (1, 1))).runs == ((0, 3), (4, 1))
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValidationError):
+            BosonWord(((1, 1), (2, -1)))
+
+    def test_invalid_letter_rejected(self):
+        with pytest.raises(ValidationError):
+            BosonWord.from_letters("dxa")
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=5))
+    def test_runs_match_letters(self, pairs):
+        text = "".join("d" * r + "a" * s for r, s in pairs)
+        w = BosonWord(pairs)
+        assert w == BosonWord.from_letters(text)
+        assert w.text == text and w.letters == tuple(text) and len(w) == len(text)
+        assert (w.creator_count, w.annihilator_count) == (text.count("d"), text.count("a"))
+        assert w.pretty() == (text.replace("d", "a†") or "1")
+        # Maximal runs: no empty pair, creators only lead and annihilators
+        # only trail the whole word.
+        assert all(r or s for r, s in w.runs)
+        assert all(r for r, _ in w.runs[1:]) and all(s for _, s in w.runs[:-1])
+
+    def test_huge_exponents_stored_as_runs(self, monkeypatch):
+        big = 10**9
+        for name in ("letters", "text"):
+            monkeypatch.setattr(
+                BosonWord, name, property(lambda self: pytest.fail("letters expanded"))
+            )
+        w = parse_word(f"rs:[{big},1;1,{big}]")
+        assert w.runs == ((big, 1), (1, big))
+        assert len(w) == 2 * big + 2
+        assert (w.creator_count, w.annihilator_count) == (big + 1, big + 1)
+        assert excess(w) == 0
+        c = classify_word(w)
+        assert (c.kind, c.r, c.p, c.ends_with_a) == ("not-single-annihilator", None, None, True)
+        c = classify_word(parse_word(f"rs:[{big},1;{big},0]"))
+        assert (c.kind, c.r, c.p, c.ends_with_a) == (
+            "substitution-with-prefunction", 2 * big, big, False
+        )
 
 
 class TestExcessAndPower:
@@ -129,14 +182,14 @@ class TestNormalOrder:
     @pytest.mark.parametrize("length", range(0, 6))
     def test_matches_rewriting_oracle(self, length):
         for letters in all_words(length):
-            w = BosonWord(letters)
+            w = BosonWord.from_letters(letters)
             assert normal_order(w).terms == rewrite_normal_order(letters), letters
 
     def test_positive_coefficients_and_constant_excess(self):
         rng = random.Random(20240811)
         for _ in range(50):
             letters = tuple(rng.choice("ad") for _ in range(rng.randint(1, 7)))
-            w = BosonWord(letters)
+            w = BosonWord.from_letters(letters)
             nf = normal_order(w)
             d = excess(w)
             assert all(c > 0 for c in nf.terms.values())
@@ -146,7 +199,7 @@ class TestNormalOrder:
         rng = random.Random(99)
         for _ in range(20):
             letters = tuple(rng.choice("ad") for _ in range(rng.randint(1, 4)))
-            w = BosonWord(letters)
+            w = BosonWord.from_letters(letters)
             n = rng.randint(0, 3)
             folded = NormalForm.identity()
             for _ in range(n):
@@ -157,7 +210,7 @@ class TestNormalOrder:
         rng = random.Random(7)
         for _ in range(30):
             letters = tuple(rng.choice("ad") for _ in range(rng.randint(0, 7)))
-            w = BosonWord(letters)
+            w = BosonWord.from_letters(letters)
             assert normal_order(w).coefficient(w.creator_count, w.annihilator_count) == 1
 
 
@@ -173,13 +226,13 @@ class TestDoubleDot:
 
     @given(st.lists(st.sampled_from("ad"), max_size=8))
     def test_counts_letters(self, letters):
-        w = BosonWord(tuple(letters))
+        w = BosonWord.from_letters(tuple(letters))
         (j, l), c = next(iter(double_dot(w).terms.items()))
         assert (j, l, c) == (w.creator_count, w.annihilator_count, 1)
 
     @given(st.integers(0, 4), st.integers(0, 4))
     def test_equals_normal_order_on_segregated_words(self, j, l):
-        w = BosonWord(("d",) * j + ("a",) * l)
+        w = BosonWord.from_letters(("d",) * j + ("a",) * l)
         assert double_dot(w) == normal_order(w)
 
 
@@ -205,7 +258,7 @@ class TestMultiplyNormalForms:
         rng = random.Random(3)
         for _ in range(20):
             forms = [
-                normal_order(BosonWord(tuple(rng.choice("ad") for _ in range(3))))
+                normal_order(BosonWord.from_letters(rng.choice("ad") for _ in range(3)))
                 for _ in range(3)
             ]
             a, b, c = forms
@@ -252,5 +305,5 @@ class TestNormalFormValue:
 @settings(max_examples=60)
 @given(st.lists(st.sampled_from("ad"), max_size=6))
 def test_oracle_equivalence_property(letters):
-    w = BosonWord(tuple(letters))
+    w = BosonWord.from_letters(tuple(letters))
     assert normal_order(w).terms == rewrite_normal_order(tuple(letters))

@@ -10,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bosonstirling
 from bosonstirling import (
@@ -189,6 +191,18 @@ class TestBellCommand:
         )
         values = [Fraction(v) for v in json.loads(out)]
         assert values == [1, Fraction(1, 2), Fraction(3, 4)]
+
+    def test_negative_x_in_equals_form(self, capsys):
+        # B(n, x) = 1, x, x + x², x + 3x² + x³ at x = −3/2.
+        code, out, _ = run_cli(capsys, "bell", "a+ a", "--rows", "3", "--x=-3/2")
+        assert (code, out) == (0, "0     1\n1  -3/2\n2   3/4\n3  15/8\n")
+
+    def test_negative_x_as_separate_argument_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bell", "a+ a", "--rows", "3", "--x", "-3/2"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "--x: expected one argument" in err and "Traceback" not in err
 
 
 class TestClassifyCommand:
@@ -412,6 +426,93 @@ class TestBoundCommand:
         obj = json.loads(out)
         assert Fraction(obj["bound"]) == Fraction(1, 10)
         assert (obj["determined"], obj["total"]) == (5, 6)
+
+
+class TestExponentNotationRejected:
+    """Exponent notation would make Fraction build 10**exponent: exit 2 instead."""
+
+    @pytest.mark.parametrize("text", ["1e3", "2.5E1"])
+    def test_matrix_file_entry(self, capsys, tmp_path, text):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"size": 2, "entries": [["1", "0"], [text, "1"]]}))
+        code, out, err = run_cli(capsys, "check-subst", str(path))
+        assert (code, out) == (2, "") and "exponent" in err
+
+    @pytest.mark.parametrize("text", ["1e3", "2.5E1"])
+    def test_bell_x(self, capsys, text):
+        code, out, err = run_cli(capsys, "bell", "a+ a", "--rows", "2", "--x", text)
+        assert (code, out) == (2, "") and "exponent" in err
+
+    @pytest.mark.parametrize(
+        "g,phi", [("1,1e3", "0,1"), ("1", "0,1,2.5E1"), ("1E0", "0,1")]
+    )
+    def test_build_subst_series(self, capsys, g, phi):
+        code, out, err = run_cli(
+            capsys, "build-subst", "--g", g, "--phi", phi, "--size", "3"
+        )
+        assert (code, out) == (2, "") and "exponent" in err
+
+
+# JSON values a matrix file may hold: well-formed entries, malformed strings,
+# and every other JSON type.
+_json_scalars = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from(["0", "1", "-2", "1/2", "3/0", "1e3", "", "x", " 1 ", "0.5"]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+    st.none(),
+)
+_json_matrices = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "size": st.one_of(st.integers(-1, 4), _json_scalars),
+            "entries": st.lists(st.lists(_json_scalars, max_size=4), max_size=4),
+        }
+    ),
+    st.fixed_dictionaries(
+        {"size": st.integers(1, 4), "entries": st.one_of(_json_scalars, st.lists(_json_scalars))}
+    ),
+    st.lists(st.lists(st.integers(0, 2), max_size=3), max_size=3),
+    _json_scalars,
+)
+# rs: exponents stay at two digits, so no case asks for unbounded work.
+_rs_words = st.builds(
+    lambda pairs, end: "rs:[" + ";".join(f"{r},{s}" for r, s in pairs) + end,
+    st.lists(st.tuples(st.integers(-1, 99), st.integers(-1, 99)), max_size=2),
+    st.sampled_from(["]", "", ";]", "] x", ",1]"]),
+)
+_word_texts = st.one_of(st.text(alphabet="adADr s:+[],;-\t", max_size=12), _rs_words)
+
+
+def _exit_code(argv) -> int:
+    """Exit code of an in-process CLI call; argparse errors raise SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestFuzz:
+    """Any input exits 0, 1 or 2; any other exception fails the test."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_json_matrices)
+    def test_matrix_files(self, tmp_path_factory, obj):
+        path = tmp_path_factory.mktemp("fuzz") / "m.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        assert _exit_code(["check-subst", str(path)]) in (0, 1, 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        _word_texts,
+        st.sampled_from(["no", "dd", "classify", "stirling", "bell"]),
+        st.integers(-1, 2),
+    )
+    def test_word_texts(self, text, command, rows):
+        argv = [command, text]
+        if command in ("stirling", "bell"):
+            argv += ["--rows", str(rows)]
+        assert _exit_code(argv) in (0, 1, 2)
 
 
 class TestTopLevel:

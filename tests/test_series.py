@@ -103,16 +103,6 @@ class TestInvert:
 
 
 class TestPowerAndScale:
-    def test_x_cubed(self):
-        assert TruncatedSeries.x(4).power(3) == series(0, 0, 0, 1, order=4)
-
-    def test_power_zero_is_one(self):
-        s = series(7, -2, 1)
-        assert s.power(0) == TruncatedSeries.one(s.order)
-
-    def test_binomial_square(self):
-        assert series(1, 1, order=2).power(2) == series(1, 2, 1)
-
     def test_scale(self):
         assert series(0, 0, 1).scale(Fraction(1, 2)) == series(0, 0, Fraction(1, 2))
         s = series(1, 2, 3)
@@ -164,12 +154,6 @@ def test_invert_is_two_sided(a):
     inv = a.invert()
     assert a.multiply(inv) == TruncatedSeries.one(a.order)
     assert inv.multiply(a) == TruncatedSeries.one(a.order)
-
-
-@settings(max_examples=40)
-@given(series_strategy(6), st.integers(0, 4), st.integers(0, 4))
-def test_power_is_additive(a, j, k):
-    assert a.power(j + k) == a.power(j).multiply(a.power(k))
 
 
 @settings(max_examples=60)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import fields
 from fractions import Fraction
 from math import comb, factorial
 
@@ -17,6 +18,7 @@ from bosonstirling import (
     RangeError,
     TruncatedSeries,
     ValidationError,
+    WordClassification,
     bell_numbers,
     bell_polynomial,
     classify_word,
@@ -45,7 +47,7 @@ def random_words(seed, count, max_len=5, min_creators=0, min_excess=None):
     words = []
     while len(words) < count:
         letters = tuple(rng.choice("ad") for _ in range(rng.randint(1, max_len)))
-        w = BosonWord(letters)
+        w = BosonWord.from_letters(letters)
         if w.creator_count < min_creators:
             continue
         if min_excess is not None and w.creator_count - w.annihilator_count < min_excess:
@@ -135,7 +137,7 @@ class TestStirlingMatrix:
         for _ in range(20):
             p = rng.randint(0, 3)
             lead = rng.randint(0, 3) if p else rng.randint(1, 3)
-            w = BosonWord(("d",) * lead + ("a",) + ("d",) * p)
+            w = BosonWord.from_letters(("d",) * lead + ("a",) + ("d",) * p)
             m = stirling_matrix(w, 4)
             column = [m.entry(n, 0) for n in range(5)]
             if w.letters[-1] == "a":
@@ -149,6 +151,16 @@ class TestStirlingMatrix:
         assert obj["word"] == "dad"
         assert obj["rows"][2] == ["2", "4", "1"]
         assert GeneralizedStirlingMatrix.from_json_obj(obj) == m
+
+    def test_stores_only_word_and_rows(self):
+        assert [f.name for f in fields(GeneralizedStirlingMatrix)] == ["word", "rows"]
+
+    @pytest.mark.parametrize("key,value", [("s_tot", 2), ("d", 0)])
+    def test_json_rejects_counts_that_disagree_with_word(self, key, value):
+        obj = stirling_matrix(parse_word("d a d"), 2).to_json_obj()
+        obj[key] = value
+        with pytest.raises(ValidationError):
+            GeneralizedStirlingMatrix.from_json_obj(obj)
 
 
 class TestAgainstActionOracle:
@@ -168,7 +180,7 @@ class TestAgainstActionOracle:
     @example(tuple("daaadd"), 7)
     @example(tuple("ddddda"), 7)
     def test_rows_match_oracle(self, letters, n_max):
-        m = stirling_matrix(BosonWord(letters), n_max)
+        m = stirling_matrix(BosonWord.from_letters(letters), n_max)
         assert [list(row) for row in m.rows] == stirling_rows_by_action(letters, n_max)
 
     @settings(max_examples=40, deadline=None)
@@ -176,7 +188,7 @@ class TestAgainstActionOracle:
     @example(tuple("aad"), 7)
     @example(tuple("daaadd"), 7)
     def test_bell_polynomial_matches_fraction_horner(self, letters, n_max):
-        m = stirling_matrix(BosonWord(letters), n_max)
+        m = stirling_matrix(BosonWord.from_letters(letters), n_max)
         for n, row in enumerate(stirling_rows_by_action(letters, n_max)):
             for x in BELL_POINTS:
                 assert bell_polynomial(m, n, x) == fraction_horner(row, x), (n, x)
@@ -237,10 +249,16 @@ class TestClassifyWord:
         assert c.ends_with_a
 
     def test_json_round_trip(self):
-        from bosonstirling import WordClassification
-
         c = classify_word(parse_word("d d a d"))
         assert WordClassification.from_json_obj(c.to_json_obj()) == c
+
+    def test_first_column_unit_is_derived(self):
+        assert "first_column_unit" not in [f.name for f in fields(WordClassification)]
+        obj = classify_word(parse_word("d a")).to_json_obj()
+        assert obj["first_column_unit"] is True
+        obj["first_column_unit"] = False
+        with pytest.raises(ValidationError):
+            WordClassification.from_json_obj(obj)
 
 
 class TestColumnEgf:

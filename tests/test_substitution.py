@@ -493,6 +493,9 @@ class TestTruncations:
             truncate_taun(FiniteMatrix.from_rows([[1, 1], [0, 1]]), 1)
         with pytest.raises(ValidationError):
             truncate_taun(stirling_matrix(parse_word("d a a d d"), 3), 1)
+        # Rows 0..1 of (a†)²a²: the only entry above the diagonal is S(1,2) = 1.
+        with pytest.raises(ValidationError):
+            truncate_taun(stirling_matrix(parse_word("d d a a"), 1), 1)
 
     def test_taun_accepts_triangular_stirling(self):
         m = stirling_matrix(parse_word("d a"), 4)
