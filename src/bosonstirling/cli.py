@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import zip_longest
 
 from . import __version__
@@ -410,11 +411,19 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _arg_parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on the first call and then reused.
+
+    Parsing leaves the parser as it was: every call fills a fresh namespace.
+    """
+    return build_arg_parser()
+
+
 def main(argv=None) -> int:
     if hasattr(sys.stdout, "reconfigure"):
         sys.stdout.reconfigure(encoding="utf-8")
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    args = _arg_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, IndexError, KeyError, ZeroDivisionError, OSError) as exc:

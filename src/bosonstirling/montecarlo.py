@@ -14,6 +14,12 @@ free entries in total.
 Randomness is counter-based (Philox) and keyed per trial by
 (seed, trial index), so results are bitwise reproducible for a fixed
 configuration no matter how trials are scheduled across workers.
+
+Trials run in blocks: :mod:`bosonstirling.batch` computes numpy's draws
+for a whole block of trials at once and decides them in ``int64``.  That
+gives exactly what the per-trial path — :func:`trial_stream`,
+:func:`random_unipotent` and :func:`is_approximate_substitution` — gives,
+and that path still decides every trial the batch cannot.
 """
 
 from __future__ import annotations
@@ -28,10 +34,20 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .substitution import FiniteMatrix, is_approximate_substitution
+from .series import parse_rational
+from .substitution import (
+    FiniteMatrix,
+    is_approximate_substitution,
+    recurrence_failure,
+)
 
 #: z for the 95% Wilson interval, kept rational on purpose.
 _Z95 = Fraction(196, 100)
+
+#: Largest matrix size an experiment accepts.  One trial holds size² entries
+#: and its verdict reads O(size³) terms, so the cap keeps every trial small
+#: (4,096 entries); the tests and the benchmark use sizes up to 12.
+MAX_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -47,6 +63,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.size < 2:
             raise ValidationError(f"size must be at least 2, got {self.size}")
+        if self.size > MAX_SIZE:
+            raise ValidationError(f"size must be at most {MAX_SIZE}, got {self.size}")
         if self.draws < 1:
             raise ValidationError(f"draws must be at least 1, got {self.draws}")
         if self.range_r < 1:
@@ -102,9 +120,12 @@ class ExperimentResult:
         return cls(
             config=cfg,
             successes=int(obj["successes"]),
-            estimate=Fraction(obj["estimate"]),
-            wilson_95=(Fraction(obj["wilson_95"][0]), Fraction(obj["wilson_95"][1])),
-            bound=Fraction(obj["bound"]),
+            estimate=parse_rational(obj["estimate"]),
+            wilson_95=(
+                parse_rational(obj["wilson_95"][0]),
+                parse_rational(obj["wilson_95"][1]),
+            ),
+            bound=parse_rational(obj["bound"]),
         )
 
     def to_csv_row(self) -> str:
@@ -161,19 +182,117 @@ def random_unipotent(
         raise ValidationError(f"range must be at least 1, got {range_r}")
     count = size * (size - 1) // 2
     values = rng.integers(1, range_r, size=count, endpoint=True).tolist()
+    return FiniteMatrix.from_rows(_unipotent_rows(values, size))
+
+
+def _unipotent_rows(values: list[int], size: int) -> list[list[int]]:
+    """The identity of dimension `size` with its strict lower triangle
+    filled from `values` in row-major order."""
     rows = []
     for i in range(size):
         start = i * (i - 1) // 2
         rows.append(values[start:start + i] + [1] + [0] * (size - 1 - i))
-    return FiniteMatrix.from_rows(rows)
+    return rows
 
 
-def _count_successes(seed: int, size: int, range_r: int, start: int, stop: int) -> int:
+def _batch_block(
+    seed: int, start: int, stop: int, size: int, range_r: int
+) -> tuple[np.ndarray, np.ndarray, list[bool]]:
+    """Draws, reject flags and verdicts of trials start..stop−1 by the batch path.
+
+    Verdicts come from :func:`.batch.batch_verdicts` where ``int64`` is
+    exact and from :func:`recurrence_failure` on ``int`` elsewhere; a
+    rejected trial's verdict is False and means nothing.
+    """
+    # Imported on first use: the commands that run no experiment never load it.
+    from . import batch
+
+    count = size * (size - 1) // 2
+    values, rejected = batch.batch_draws(seed, start, stop, count, range_r)
+    if batch.fits_int64(size, range_r):
+        passed = (batch.batch_verdicts(size, values) & ~rejected).tolist()
+    else:
+        passed = [
+            not skip and recurrence_failure(_unipotent_rows(row, size)) is None
+            for row, skip in zip(values.tolist(), rejected.tolist())
+        ]
+    return values, rejected, passed
+
+
+def _agrees_with_trial(
+    seed: int, trial: int, size: int, range_r: int, row: np.ndarray, passed: bool
+) -> bool:
+    """Whether the batch path's draws and verdict of `trial` are the per-trial path's."""
+    m = random_unipotent(size, range_r, trial_stream(seed, trial))
+    triangle = [v for i, entries in enumerate(m.entries) for v in entries[:i]]
+    return row.tolist() == triangle and passed == is_approximate_substitution(m).verdict
+
+
+#: Whether the batch path may be used in this process: None until the first
+#: experiment checks it, False for good after any disagreement.
+_batch_ok: bool | None = None
+
+
+def _batch_enabled() -> bool:
+    """Check the batch path against the per-trial path on first use.
+
+    NEP 19 lets numpy change the stream of a Generator method between
+    releases.  So the first experiment in a process compares three size-8
+    trials, whose 28 draws span four Philox blocks, at seeds 0 and 2⁶⁴−1
+    and at ranges 10 and 2³²−1; any disagreement sends every trial of the
+    process down the per-trial path.
+    """
+    global _batch_ok
+    if _batch_ok is None:
+        _batch_ok = True
+        for seed in (0, 2**64 - 1):
+            for range_r in (10, 2**32 - 1):
+                values, rejected, passed = _batch_block(seed, 0, 3, 8, range_r)
+                for t in range(3):
+                    if not rejected[t] and not _agrees_with_trial(
+                        seed, t, 8, range_r, values[t], passed[t]
+                    ):
+                        _batch_ok = False
+    return _batch_ok
+
+
+def _scalar_successes(seed: int, size: int, range_r: int, trials) -> int:
+    """Passes among `trials`, each drawn from its own stream and tested exactly."""
     successes = 0
-    for trial in range(start, stop):
+    for trial in trials:
         m = random_unipotent(size, range_r, trial_stream(seed, trial))
         if is_approximate_substitution(m).verdict:
             successes += 1
+    return successes
+
+
+def _count_successes(seed: int, size: int, range_r: int, start: int, stop: int) -> int:
+    """Passes among trials start..stop−1.
+
+    Trials go through :func:`_batch_block`, :func:`.batch.trials_per_block`
+    at a time.  The first trial of every call is also drawn and decided by
+    the per-trial path, and a disagreement there disables the batch path as
+    the first-use check does.  Trials with a rejected draw, ranges of 2³² or
+    more, and every trial once the batch path is disabled go through the
+    per-trial path.
+    """
+    global _batch_ok
+    if range_r >= 2**32 or not _batch_enabled():
+        return _scalar_successes(seed, size, range_r, range(start, stop))
+    from . import batch
+
+    step = batch.trials_per_block(size, range_r)
+    successes = 0
+    for lo in range(start, stop, step):
+        hi = min(lo + step, stop)
+        values, rejected, passed = _batch_block(seed, lo, hi, size, range_r)
+        if lo == start and not rejected[0] and not _agrees_with_trial(
+            seed, start, size, range_r, values[0], passed[0]
+        ):
+            _batch_ok = False
+            return _scalar_successes(seed, size, range_r, range(start, stop))
+        redo = (lo + np.flatnonzero(rejected)).tolist()
+        successes += sum(passed) + _scalar_successes(seed, size, range_r, redo)
     return successes
 
 

@@ -8,7 +8,7 @@ the operand orders, and truncating beyond the stored order is an error
 because the dropped coefficients are unknown, not zero.
 
 :func:`parse_rational` is the one reader of rationals from outside text
-(matrix files and command-line values).
+(matrix files, command-line values and the JSON readers).
 """
 
 from __future__ import annotations
@@ -19,13 +19,18 @@ from fractions import Fraction
 from .errors import RangeError, ValidationError
 
 
-def parse_rational(text: str) -> Fraction:
+def parse_rational(text: str | int) -> Fraction:
     """Read an exact rational (an integer, ``p/q`` or a decimal) from outside text.
 
     Exponent notation is rejected: ``Fraction("1e999999999")`` builds the
     power of ten digit by digit, in time superlinear in the exponent, so a
-    few bytes of input could stall the program.
+    few bytes of input could stall the program.  An ``int``, as a JSON
+    reader returns it, is taken as it is; any other type is rejected.
     """
+    if type(text) is int:
+        return Fraction(text)
+    if type(text) is not str:
+        raise ValidationError(f"expected a rational as a string, got {text!r}")
     if "e" in text or "E" in text:
         raise ValidationError(f"exponent notation is not accepted: {text!r}")
     return Fraction(text)
@@ -144,4 +149,4 @@ class TruncatedSeries:
 
     @classmethod
     def from_json_obj(cls, obj) -> TruncatedSeries:
-        return cls(int(obj["order"]), tuple(Fraction(c) for c in obj["coeffs"]))
+        return cls(int(obj["order"]), tuple(map(parse_rational, obj["coeffs"])))

@@ -113,7 +113,9 @@ def stirling_matrix(w: BosonWord, n_max: int) -> GeneralizedStirlingMatrix:
     0..n·s; a contribution aimed left of column 0 has perm(L,κ) = 0, so the
     columns k1 < −shift are skipped.  Steps with equal (κ, shift) share one
     summed mult, and the factors perm(L,κ) are built for κ = 0, 1, ... by
-    multiplying by L − κ + 1, which is zero once κ passes L.
+    multiplying by L − κ + 1, which is zero once κ passes L.  Row n−1 ends
+    at column (n−1)·s, so L ≤ (n_max−1)·(s + d⁻) on every row built, and
+    steps with a larger κ, which could only add zeros, are never made.
     """
     if len(w) == 0:
         raise ValidationError("the empty word has no Stirling matrix")
@@ -122,10 +124,11 @@ def stirling_matrix(w: BosonWord, n_max: int) -> GeneralizedStirlingMatrix:
     s_tot = w.annihilator_count
     d_minus = max(-excess(w), 0)
     # steps[κ] maps shift to mult; the term (r_tot, s_tot) of N(w) makes
-    # every κ = 0..r_tot occur.
-    steps = [Counter() for _ in range(w.creator_count + 1)]
+    # every κ = 0..kappa_max occur.
+    kappa_max = min(w.creator_count, max((n_max - 1) * (s_tot + d_minus), 0))
+    steps = [Counter() for _ in range(kappa_max + 1)]
     for (j, l), c in normal_order(w).terms.items():
-        for kappa in range(j + 1):
+        for kappa in range(min(j, kappa_max) + 1):
             steps[kappa][l - kappa - d_minus] += c * comb(j, kappa)
     rows = [[1]]
     for n in range(1, n_max + 1):

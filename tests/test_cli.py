@@ -20,7 +20,11 @@ from bosonstirling import (
     GeneralizedStirlingMatrix,
     NormalForm,
     SubstitutionReport,
+    TruncatedSeries,
+    ValidationError,
     WordClassification,
+    cli,
+    is_approximate_substitution,
 )
 from bosonstirling.cli import dumps_canonical, main
 
@@ -373,6 +377,19 @@ class TestMonteCarloCommand:
         )
         assert lines[1].startswith("2;10;5;4;10;1;")
 
+    def test_size_above_cap_is_usage_error(self, capsys, monkeypatch):
+        # The config is rejected before any trial: nothing is drawn.
+        def fail(cfg):
+            raise AssertionError("experiment ran")
+
+        monkeypatch.setattr(cli, "run_experiment", fail)
+        code, out, err = run_cli(
+            capsys, "montecarlo", "--size", "100000", "--draws", "1",
+            "--range", "10", "--seed", "1",
+        )
+        assert (code, out) == (2, "") and "at most" in err
+        assert "Traceback" not in err
+
     def test_missing_seed_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["montecarlo", "--size", "3", "--draws", "10", "--range", "5"])
@@ -453,6 +470,43 @@ class TestExponentNotationRejected:
         assert (code, out) == (2, "") and "exponent" in err
 
 
+class TestJsonReadersRejectExponent:
+    """The library's JSON readers take rationals through the same parser."""
+
+    def test_series(self):
+        with pytest.raises(ValidationError, match="exponent"):
+            TruncatedSeries.from_json_obj({"order": 0, "coeffs": ["1e3"]})
+
+    def test_substitution_report(self):
+        report = is_approximate_substitution(FiniteMatrix.identity(3))
+        obj = report.to_json_obj()
+        assert SubstitutionReport.from_json_obj(obj) == report
+        obj["phi"]["coeffs"][1] = "1e3"
+        with pytest.raises(ValidationError, match="exponent"):
+            SubstitutionReport.from_json_obj(obj)
+
+    @pytest.mark.parametrize("field", ["estimate", "wilson_95", "bound"])
+    def test_experiment_result(self, capsys, field):
+        code, out, _ = run_cli(
+            capsys, "montecarlo", "--size", "3", "--draws", "4",
+            "--range", "2", "--seed", "1", "--format", "json",
+        )
+        obj = json.loads(out)
+        if field == "wilson_95":
+            obj[field][0] = "1e3"
+        else:
+            obj[field] = "1e3"
+        with pytest.raises(ValidationError, match="exponent"):
+            ExperimentResult.from_json_obj(obj)
+
+    def test_other_types_rejected(self):
+        assert TruncatedSeries.from_json_obj({"order": 1, "coeffs": [1, "1/2"]}) == (
+            TruncatedSeries.from_coeffs([1, Fraction(1, 2)])
+        )
+        with pytest.raises(ValidationError):
+            TruncatedSeries.from_json_obj({"order": 0, "coeffs": [0.5]})
+
+
 # JSON values a matrix file may hold: well-formed entries, malformed strings,
 # and every other JSON type.
 _json_scalars = st.one_of(
@@ -513,6 +567,59 @@ class TestFuzz:
         if command in ("stirling", "bell"):
             argv += ["--rows", str(rows)]
         assert _exit_code(argv) in (0, 1, 2)
+
+
+class TestParserReuse:
+    """One parser serves every call of a process, as a fresh one would."""
+
+    def _argvs(self, tmp_path):
+        path = write_matrix_file(tmp_path, [[1, 0, 0], [1, 1, 0], [2, 3, 1]])
+        out = str(tmp_path / "built.json")
+        return [
+            ["no", "a a+ a", "--format", "csv"],
+            ["dd", "a a+"],
+            ["stirling", "a+ a", "--rows", "4", "--check-subst"],
+            ["bell", "a+ a", "--rows", "3", "--x=-3/2"],
+            ["bell", "a+ a", "--rows", "3", "--x", "-3/2"],
+            ["classify", "a+ a a+", "--format", "json"],
+            ["check-subst", path],
+            ["build-subst", "--g", "1,1", "--phi", "0,1,1", "--size", "4", "--out", out],
+            ["montecarlo", "--size", "4", "--draws", "30", "--range", "3", "--seed", "5",
+             "--sweep-range", "2,3", "--format", "csv"],
+            ["montecarlo", "--size", "4", "--draws", "30", "--range", "3", "--seed", "5"],
+            ["bound", "--size", "5", "--range", "3", "--format", "json"],
+            ["montecarlo", "--size", "4"],
+            ["--version"],
+            ["stirling", "a+ a", "--rows", "2"],
+        ]
+
+    def _run(self, capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_mixed_sequence_matches_fresh_parsers(self, capsys, tmp_path, monkeypatch):
+        argvs = self._argvs(tmp_path)
+        cli._arg_parser.cache_clear()
+        builds = []
+        build = cli.build_arg_parser
+        monkeypatch.setattr(cli, "build_arg_parser", lambda: builds.append(1) or build())
+        reused = [self._run(capsys, argv) for argv in argvs]
+        assert len(builds) == 1
+        fresh = []
+        for argv in argvs:
+            cli._arg_parser.cache_clear()
+            fresh.append(self._run(capsys, argv))
+        assert len(builds) == 1 + len(argvs)
+        assert reused == fresh
+        codes = [code for code, _, _ in reused]
+        assert codes == [0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 2, 0, 0]
+        assert reused[3][1] == "0     1\n1  -3/2\n2   3/4\n3  15/8\n"
+        assert "expected one argument" in reused[4][2]
+        assert reused[12][1] == f"bosonstirling {bosonstirling.__version__}\n"
 
 
 class TestTopLevel:

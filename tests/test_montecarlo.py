@@ -3,14 +3,20 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bosonstirling import (
     ExperimentConfig,
     ExperimentResult,
     FiniteMatrix,
+    TruncatedSeries,
     ValidationError,
+    build_substitution_matrix,
     count_free_parameters,
     is_approximate_substitution,
     probability_bound,
@@ -20,7 +26,10 @@ from bosonstirling import (
     trial_stream,
     wilson_interval_95,
 )
-from bosonstirling.montecarlo import worker_count
+from bosonstirling import batch, montecarlo
+from bosonstirling.batch import batch_draws, batch_verdicts, fits_int64
+from bosonstirling.montecarlo import MAX_SIZE, worker_count
+from bosonstirling.substitution import recurrence_failure
 
 # Recorded from the reference generator at first run; guards against stream
 # drift in Philox keying or triangle fill order.
@@ -183,3 +192,221 @@ class TestRangeSweep:
         for r in results:
             assert r.bound == probability_bound(4, r.config.range_r)
             assert 0 <= r.ratio_to_bound  # data only, no verdicts
+
+
+class TestSizeCap:
+    # Only the config is built: no trial is drawn at these sizes.
+    def test_cap_accepted_and_one_above_rejected(self):
+        ExperimentConfig(size=MAX_SIZE, draws=1, range_r=10, seed=1)
+        with pytest.raises(ValidationError, match="at most"):
+            ExperimentConfig(size=MAX_SIZE + 1, draws=1, range_r=10, seed=1)
+        with pytest.raises(ValidationError, match="at most"):
+            ExperimentConfig(size=100_000, draws=1, range_r=10, seed=1)
+
+
+# Entry counts 1, 3, 6, 10, 15, 21, 28 (sizes 2..8) cross the 8-draw block
+# of one Philox output; 3·2³⁰ rejects a quarter of its draws, 2³²−1 fits
+# the batch but not int64, and 2³² is left to the per-trial path.
+BATCH_RANGES = [1, 2, 3, 10, 3 * 2**30, 2**32 - 1, 2**32]
+BATCH_SEEDS = [0, 2**64 - 1]
+
+
+@pytest.fixture
+def fresh_self_check(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_batch_ok", None)
+
+
+class TestBatchAgreesWithPerTrialPath:
+    @pytest.mark.parametrize("seed", BATCH_SEEDS)
+    @pytest.mark.parametrize("range_r", BATCH_RANGES[:-1])
+    def test_draws_bitwise(self, seed, range_r):
+        compared = rejected_total = 0
+        for size in range(2, 9):
+            count = size * (size - 1) // 2
+            values, rejected = batch_draws(seed, 0, 40, count, range_r)
+            assert values.shape == (40, count)
+            for trial in range(40):
+                if rejected[trial]:
+                    rejected_total += 1
+                    continue
+                rng = trial_stream(seed, trial)
+                expected = rng.integers(1, range_r, size=count, endpoint=True)
+                assert values[trial].tolist() == expected.tolist(), (size, trial)
+                compared += 1
+        if range_r == 3 * 2**30:
+            assert rejected_total > 0 and compared > 0
+        else:
+            assert rejected_total == 0
+
+    def test_rejected_trials_really_redraw(self):
+        # A flagged trial is one numpy's own draw differs on.
+        values, rejected = batch_draws(0, 0, 40, 10, 3 * 2**30)
+        for trial in np.flatnonzero(rejected).tolist():
+            rng = trial_stream(0, trial)
+            expected = rng.integers(1, 3 * 2**30, size=10, endpoint=True)
+            assert values[trial].tolist() != expected.tolist()
+
+    def test_draws_away_from_trial_zero(self):
+        values, _ = batch_draws(2**64 - 1, 10**6, 10**6 + 5, 28, 10)
+        for t in range(5):
+            expected = trial_stream(2**64 - 1, 10**6 + t).integers(
+                1, 10, size=28, endpoint=True
+            )
+            assert values[t].tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("seed", BATCH_SEEDS)
+    @pytest.mark.parametrize("range_r", BATCH_RANGES)
+    def test_successes(self, seed, range_r, fresh_self_check):
+        for size in range(2, 9):
+            scalar = montecarlo._scalar_successes(seed, size, range_r, range(120))
+            assert montecarlo._count_successes(seed, size, range_r, 0, 120) == scalar
+        assert montecarlo._batch_ok is (True if range_r < 2**32 else None)
+
+    @pytest.mark.parametrize("size", [50, 51, 57, MAX_SIZE])
+    @pytest.mark.parametrize("range_r", [1, 3, 10])
+    def test_successes_at_the_largest_sizes(self, size, range_r, fresh_self_check):
+        scalar = montecarlo._scalar_successes(5, size, range_r, range(6))
+        assert montecarlo._count_successes(5, size, range_r, 0, 6) == scalar
+        assert montecarlo._batch_ok is True
+
+    @pytest.mark.parametrize("size,range_r", [(4, 3), (5, 3), (4, 2), (6, 2)])
+    def test_successes_where_matrices_pass(self, size, range_r, fresh_self_check):
+        scalar = montecarlo._scalar_successes(7, size, range_r, range(2000))
+        batched = montecarlo._count_successes(7, size, range_r, 0, 2000)
+        assert batched == scalar and montecarlo._batch_ok is True
+        if (size, range_r) in ((4, 3), (5, 3)):
+            assert scalar > 0
+
+    def test_blocks_split_the_trials(self, monkeypatch):
+        expected = montecarlo._count_successes(3, 4, 3, 5, 1005)
+        monkeypatch.setattr(batch, "_BLOCK_ELEMENTS", 64)
+        calls = []
+        draws = batch.batch_draws
+        monkeypatch.setattr(
+            batch, "batch_draws",
+            lambda *args: calls.append(args) or draws(*args),
+        )
+        assert montecarlo._count_successes(3, 4, 3, 5, 1005) == expected
+        assert len(calls) == 1000 // 4 and all(c[2] - c[1] == 4 for c in calls)
+
+    def test_range_2_32_takes_the_per_trial_path(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("batch draw used at r = 2**32")
+
+        monkeypatch.setattr(batch, "batch_draws", fail)
+        montecarlo._count_successes(1, 5, 2**32, 0, 20)
+
+    def test_jobs_do_not_change_batched_counts(self):
+        for size, range_r in ((4, 3), (5, 10), (8, 3 * 2**30)):
+            cfg = dict(size=size, draws=301, range_r=range_r, seed=2**64 - 1)
+            serial = run_experiment(ExperimentConfig(**cfg, jobs=1))
+            parallel = run_experiment(ExperimentConfig(**cfg, jobs=2))
+            assert serial.successes == parallel.successes
+
+    def test_corrupt_draw_falls_back(self, monkeypatch, fresh_self_check):
+        # Trial 0 of seed 2 passes at size 4, range 3; the corruption bumps
+        # its determined entry M[3,2], so it would fail if used.
+        expected = montecarlo._scalar_successes(2, 4, 3, range(500))
+        draws = batch.batch_draws
+
+        def corrupt(*args):
+            values, rejected = draws(*args)
+            values[0, -1] += 1
+            return values, rejected
+
+        monkeypatch.setattr(batch, "batch_draws", corrupt)
+        assert montecarlo._count_successes(2, 4, 3, 0, 500) == expected
+        assert montecarlo._batch_ok is False
+        values, _ = corrupt(2, 0, 500, 6, 3)
+        assert int(batch_verdicts(4, values).sum()) == expected - 1
+
+    def test_first_trial_of_each_call_is_checked(self, monkeypatch):
+        # With the first-use check passed, a wrong verdict on the first
+        # trial of a later call still switches the process to the per-trial path.
+        monkeypatch.setattr(montecarlo, "_batch_ok", True)
+        expected = montecarlo._scalar_successes(2, 4, 3, range(500))
+        verdicts = batch.batch_verdicts
+
+        def flip_first(size, values):
+            passed = verdicts(size, values)
+            passed[0] = not passed[0]
+            return passed
+
+        monkeypatch.setattr(batch, "batch_verdicts", flip_first)
+        assert montecarlo._count_successes(2, 4, 3, 0, 500) == expected
+        assert montecarlo._batch_ok is False
+
+
+def _unipotent_from_triangle(values, size):
+    rows = [[1 if i == k else 0 for k in range(size)] for i in range(size)]
+    pos = 0
+    for i in range(size):
+        for k in range(i):
+            rows[i][k] = values[pos]
+            pos += 1
+    return rows
+
+
+class TestBatchVerdicts:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(2, 10).flatmap(
+            lambda size: st.tuples(
+                st.just(size),
+                st.lists(
+                    st.lists(
+                        st.integers(1, 3),
+                        min_size=size * (size - 1) // 2,
+                        max_size=size * (size - 1) // 2,
+                    ),
+                    min_size=1, max_size=6,
+                ),
+            )
+        )
+    )
+    def test_matches_integer_kernel(self, case):
+        size, triangles = case
+        got = batch_verdicts(size, np.array(triangles, dtype=np.int64)).tolist()
+        expected = [
+            recurrence_failure(_unipotent_from_triangle(t, size)) is None
+            for t in triangles
+        ]
+        assert got == expected
+
+    @pytest.mark.parametrize("size", range(2, 13))
+    def test_passing_matrices_pass(self, size):
+        # f ↦ (1+x)·f(x + x²) with integer coefficients: every column of
+        # the built matrix holds, entries are positive integers below the diagonal.
+        g = TruncatedSeries.from_coeffs([1, 1], size)
+        phi = TruncatedSeries.from_coeffs([0, 1, 1], size)
+        m = build_substitution_matrix(g, phi, size)
+        triangle = [int(m.entries[i][k]) for i in range(size) for k in range(i)]
+        assert fits_int64(size, max(triangle, default=1))
+        assert batch_verdicts(size, np.array([triangle], dtype=np.int64)).tolist() == [True]
+        if size >= 4:
+            triangle[-1] += 1
+            bumped = np.array([triangle], dtype=np.int64)
+            assert batch_verdicts(size, bumped).tolist() == [False]
+
+    @pytest.mark.parametrize("size", [4, 8, 16, 30])
+    def test_int64_edge_has_no_overflow(self, size):
+        # The largest r the bound admits, with every entry at r: each step's
+        # segment sum in int64 must equal its exact value.
+        r = isqrt((2**63 - 1) // (size * 2**size))
+        assert fits_int64(size, r) and not fits_int64(size, r + 1)
+        triangle_idx, stages = batch._verdict_plan(size)
+        m = np.ones((1, size * size), dtype=np.int64)
+        m[0, triangle_idx] = r
+        upper = [i * size + k for i in range(size) for k in range(i + 1, size)]
+        m[0, upper] = 0
+        exact = m.astype(object)
+        for stage in stages:
+            terms = exact[:, stage.left] * exact[:, stage.right] * stage.coef.astype(object)
+            sums = np.add.reduceat(terms, stage.starts, axis=1)
+            fast = m[:, stage.left] * m[:, stage.right] * stage.coef
+            assert np.add.reduceat(fast, stage.starts, axis=1).tolist() == sums.tolist()
+            assert max(abs(v) for v in sums.ravel().tolist()) < 2**63
+
+    def test_int64_bound_values(self):
+        assert fits_int64(50, 10) and not fits_int64(51, 10)
+        assert not fits_int64(2, 2**31)

@@ -23,9 +23,11 @@ from bosonstirling import (
     bell_polynomial,
     classify_word,
     column_egf,
+    normal_order,
     parse_word,
     stirling_matrix,
 )
+from bosonstirling import stirling as stirling_module
 
 from oracles import stirling_rows_by_action
 from tables import PREFUNCTION_ROWS, STIRLING2_ROWS, WIDE_STAIRCASE_ROWS
@@ -192,6 +194,36 @@ class TestAgainstActionOracle:
         for n, row in enumerate(stirling_rows_by_action(letters, n_max)):
             for x in BELL_POINTS:
                 assert bell_polynomial(m, n, x) == fraction_horner(row, x), (n, x)
+
+
+class TestStepsStopWherePermVanishes:
+    """Steps beyond κ = (n_max−1)·(s + d⁻) would only add zeros: none is made."""
+
+    def _comb_calls(self, monkeypatch, text, n_max):
+        calls = []
+        monkeypatch.setattr(
+            stirling_module, "comb", lambda n, k: calls.append(k) or comb(n, k)
+        )
+        return stirling_matrix(parse_word(text), n_max), calls
+
+    def test_one_row_of_a_long_word(self, monkeypatch):
+        m, calls = self._comb_calls(monkeypatch, "rs:[2000,1]", 1)
+        assert m.rows == ((1,), (0, 1))
+        assert calls == [0]
+
+    @pytest.mark.parametrize(
+        "text", ["rs:[12,1]", "rs:[2,3;4,1]", "rs:[0,2;5,0]", "rs:[1,3;2,2]", "a a d a"]
+    )
+    @pytest.mark.parametrize("n_max", range(5))
+    def test_rows_and_step_count(self, monkeypatch, text, n_max):
+        w = parse_word(text)
+        m, calls = self._comb_calls(monkeypatch, text, n_max)
+        assert [list(row) for row in m.rows] == stirling_rows_by_action(w.letters, n_max)
+        d_minus = max(-m.d, 0)
+        kappa_max = min(m.r_tot, max((n_max - 1) * (m.s_tot + d_minus), 0))
+        terms = normal_order(w).terms
+        assert max(calls) == min(kappa_max, max(j for j, _ in terms))
+        assert len(calls) == sum(min(j, kappa_max) + 1 for j, _ in terms)
 
 
 class TestBell:
