@@ -200,14 +200,14 @@ def batch_verdicts(size: int, values: np.ndarray) -> np.ndarray:
     return passed
 
 
-def trials_per_block(size: int, range_r: int) -> int:
+def trials_per_block(size: int) -> int:
     """Trials one block takes, so that its arrays stay below the element budget.
 
     A trial needs its draws rounded up to whole Philox blocks, its size²
-    matrix entries and, where the verdict runs in ``int64``, the terms of
-    step k = 1.  The later steps only see the few trials that pass that one.
+    matrix entries and the terms of step k = 1.  The later steps only see
+    the few trials that pass that one.
     """
     count = size * (size - 1) // 2
-    stages = _verdict_plan(size)[1] if fits_int64(size, range_r) else ()
+    stages = _verdict_plan(size)[1]
     first_stage = len(stages[0].coef) if stages else 0
     return max(1, _BLOCK_ELEMENTS // max(8 * -(-count // 8), size * size, first_stage))

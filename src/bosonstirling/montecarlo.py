@@ -38,7 +38,6 @@ from .series import parse_rational
 from .substitution import (
     FiniteMatrix,
     is_approximate_substitution,
-    recurrence_failure,
 )
 
 #: z for the 95% Wilson interval, kept rational on purpose.
@@ -195,30 +194,6 @@ def _unipotent_rows(values: list[int], size: int) -> list[list[int]]:
     return rows
 
 
-def _batch_block(
-    seed: int, start: int, stop: int, size: int, range_r: int
-) -> tuple[np.ndarray, np.ndarray, list[bool]]:
-    """Draws, reject flags and verdicts of trials start..stop−1 by the batch path.
-
-    Verdicts come from :func:`.batch.batch_verdicts` where ``int64`` is
-    exact and from :func:`recurrence_failure` on ``int`` elsewhere; a
-    rejected trial's verdict is False and means nothing.
-    """
-    # Imported on first use: the commands that run no experiment never load it.
-    from . import batch
-
-    count = size * (size - 1) // 2
-    values, rejected = batch.batch_draws(seed, start, stop, count, range_r)
-    if batch.fits_int64(size, range_r):
-        passed = (batch.batch_verdicts(size, values) & ~rejected).tolist()
-    else:
-        passed = [
-            not skip and recurrence_failure(_unipotent_rows(row, size)) is None
-            for row, skip in zip(values.tolist(), rejected.tolist())
-        ]
-    return values, rejected, passed
-
-
 def _agrees_with_trial(
     seed: int, trial: int, size: int, range_r: int, row: np.ndarray, passed: bool
 ) -> bool:
@@ -228,32 +203,9 @@ def _agrees_with_trial(
     return row.tolist() == triangle and passed == is_approximate_substitution(m).verdict
 
 
-#: Whether the batch path may be used in this process: None until the first
-#: experiment checks it, False for good after any disagreement.
-_batch_ok: bool | None = None
-
-
-def _batch_enabled() -> bool:
-    """Check the batch path against the per-trial path on first use.
-
-    NEP 19 lets numpy change the stream of a Generator method between
-    releases.  So the first experiment in a process compares three size-8
-    trials, whose 28 draws span four Philox blocks, at seeds 0 and 2⁶⁴−1
-    and at ranges 10 and 2³²−1; any disagreement sends every trial of the
-    process down the per-trial path.
-    """
-    global _batch_ok
-    if _batch_ok is None:
-        _batch_ok = True
-        for seed in (0, 2**64 - 1):
-            for range_r in (10, 2**32 - 1):
-                values, rejected, passed = _batch_block(seed, 0, 3, 8, range_r)
-                for t in range(3):
-                    if not rejected[t] and not _agrees_with_trial(
-                        seed, t, 8, range_r, values[t], passed[t]
-                    ):
-                        _batch_ok = False
-    return _batch_ok
+#: Whether the batch path may be used in this process; False for good after
+#: any disagreement with the per-trial path.
+_batch_ok = True
 
 
 def _scalar_successes(seed: int, size: int, range_r: int, trials) -> int:
@@ -269,30 +221,41 @@ def _scalar_successes(seed: int, size: int, range_r: int, trials) -> int:
 def _count_successes(seed: int, size: int, range_r: int, start: int, stop: int) -> int:
     """Passes among trials start..stop−1.
 
-    Trials go through :func:`_batch_block`, :func:`.batch.trials_per_block`
-    at a time.  The first trial of every call is also drawn and decided by
-    the per-trial path, and a disagreement there disables the batch path as
-    the first-use check does.  Trials with a rejected draw, ranges of 2³² or
-    more, and every trial once the batch path is disabled go through the
-    per-trial path.
+    Where :func:`.batch.fits_int64` holds, trials are drawn and decided by
+    the batch kernels, :func:`.batch.trials_per_block` at a time.  NEP 19
+    lets numpy change the stream of a Generator method between releases, so
+    the first trial of every call that the batch draws without a reject is
+    also drawn and decided by the per-trial path; any disagreement sends
+    this call and every later one in the process down that path.  Trials
+    with a rejected draw, sizes and ranges outside the ``int64`` bound
+    (which excludes every range of 2³² or more) and every trial once the
+    batch path is disabled go through the per-trial path.
     """
     global _batch_ok
-    if range_r >= 2**32 or not _batch_enabled():
-        return _scalar_successes(seed, size, range_r, range(start, stop))
+    # Imported on first use: the commands that run no experiment never load it.
     from . import batch
 
-    step = batch.trials_per_block(size, range_r)
+    if not (_batch_ok and batch.fits_int64(size, range_r)):
+        return _scalar_successes(seed, size, range_r, range(start, stop))
+    count = size * (size - 1) // 2
+    step = batch.trials_per_block(size)
+    checked = False
     successes = 0
     for lo in range(start, stop, step):
-        hi = min(lo + step, stop)
-        values, rejected, passed = _batch_block(seed, lo, hi, size, range_r)
-        if lo == start and not rejected[0] and not _agrees_with_trial(
-            seed, start, size, range_r, values[0], passed[0]
-        ):
-            _batch_ok = False
-            return _scalar_successes(seed, size, range_r, range(start, stop))
+        values, rejected = batch.batch_draws(seed, lo, min(lo + step, stop), count, range_r)
+        passed = batch.batch_verdicts(size, values) & ~rejected
+        kept = np.flatnonzero(~rejected)
+        if not checked and kept.size:
+            checked = True
+            t = int(kept[0])
+            if not _agrees_with_trial(
+                seed, lo + t, size, range_r, values[t], bool(passed[t])
+            ):
+                _batch_ok = False
+                return _scalar_successes(seed, size, range_r, range(start, stop))
         redo = (lo + np.flatnonzero(rejected)).tolist()
-        successes += sum(passed) + _scalar_successes(seed, size, range_r, redo)
+        successes += int(np.count_nonzero(passed))
+        successes += _scalar_successes(seed, size, range_r, redo)
     return successes
 
 

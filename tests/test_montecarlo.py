@@ -203,17 +203,27 @@ class TestSizeCap:
         with pytest.raises(ValidationError, match="at most"):
             ExperimentConfig(size=100_000, draws=1, range_r=10, seed=1)
 
+    def test_bound_digits_at_the_cap(self):
+        # The printed bound is 1/r^((n−2)(n−3)/2).  At the cap it stays
+        # below Python's 4,300-digit int-to-text limit for r = 10, and
+        # exceeds it for r = 2³²−1, as README says; nothing is printed here.
+        assert probability_bound(MAX_SIZE, 10) == Fraction(1, 10**1891)
+        big = probability_bound(MAX_SIZE, 2**32 - 1)
+        assert big == Fraction(1, (2**32 - 1) ** 1891)
+        assert big.denominator >= 10**18000
+
 
 # Entry counts 1, 3, 6, 10, 15, 21, 28 (sizes 2..8) cross the 8-draw block
-# of one Philox output; 3·2³⁰ rejects a quarter of its draws, 2³²−1 fits
-# the batch but not int64, and 2³² is left to the per-trial path.
+# of one Philox output; 3·2³⁰ rejects a quarter of its draws.  The batch
+# draws take every range below 2³², but experiments at 3·2³⁰ and above lie
+# outside the int64 verdict bound and go to the per-trial path.
 BATCH_RANGES = [1, 2, 3, 10, 3 * 2**30, 2**32 - 1, 2**32]
 BATCH_SEEDS = [0, 2**64 - 1]
 
 
 @pytest.fixture
 def fresh_self_check(monkeypatch):
-    monkeypatch.setattr(montecarlo, "_batch_ok", None)
+    monkeypatch.setattr(montecarlo, "_batch_ok", True)
 
 
 class TestBatchAgreesWithPerTrialPath:
@@ -260,7 +270,7 @@ class TestBatchAgreesWithPerTrialPath:
         for size in range(2, 9):
             scalar = montecarlo._scalar_successes(seed, size, range_r, range(120))
             assert montecarlo._count_successes(seed, size, range_r, 0, 120) == scalar
-        assert montecarlo._batch_ok is (True if range_r < 2**32 else None)
+        assert montecarlo._batch_ok is True
 
     @pytest.mark.parametrize("size", [50, 51, 57, MAX_SIZE])
     @pytest.mark.parametrize("range_r", [1, 3, 10])
@@ -289,12 +299,44 @@ class TestBatchAgreesWithPerTrialPath:
         assert montecarlo._count_successes(3, 4, 3, 5, 1005) == expected
         assert len(calls) == 1000 // 4 and all(c[2] - c[1] == 4 for c in calls)
 
-    def test_range_2_32_takes_the_per_trial_path(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "size,range_r", [(5, 2**32), (2, 2**30), (8, 2**32 - 1), (51, 10)]
+    )
+    def test_outside_int64_takes_the_per_trial_path(self, size, range_r, monkeypatch):
+        assert not fits_int64(size, range_r)
+
         def fail(*args):
-            raise AssertionError("batch draw used at r = 2**32")
+            raise AssertionError("batch draw used outside the int64 bound")
 
         monkeypatch.setattr(batch, "batch_draws", fail)
-        montecarlo._count_successes(1, 5, 2**32, 0, 20)
+        expected = montecarlo._scalar_successes(1, size, range_r, range(5))
+        assert montecarlo._count_successes(1, size, range_r, 0, 5) == expected
+
+    def test_rejected_trials_are_redrawn_per_trial(self, monkeypatch, fresh_self_check):
+        # No seed is known to reject at a range inside the int64 bound, so
+        # the draw flags some trials.  Trial 0 of seed 2 passes at size 4,
+        # range 3, so counting its batch verdict as well as its redraw
+        # would show; flagging it also moves the check to trial 1.
+        expected = montecarlo._scalar_successes(2, 4, 3, range(500))
+        draws = batch.batch_draws
+        redone = []
+        scalar = montecarlo._scalar_successes
+
+        def flag(seed, start, stop, count, range_r):
+            values, rejected = draws(seed, start, stop, count, range_r)
+            for t in (0, 7, 300):
+                if start <= t < stop:
+                    rejected[t - start] = True
+            return values, rejected
+
+        def record(seed, size, range_r, trials):
+            redone.extend(trials)
+            return scalar(seed, size, range_r, trials)
+
+        monkeypatch.setattr(batch, "batch_draws", flag)
+        monkeypatch.setattr(montecarlo, "_scalar_successes", record)
+        assert montecarlo._count_successes(2, 4, 3, 0, 500) == expected
+        assert sorted(redone) == [0, 7, 300] and montecarlo._batch_ok is True
 
     def test_jobs_do_not_change_batched_counts(self):
         for size, range_r in ((4, 3), (5, 10), (8, 3 * 2**30)):
@@ -321,8 +363,8 @@ class TestBatchAgreesWithPerTrialPath:
         assert int(batch_verdicts(4, values).sum()) == expected - 1
 
     def test_first_trial_of_each_call_is_checked(self, monkeypatch):
-        # With the first-use check passed, a wrong verdict on the first
-        # trial of a later call still switches the process to the per-trial path.
+        # A wrong verdict on the first trial of a call switches the process
+        # to the per-trial path.
         monkeypatch.setattr(montecarlo, "_batch_ok", True)
         expected = montecarlo._scalar_successes(2, 4, 3, range(500))
         verdicts = batch.batch_verdicts
@@ -335,16 +377,6 @@ class TestBatchAgreesWithPerTrialPath:
         monkeypatch.setattr(batch, "batch_verdicts", flip_first)
         assert montecarlo._count_successes(2, 4, 3, 0, 500) == expected
         assert montecarlo._batch_ok is False
-
-
-def _unipotent_from_triangle(values, size):
-    rows = [[1 if i == k else 0 for k in range(size)] for i in range(size)]
-    pos = 0
-    for i in range(size):
-        for k in range(i):
-            rows[i][k] = values[pos]
-            pos += 1
-    return rows
 
 
 class TestBatchVerdicts:
@@ -368,7 +400,7 @@ class TestBatchVerdicts:
         size, triangles = case
         got = batch_verdicts(size, np.array(triangles, dtype=np.int64)).tolist()
         expected = [
-            recurrence_failure(_unipotent_from_triangle(t, size)) is None
+            recurrence_failure(montecarlo._unipotent_rows(t, size)) is None
             for t in triangles
         ]
         assert got == expected
