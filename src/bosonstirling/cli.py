@@ -221,6 +221,9 @@ def _parse_series_arg(text: str, order: int) -> TruncatedSeries:
 
 
 def cmd_build_subst(args) -> int:
+    if args.size < 2:
+        # Checked before the series are read: their order comes from the size.
+        raise ValidationError(f"matrix size must be at least 2, got {args.size}")
     order = args.size - 1
     g = _parse_series_arg(args.g, order)
     phi = _parse_series_arg(args.phi, order)

@@ -11,15 +11,19 @@ identity holds:
 with c_k the column-k EGF polynomial.  Columns 0 and 1 satisfy this
 identically; columns 2..n are genuine constraints.
 
-The verdict takes no series arithmetic: :func:`recurrence_failure` checks
-the equivalent division-free column recurrence
-c_0·(k+1)·c_{k+1} ≡ c_k·c_1 on the matrix entries in integer arithmetic
-(a rational matrix is scaled by the LCM of its denominators first) and stops
-at the first failing step.  The diagnostics of a report — g, φ and every
-failing column with its expected and actual series — are computed from the
-matrix when first read.  Equality is exact throughout: no tolerances and no
-floats.  Matrix entries are stored as ``int`` when integral and as
-``Fraction`` otherwise.
+Nothing here multiplies or inverts series.  Everything works on EGF
+entries, the column vectors M[:,k] themselves, where the EGF product becomes
+the binomial convolution (a⊛b)[i] = Σ_j C(i,j)·a[j]·b[i−j].  The verdict,
+:func:`recurrence_failure`, checks the equivalent division-free column
+recurrence c_0·(k+1)·c_{k+1} ≡ c_k·c_1 in integer arithmetic (a rational
+matrix is scaled by the LCM of its denominators first) and stops at the
+first failing step.  The diagnostics of a report — g, φ and every failing
+column with its expected and actual series — are computed from the matrix
+when first read: φ by forward substitution in c_1 = c_0⊛Φ, and the expected
+columns as integer convolutions of the scaled rows.  The builder convolves
+integer entry vectors too and divides once per entry.  Equality is exact
+throughout: no tolerances and no floats.  Matrix entries are stored as
+``int`` when integral and as ``Fraction`` otherwise.
 
 The module also provides the two truncation operators on larger matrices:
 r_n (principal submatrix, defined for all row-finite matrices, not
@@ -48,10 +52,21 @@ def _all_int(row) -> bool:
 
 
 def _exact(v) -> int | Fraction:
-    """`v` as an exact number: ``int`` when integral, else ``Fraction``."""
+    """`v` as an exact number: ``int`` when integral, else ``Fraction``.
+
+    A string of ASCII digits with an optional leading ``-``, the common
+    matrix-file entry, is read by ``int`` directly; it gives the value, and
+    past the digit limit the error, that :func:`parse_rational` would.
+    """
     if type(v) is int:
         return v
-    q = parse_rational(v) if type(v) is str else Fraction(v)
+    if type(v) is str:
+        digits = v[1:] if v[:1] == "-" else v
+        if digits.isdigit() and digits.isascii():
+            return int(v)
+        q = parse_rational(v)
+    else:
+        q = Fraction(v)
     return q.numerator if q.denominator == 1 else q
 
 
@@ -198,11 +213,14 @@ class SubstitutionReport:
         )
 
     @classmethod
-    def _of_matrix(cls, m: FiniteMatrix, first_failure: int | None) -> SubstitutionReport:
-        """Report on `m`, whose recurrence first fails at step `first_failure`."""
+    def _of_matrix(cls, m: FiniteMatrix, rows, first_failure: int | None) -> SubstitutionReport:
+        """Report on `m`, given its integer rows L·m and first failing step."""
         report = cls.__new__(cls)
         vars(report).update(
-            verdict=first_failure is None, _matrix=m, _first_failure=first_failure
+            verdict=first_failure is None,
+            _matrix=m,
+            _rows=rows,
+            _first_failure=first_failure,
         )
         return report
 
@@ -211,26 +229,69 @@ class SubstitutionReport:
         return column_egf(self._matrix, 0, self._matrix.n_max)
 
     @cached_property
+    def _phi_entries(self) -> list:
+        """EGF entries Φ[i] = i!·φ_i of φ = c_1/c_0, ``int`` or ``Fraction``.
+
+        Coefficient i of c_1 = c_0⊛Φ reads M[i,1] = Σ_j C(i,j)·M[j,0]·Φ[i−j].
+        The j = 0 term is Φ[i], since M[0,0] = 1, and the j = i term
+        vanishes, since Φ[0] = M[0,1] = 0; so forward substitution
+
+            Φ[i] = M[i,1] − Σ_{j=1}^{i−1} C(i,j)·M[j,0]·Φ[i−j]
+
+        gives every entry without a division, visiting only the nonzero
+        entries of column 0.
+        """
+        entries = self._matrix.entries
+        n = len(entries) - 1
+        binomials = _binomial_rows(n)
+        col0 = [(j, row[0]) for j, row in enumerate(entries) if j and row[0]]
+        phi = [0]
+        for i in range(1, n + 1):
+            binomial = binomials[i]
+            phi.append(
+                entries[i][1]
+                - sum([binomial[j] * c * phi[i - j] for j, c in col0 if j < i])
+            )
+        return phi
+
+    @cached_property
     def extracted_phi(self) -> TruncatedSeries:
-        c1 = column_egf(self._matrix, 1, self._matrix.n_max)
-        return c1.multiply(self.extracted_g.invert())
+        phi = self._phi_entries
+        return TruncatedSeries(
+            len(phi) - 1, tuple(Fraction(v) / factorial(i) for i, v in enumerate(phi))
+        )
 
     @cached_property
     def failing_columns(self) -> tuple[ColumnMismatch, ...]:
-        """Scanned from column k+1, k the first failing step: columns 0..k hold."""
+        """Scanned from column k+1, k the first failing step: columns 0..k hold.
+
+        The expected columns follow c_{j+1} = c_j⊛Φ/(j+1) from the actual
+        column k, in integers.  With R = L·M the verdict's integer rows and
+        D the LCM of the denominators of Φ, set N_k = R[:,k] and
+        N_{j+1} = N_j⊛(D·Φ); then N_j = L·D^{j−k}·(j!/k!)·E_j, E_j the
+        expected entries of column j.  Φ is of degree 0 in L and the
+        expected columns of degree 1, so column j fails exactly when
+        N_j ≠ D^{j−k}·(j!/k!)·R[:,j], an integer comparison.  Only a failing
+        column is divided out, by L·D^{j−k}·(j!/k!)·i! at x^i, into a series.
+        """
         k = self._first_failure
         if k is None:
             return ()
-        m = self._matrix
-        expected = _columns_from(
-            column_egf(m, k, m.n_max), self.extracted_phi, k, m.size
-        )
-        next(expected)
+        m, rows = self._matrix, self._rows
+        n = m.n_max
+        step, d = _over_common_denominator(self._phi_entries)
+        column = [row[k] for row in rows]
+        scale = 1
         failing = []
-        for j, column in enumerate(expected, k + 1):
-            actual = column_egf(m, j, m.n_max)
-            if column != actual:
-                failing.append(ColumnMismatch(k=j, expected=column, actual=actual))
+        for j in range(k + 1, n + 1):
+            column = _egf_product(column, step, j - 1)
+            scale *= d * j
+            if any(column[i] != scale * rows[i][j] for i in range(j, n + 1)):
+                denominator = rows[0][0] * scale
+                expected = TruncatedSeries(n, tuple(
+                    Fraction(v, denominator * factorial(i)) for i, v in enumerate(column)
+                ))
+                failing.append(ColumnMismatch(j, expected, column_egf(m, j, n)))
         return tuple(failing)
 
     def __setattr__(self, name, value):
@@ -290,20 +351,33 @@ class SubstitutionReport:
         )
 
 
-def _columns_from(column: TruncatedSeries, phi: TruncatedSeries, k: int, size: int):
-    """Yield columns k, k+1, ..., size−1 of g·φ^j/j!, starting from column k.
-
-    Each step is c_{j+1} = c_j·φ/(j+1): one series product per column.
-    """
-    yield column
-    for j in range(k + 1, size):
-        column = column.multiply(phi).scale(Fraction(1, j))
-        yield column
-
-
 @lru_cache(maxsize=32)
 def _binomial_rows(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(comb(i, j) for j in range(i + 1)) for i in range(n + 1))
+
+
+def _over_common_denominator(values) -> tuple[list[int], int]:
+    """(D·values, D) with D the LCM of the denominators of the ``int`` or ``Fraction`` values."""
+    d = lcm(*[v.denominator for v in values])
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def _egf_product(a, b, lo: int) -> list:
+    """The binomial convolution (a⊛b)[i] = Σ_j C(i,j)·a[i−j]·b[j], i = 0..len(a)−1.
+
+    a⊛b holds the entries of the product of the EGFs Σ a[i]·x^i/i! and
+    Σ b[i]·x^i/i!.  `a` must vanish below index `lo`, so the result does
+    too and only i ≥ lo is summed; only the nonzero entries of the sparse
+    operand `b` are visited.
+    """
+    n = len(a) - 1
+    binomials = _binomial_rows(n)
+    terms = [(j, bj) for j, bj in enumerate(b[: n + 1 - lo]) if bj]
+    out = [0] * (n + 1)
+    for i in range(lo, n + 1):
+        binomial = binomials[i]
+        out[i] = sum([binomial[j] * bj * a[i - j] for j, bj in terms if j <= i - lo])
+    return out
 
 
 def recurrence_failure(rows) -> int | None:
@@ -384,7 +458,8 @@ def is_approximate_substitution(m: FiniteMatrix) -> SubstitutionReport:
     series work.  The report's diagnostics are computed on first access.
     """
     _require_unipotent(m)
-    return SubstitutionReport._of_matrix(m, recurrence_failure(_integer_rows(m)))
+    rows = _integer_rows(m)
+    return SubstitutionReport._of_matrix(m, rows, recurrence_failure(rows))
 
 
 def build_substitution_matrix(
@@ -395,6 +470,13 @@ def build_substitution_matrix(
     M[i,k] = i! · [x^i] g(x)·φ(x)^k/k!.  Requires the normal forms
     g = 1 + O(x) and φ = x + O(x²), which make the result unipotent and
     guarantee it passes the substitution test at order size−1.
+
+    Columns are EGF-entry vectors: column 0 is G[i] = i!·g_i, and column
+    k+1 is column k ⊛ P/(k+1) with P[i] = i!·φ_i.  The work is in integers:
+    with D_g and D_φ the LCMs of the denominators of G and P, the vectors
+    N_0 = D_g·G and N_{k+1} = N_k⊛(D_φ·P) satisfy
+    N_k = D_g·D_φ^k·k!·M[:,k].  Each entry is divided by that common
+    denominator once, at the end, and kept as ``int`` when exact.
     """
     if size < 2:
         raise ValidationError(f"matrix size must be at least 2, got {size}")
@@ -407,10 +489,28 @@ def build_substitution_matrix(
         raise ValidationError("g must have constant term 1")
     if phi.coeffs[0] != 0 or phi.coeffs[1] != 1:
         raise ValidationError("phi must have constant term 0 and linear coefficient 1")
-    columns = list(_columns_from(g.truncate(n), phi.truncate(n), 0, size))
-    return FiniteMatrix.from_rows(
-        [[column.coeffs[i] * factorial(i) for column in columns] for i in range(size)]
+    column, d_g = _over_common_denominator(
+        [c * factorial(i) for i, c in enumerate(g.coeffs[:size])]
     )
+    step, d_phi = _over_common_denominator(
+        [c * factorial(i) for i, c in enumerate(phi.coeffs[:size])]
+    )
+    columns = [column]
+    denominators = [d_g]
+    for k in range(1, size):
+        column = _egf_product(column, step, k - 1)
+        columns.append(column)
+        denominators.append(denominators[-1] * d_phi * k)
+    return FiniteMatrix.from_rows(
+        [[_ratio(column[i], d) for column, d in zip(columns, denominators)]
+         for i in range(size)]
+    )
+
+
+def _ratio(p: int, q: int) -> int | Fraction:
+    """p/q as an ``int`` when q divides p, else as a ``Fraction``."""
+    quotient, rest = divmod(p, q)
+    return Fraction(p, q) if rest else quotient
 
 
 def truncate_rn(m, n: int) -> FiniteMatrix:

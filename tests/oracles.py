@@ -4,9 +4,9 @@ Nothing here may call into the closed-form code paths it verifies: the
 rewriter works letter by letter with the elementary relation
 a a† → a† a + 1, the x^m action applies a = d/dx and a† = x letter by
 letter to a monomial (and, through forward differences, recovers whole
-Stirling rows from it), the substitution check works on plain lists of
-Fractions with series division and powers of φ, and the helpers below stay
-at that level.
+Stirling rows from it), the substitution check and the substitution
+matrix work on plain lists of Fractions with series division and powers of
+φ, and the helpers below stay at that level.
 """
 
 from __future__ import annotations
@@ -107,6 +107,27 @@ def _series_divide(a: list, b: list) -> list:
     for i in range(len(a)):
         q.append((a[i] - sum(q[j] * b[i - j] for j in range(i))) / b[0])
     return q
+
+
+def substitution_matrix(g: list, phi: list, size: int) -> list[list]:
+    """M[i,k] = i!·[x^i] g·φ^k/k! for i, k < size, from ordinary series powers.
+
+    `g` and `phi` are ordinary coefficient lists (zero-padded or cut to
+    `size`).  Each entry is an ``int`` when integral, else a ``Fraction``.
+    """
+    g = ([Fraction(c) for c in g] + [Fraction(0)] * size)[:size]
+    phi = ([Fraction(c) for c in phi] + [Fraction(0)] * size)[:size]
+    columns = []
+    power = [Fraction(1)] + [Fraction(0)] * (size - 1)
+    for k in range(size):
+        columns.append(
+            [c * factorial(i) / factorial(k) for i, c in enumerate(_series_multiply(g, power))]
+        )
+        power = _series_multiply(power, phi)
+    return [
+        [v.numerator if v.denominator == 1 else v for v in (col[i] for col in columns)]
+        for i in range(size)
+    ]
 
 
 def _series_json(coeffs: list) -> dict:

@@ -49,6 +49,104 @@ PREFUNCTION_CSV = """\
 """
 
 
+# A rational matrix whose failing columns have non-integer expected
+# coefficients, and its report as check-subst prints it.
+FAILING_RATIONAL_ROWS = [
+    ["1", "0", "0", "0", "0"],
+    ["1/2", "1", "0", "0", "0"],
+    ["1/3", "2/3", "1", "0", "0"],
+    ["1", "1/4", "1", "1", "0"],
+    ["-2", "3/5", "1/7", "2", "1"],
+]
+
+FAILING_RATIONAL_REPORT = """\
+verdict: false
+failing columns: 2, 3
+  k=2
+    expected: 1/2 x^2 + 1/12 x^3 - 1/36 x^4
+    actual:   1/2 x^2 + 1/6 x^3 + 1/168 x^4
+  k=3
+    expected: 1/6 x^3
+    actual:   1/6 x^3 + 1/12 x^4
+g: 1 + 1/2 x + 1/6 x^2 + 1/6 x^3 - 1/12 x^4
+phi: x - 1/6 x^2 - 1/24 x^3 - 67/720 x^4
+"""
+
+FAILING_RATIONAL_REPORT_JSON = """\
+{
+  "verdict": false,
+  "failing_columns": [
+    {
+      "k": 2,
+      "expected": {
+        "order": 4,
+        "coeffs": [
+          "0",
+          "0",
+          "1/2",
+          "1/12",
+          "-1/36"
+        ]
+      },
+      "actual": {
+        "order": 4,
+        "coeffs": [
+          "0",
+          "0",
+          "1/2",
+          "1/6",
+          "1/168"
+        ]
+      }
+    },
+    {
+      "k": 3,
+      "expected": {
+        "order": 4,
+        "coeffs": [
+          "0",
+          "0",
+          "0",
+          "1/6",
+          "0"
+        ]
+      },
+      "actual": {
+        "order": 4,
+        "coeffs": [
+          "0",
+          "0",
+          "0",
+          "1/6",
+          "1/12"
+        ]
+      }
+    }
+  ],
+  "g": {
+    "order": 4,
+    "coeffs": [
+      "1",
+      "1/2",
+      "1/6",
+      "1/6",
+      "-1/12"
+    ]
+  },
+  "phi": {
+    "order": 4,
+    "coeffs": [
+      "0",
+      "1",
+      "-1/6",
+      "-1/24",
+      "-67/720"
+    ]
+  }
+}
+"""
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -260,6 +358,13 @@ class TestCheckSubstCommand:
         report = SubstitutionReport.from_json_obj(json.loads(out))
         assert [f.k for f in report.failing_columns] == [2]
 
+    def test_golden_failing_rational_report(self, capsys, tmp_path):
+        path = write_matrix_file(tmp_path, FAILING_RATIONAL_ROWS)
+        assert run_cli(capsys, "check-subst", path) == (1, FAILING_RATIONAL_REPORT, "")
+        assert run_cli(capsys, "check-subst", path, "--format", "json") == (
+            1, FAILING_RATIONAL_REPORT_JSON, ""
+        )
+
     def test_malformed_file_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
@@ -335,6 +440,15 @@ class TestBuildSubstCommand:
         assert code == 0
         m = FiniteMatrix.from_json_obj(json.loads(out))
         assert m.is_unipotent() and m.size == 3
+
+    @pytest.mark.parametrize("size", ["-5", "0", "1"])
+    @pytest.mark.parametrize("g", ["1,2,3", "1,x"], ids=["valid-g", "malformed-g"])
+    def test_size_below_two_exit_2(self, capsys, size, g):
+        code, out, err = run_cli(
+            capsys, "build-subst", "--g", g, "--phi", "0,1,1", "--size", size
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: matrix size must be at least 2, got {size}\n"
 
     def test_bad_normalization_exit_2(self, capsys):
         code, _, err = run_cli(

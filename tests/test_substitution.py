@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import factorial
@@ -26,7 +27,11 @@ from bosonstirling import (
     truncate_taun,
 )
 
-from oracles import substitution_report
+from bosonstirling.cli import main as cli_main
+from bosonstirling.series import parse_rational
+from bosonstirling.substitution import _exact
+
+from oracles import substitution_matrix, substitution_report
 from tables import STIRLING2_ROWS
 
 
@@ -279,6 +284,38 @@ class TestAgainstOracle:
         assert report.to_json_obj() == substitution_report(rows)
 
 
+# Pairs with the magnitudes of the benchmark's subst-passing pairs.
+WORKLOAD_PAIRS = {
+    "int": ([1, 2, -1, 3, 1], [0, 1, -1, 2, 1]),
+    "rat": (
+        [1, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5), Fraction(1, 7)],
+        [0, 1, Fraction(3, 4), Fraction(-1, 3), Fraction(2, 5)],
+    ),
+}
+
+
+def workload_rows(source: str, size: int) -> list[list]:
+    if source in WORKLOAD_PAIRS:
+        return substitution_matrix(*WORKLOAD_PAIRS[source], size)
+    m = truncate_rn(stirling_matrix(parse_word(source), size - 1), size - 1)
+    return [list(row) for row in m.entries]
+
+
+class TestDiagnosticsAtWorkloadSizes:
+    """Full reports at the benchmark's sizes, where the oracle tests stop at 9."""
+
+    @pytest.mark.parametrize("bumped", [False, True], ids=["unchanged", "bumped"])
+    @pytest.mark.parametrize("source", ["int", "rat", "d a", "d a d", "d d a"])
+    @pytest.mark.parametrize("size", [21, 41])
+    def test_report_matches_oracle(self, size, source, bumped):
+        rows = workload_rows(source, size)
+        if bumped:
+            rows[-1][size // 2] += 1
+        report = is_approximate_substitution(FiniteMatrix.from_rows(rows))
+        assert report.verdict is not bumped
+        assert report.to_json_obj() == substitution_report(rows)
+
+
 class TestLazyDiagnostics:
     def test_verdict_does_no_series_work(self, monkeypatch):
         def refuse(*args):
@@ -297,6 +334,34 @@ class TestLazyDiagnostics:
             [[1, 0, 0, 0], [Fraction(1, 2), 1, 0, 0], [1, 1, 1, 0], [1, 1, 1, 1]]
         )
         assert is_approximate_substitution(rational).verdict is False
+
+    def test_cli_substitution_commands_do_no_series_work(self, monkeypatch, tmp_path, capsys):
+        def refuse(*args):
+            raise AssertionError("series product or inverse on the check/build path")
+
+        monkeypatch.setattr(TruncatedSeries, "multiply", refuse)
+        monkeypatch.setattr(TruncatedSeries, "invert", refuse)
+        rat = workload_rows("rat", 9)
+        bad = [list(row) for row in rat]
+        bad[-1][3] += 1
+        files = {}
+        for name, rows in (("pass", rat), ("fail", bad), ("stirling", workload_rows("d a d", 9))):
+            files[name] = tmp_path / f"{name}.json"
+            files[name].write_text(json.dumps(FiniteMatrix.from_rows(rows).to_json_obj()))
+        g, phi = (",".join(map(str, c)) for c in WORKLOAD_PAIRS["rat"])
+        runs = [
+            (["check-subst", str(files["pass"])], 0),
+            (["check-subst", str(files["fail"])], 1),
+            (["check-subst", str(files["fail"]), "--format", "json"], 1),
+            (["check-subst", str(files["stirling"])], 0),
+            (["build-subst", "--g", g, "--phi", phi, "--size", "9"], 0),
+            (["build-subst", "--g", g, "--phi", phi, "--size", "9", "--format", "json"], 0),
+            (["build-subst", "--g", g, "--phi", phi, "--size", "9",
+              "--out", str(tmp_path / "built.json")], 0),
+        ]
+        for argv, code in runs:
+            assert cli_main(argv) == code, argv
+        assert "expected:" in capsys.readouterr().out
 
     def test_diagnostics_are_cached(self):
         rows = [[1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 0], [1, 1, 1, 1]]
@@ -340,6 +405,86 @@ class TestEntryTypes:
         for m in matrices:
             for v in (v for row in m.entries for v in row):
                 assert type(v) is int or (type(v) is Fraction and v.denominator != 1)
+
+
+@st.composite
+def builder_pairs(draw):
+    """(g, φ, size): sparse g, and φ sparse or the dense e^x − 1."""
+    size = draw(st.integers(2, 30))
+    coeff = st.fractions(min_value=-10, max_value=10, max_denominator=10**4)
+    terms = st.lists(st.tuples(st.integers(0, size - 1), coeff), max_size=4)
+    g = [Fraction(1)] + [Fraction(0)] * (size - 1)
+    for i, c in draw(terms):
+        if i:
+            g[i] = c
+    if draw(st.booleans()):
+        phi = [Fraction(0), Fraction(1)] + [Fraction(0)] * (size - 2)
+        for i, c in draw(terms):
+            if i > 1:
+                phi[i] = c
+    else:
+        phi = [Fraction(0)] + [Fraction(1, factorial(i)) for i in range(1, size)]
+    return g, phi, size
+
+
+class TestBuilderAgainstOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(builder_pairs())
+    def test_entries_and_types(self, pair):
+        g, phi, size = pair
+        built = build_substitution_matrix(
+            TruncatedSeries.from_coeffs(g), TruncatedSeries.from_coeffs(phi), size
+        )
+        want = substitution_matrix(g, phi, size)
+        assert built.entries == tuple(map(tuple, want))
+        assert [type(v) for row in built.entries for v in row] == [
+            type(v) for row in want for v in row
+        ]
+
+    @pytest.mark.parametrize("source", sorted(WORKLOAD_PAIRS))
+    def test_workload_pairs_at_size_41(self, source):
+        g, phi = WORKLOAD_PAIRS[source]
+        built = build_substitution_matrix(
+            TruncatedSeries.from_coeffs(g, 40), TruncatedSeries.from_coeffs(phi, 40), 41
+        )
+        assert built.entries == tuple(map(tuple, substitution_matrix(g, phi, 41)))
+
+
+def _outcome(parse, text):
+    """(value, type) of parse(text), or the type of the exception it raises."""
+    try:
+        value = parse(text)
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
+    return value, type(value)
+
+
+def _through_parse_rational(text):
+    q = parse_rational(text)
+    return q.numerator if q.denominator == 1 else q
+
+
+class TestEntryParsing:
+    """Matrix-file strings: the integer shortcut of ``_exact`` = parse_rational."""
+
+    @settings(max_examples=400)
+    @given(st.text(alphabet="0123456789-+ _/.eE٣１", max_size=8))
+    def test_same_outcome_as_parse_rational(self, text):
+        assert _outcome(_exact, text) == _outcome(_through_parse_rational, text)
+
+    @pytest.mark.parametrize(
+        "text", ["-0", "007", "+5", " 5", "1_000", "٣", "-", "", "--5", "-12", "3/6"]
+    )
+    def test_pinned(self, text):
+        assert _outcome(_exact, text) == _outcome(_through_parse_rational, text)
+
+    def test_digit_limit_still_applies(self):
+        for text in ("7" * 4301, "-" + "7" * 4301):
+            with pytest.raises(ValueError, match="Exceeds the limit"):
+                _exact(text)
+            with pytest.raises(ValueError, match="Exceeds the limit"):
+                parse_rational(text)
+        assert _exact("7" * 4300) == int("7" * 4300)
 
 
 class TestBuilder:
