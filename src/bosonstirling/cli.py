@@ -64,11 +64,6 @@ def load_matrix_file(path: str) -> FiniteMatrix:
     return FiniteMatrix.from_json_obj(obj)
 
 
-def dump_matrix_file(path: str, matrix: FiniteMatrix) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(matrix.to_json_obj()))
-
-
 def format_columns(rows: list[list[str]]) -> str:
     """Right-justified fixed-width columns, two spaces apart, no trailing blanks."""
     widths = [max(map(len, col)) for col in zip_longest(*rows, fillvalue="")]
@@ -228,14 +223,12 @@ def cmd_build_subst(args) -> int:
     g = _parse_series_arg(args.g, order)
     phi = _parse_series_arg(args.phi, order)
     matrix = build_substitution_matrix(g, phi, args.size)
-    if args.out:
-        dump_matrix_file(args.out, matrix)
-        return EXIT_OK
-    if args.format == "json":
+    # A matrix file is always JSON, whatever --format says.
+    if args.format == "json" or args.out:
         text = dumps_canonical(matrix.to_json_obj())
     else:
         text = format_columns([[str(v) for v in row] for row in matrix.entries])
-    print(text, end="" if text.endswith("\n") else "\n")
+    _emit(args, text)
     return EXIT_OK
 
 
@@ -255,10 +248,19 @@ def _mc_table_row(result) -> list[str]:
     ]
 
 
+def _parse_sweep_range(text: str) -> list[int]:
+    parts = text.split(",")
+    if not all(part.strip() for part in parts):
+        raise ValidationError(
+            f"--sweep-range needs comma-separated integers, got {text!r}"
+        )
+    return [int(part) for part in parts]
+
+
 def cmd_montecarlo(args) -> int:
     jobs = args.jobs
-    if args.sweep_range:
-        ranges = [int(part) for part in args.sweep_range.split(",")]
+    if args.sweep_range is not None:
+        ranges = _parse_sweep_range(args.sweep_range)
         results = range_sweep(args.size, args.draws, ranges, args.seed, jobs=jobs)
         if args.format == "json":
             rows = []

@@ -28,6 +28,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 from typing import NamedTuple
 
@@ -76,19 +77,32 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentResult:
+    """The outcome of one experiment: its configuration and the passes counted.
+
+    ``estimate``, ``wilson_95`` and ``bound`` are functions of those two
+    fields, computed on first read and then kept.
+    """
+
     config: ExperimentConfig
     successes: int
-    estimate: Fraction
-    wilson_95: tuple[Fraction, Fraction]
-    bound: Fraction
 
     def __post_init__(self):
         if not 0 <= self.successes <= self.config.draws:
             raise ValidationError(
                 f"successes {self.successes} outside 0..{self.config.draws}"
             )
-        if not 0 <= self.estimate <= 1:
-            raise ValidationError(f"estimate {self.estimate} outside [0, 1]")
+
+    @cached_property
+    def estimate(self) -> Fraction:
+        return Fraction(self.successes, self.config.draws)
+
+    @cached_property
+    def wilson_95(self) -> tuple[Fraction, Fraction]:
+        return wilson_interval_95(self.successes, self.config.draws)
+
+    @cached_property
+    def bound(self) -> Fraction:
+        return probability_bound(self.config.size, self.config.range_r)
 
     @property
     def ratio_to_bound(self) -> Fraction:
@@ -109,6 +123,7 @@ class ExperimentResult:
 
     @classmethod
     def from_json_obj(cls, obj) -> ExperimentResult:
+        """Read :meth:`to_json_obj` output; ValidationError if a derived value disagrees."""
         cfg = ExperimentConfig(
             size=int(obj["size"]),
             draws=int(obj["draws"]),
@@ -116,16 +131,19 @@ class ExperimentResult:
             seed=int(obj["seed"]),
             jobs=int(obj["jobs"]),
         )
-        return cls(
-            config=cfg,
-            successes=int(obj["successes"]),
-            estimate=parse_rational(obj["estimate"]),
-            wilson_95=(
-                parse_rational(obj["wilson_95"][0]),
-                parse_rational(obj["wilson_95"][1]),
-            ),
-            bound=parse_rational(obj["bound"]),
-        )
+        result = cls(config=cfg, successes=int(obj["successes"]))
+        serialized = {
+            "estimate": parse_rational(obj["estimate"]),
+            "wilson_95": tuple(map(parse_rational, obj["wilson_95"])),
+            "bound": parse_rational(obj["bound"]),
+        }
+        for key, value in serialized.items():
+            if value != getattr(result, key):
+                raise ValidationError(
+                    f"serialized {key} {obj[key]!r} does not match the derived "
+                    f"{result.to_json_obj()[key]!r}"
+                )
+        return result
 
     def to_csv_row(self) -> str:
         c = self.config
@@ -259,14 +277,18 @@ def _count_successes(seed: int, size: int, range_r: int, start: int, stop: int) 
     return successes
 
 
-def _sqrt_bounds(value: Fraction, digits: int = 30) -> tuple[Fraction, Fraction]:
-    """Rational enclosure of √value, tight to 10^-digits."""
+#: Decimal digits to which :func:`_sqrt_bounds` encloses a square root.
+_SQRT_DIGITS = 30
+
+
+def _sqrt_bounds(value: Fraction) -> tuple[Fraction, Fraction]:
+    """Rational enclosure of √value, tight to 10^-_SQRT_DIGITS."""
     if value < 0:
         raise ValidationError("square root of a negative value")
     if value == 0:
         return Fraction(0), Fraction(0)
     a, b = value.numerator, value.denominator
-    scale = 10**digits
+    scale = 10**_SQRT_DIGITS
     root = isqrt(a * b * scale * scale)
     return Fraction(root, b * scale), Fraction(root + 1, b * scale)
 
@@ -320,13 +342,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 for start, stop in spans
             ]
             successes = sum(f.result() for f in futures)
-    return ExperimentResult(
-        config=cfg,
-        successes=successes,
-        estimate=Fraction(successes, cfg.draws),
-        wilson_95=wilson_interval_95(successes, cfg.draws),
-        bound=probability_bound(cfg.size, cfg.range_r),
-    )
+    return ExperimentResult(config=cfg, successes=successes)
 
 
 def range_sweep(

@@ -25,7 +25,8 @@ def parse_rational(text: str | int) -> Fraction:
     Exponent notation is rejected: ``Fraction("1e999999999")`` builds the
     power of ten digit by digit, in time superlinear in the exponent, so a
     few bytes of input could stall the program.  An ``int``, as a JSON
-    reader returns it, is taken as it is; any other type is rejected.
+    reader returns it, is taken as it is; any other type is rejected, and so
+    is a zero denominator.
     """
     if type(text) is int:
         return Fraction(text)
@@ -33,7 +34,10 @@ def parse_rational(text: str | int) -> Fraction:
         raise ValidationError(f"expected a rational as a string, got {text!r}")
     if "e" in text or "E" in text:
         raise ValidationError(f"exponent notation is not accepted: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValidationError(f"zero denominator in {text!r}") from None
 
 
 @dataclass(frozen=True)

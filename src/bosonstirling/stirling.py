@@ -179,15 +179,32 @@ class WordClassification:
 
     A word with exactly one annihilator factors uniquely as
     ``(a†)^{r−p} a (a†)^p``; its matrix is the matrix of a substitution
-    (p = 0) or of a substitution with prefunction (p > 0).  ``ends_with_a``
+    (p = 0) or of a substitution with prefunction (p > 0), which ``kind``
+    names.  Other words have ``r`` and ``p`` None.  ``ends_with_a``
     equivalently reports whether the first matrix column is (1, 0, 0, ...),
     which ``first_column_unit`` names.
     """
 
-    kind: str
     r: int | None
     p: int | None
     ends_with_a: bool
+
+    def __post_init__(self):
+        if (self.r is None) != (self.p is None):
+            raise ValidationError("r and p must both be set or both be null")
+        if self.r is not None and not (
+            0 <= self.p <= self.r and (self.p == 0) == self.ends_with_a
+        ):
+            raise ValidationError(
+                f"no word (a†)^(r−p) a (a†)^p has r = {self.r}, p = {self.p} "
+                f"and ends_with_a = {self.ends_with_a}"
+            )
+
+    @property
+    def kind(self) -> str:
+        if self.r is None:
+            return NOT_SINGLE_ANNIHILATOR
+        return PURE_SUBSTITUTION if self.p == 0 else SUBSTITUTION_WITH_PREFUNCTION
 
     @property
     def first_column_unit(self) -> bool:
@@ -204,12 +221,16 @@ class WordClassification:
 
     @classmethod
     def from_json_obj(cls, obj) -> WordClassification:
+        """Read :meth:`to_json_obj` output; ValidationError if a derived value disagrees."""
         c = cls(
-            kind=str(obj["kind"]),
             r=None if obj["r"] is None else int(obj["r"]),
             p=None if obj["p"] is None else int(obj["p"]),
             ends_with_a=bool(obj["ends_with_a"]),
         )
+        if c.kind != str(obj["kind"]):
+            raise ValidationError(
+                f"serialized kind {obj['kind']!r} does not match r and p ({c.kind})"
+            )
         if c.first_column_unit != bool(obj["first_column_unit"]):
             raise ValidationError("serialized first_column_unit does not match ends_with_a")
         return c
@@ -219,16 +240,11 @@ def classify_word(w: BosonWord) -> WordClassification:
     """Classify w by its single-annihilator decomposition, if any."""
     ends_with_a = bool(w.runs) and w.runs[-1][1] > 0
     if w.annihilator_count != 1:
-        return WordClassification(
-            kind=NOT_SINGLE_ANNIHILATOR, r=None, p=None, ends_with_a=ends_with_a
-        )
+        return WordClassification(r=None, p=None, ends_with_a=ends_with_a)
     # The one annihilator ends the first run; p creators follow it in a
     # last run (p, 0) unless the word ends with it.
     p = 0 if ends_with_a else w.runs[-1][0]
-    kind = PURE_SUBSTITUTION if p == 0 else SUBSTITUTION_WITH_PREFUNCTION
-    return WordClassification(
-        kind=kind, r=w.creator_count, p=p, ends_with_a=ends_with_a
-    )
+    return WordClassification(r=w.creator_count, p=p, ends_with_a=ends_with_a)
 
 
 def column_egf(matrix, k: int, order: int) -> TruncatedSeries:

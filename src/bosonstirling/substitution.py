@@ -198,15 +198,17 @@ class SubstitutionReport:
     unit linear coefficient.  ``failing_columns`` holds every column k whose
     EGF differs from g·φ^k/k!, with both series.
 
-    A report returned by :func:`is_approximate_substitution` holds only its
-    verdict and its source matrix: each diagnostic is computed on first
-    access and then cached.  Reports are immutable, and equality and hashing
-    compare the verdict and all three diagnostics.
+    Every report stores the index of its first failing column, or None, and
+    ``verdict`` is read from it alone.  A report returned by
+    :func:`is_approximate_substitution` holds that index and its source
+    matrix: each diagnostic is computed on first access and then cached.
+    Reports are immutable, and equality and hashing compare the three
+    diagnostics, which determine the verdict.
     """
 
-    def __init__(self, verdict, failing_columns, extracted_g, extracted_phi):
+    def __init__(self, failing_columns, extracted_g, extracted_phi):
         vars(self).update(
-            verdict=verdict,
+            _first_failing_column=failing_columns[0].k if failing_columns else None,
             failing_columns=failing_columns,
             extracted_g=extracted_g,
             extracted_phi=extracted_phi,
@@ -217,12 +219,16 @@ class SubstitutionReport:
         """Report on `m`, given its integer rows L·m and first failing step."""
         report = cls.__new__(cls)
         vars(report).update(
-            verdict=first_failure is None,
+            _first_failing_column=None if first_failure is None else first_failure + 1,
             _matrix=m,
             _rows=rows,
-            _first_failure=first_failure,
         )
         return report
+
+    @property
+    def verdict(self) -> bool:
+        """Whether every column satisfies the condition; computes no diagnostic."""
+        return self._first_failing_column is None
 
     @cached_property
     def extracted_g(self) -> TruncatedSeries:
@@ -263,7 +269,7 @@ class SubstitutionReport:
 
     @cached_property
     def failing_columns(self) -> tuple[ColumnMismatch, ...]:
-        """Scanned from column k+1, k the first failing step: columns 0..k hold.
+        """Scanned from the first failing column k+1: columns 0..k hold.
 
         The expected columns follow c_{j+1} = c_j⊛Φ/(j+1) from the actual
         column k, in integers.  With R = L·M the verdict's integer rows and
@@ -274,9 +280,9 @@ class SubstitutionReport:
         N_j ≠ D^{j−k}·(j!/k!)·R[:,j], an integer comparison.  Only a failing
         column is divided out, by L·D^{j−k}·(j!/k!)·i! at x^i, into a series.
         """
-        k = self._first_failure
-        if k is None:
+        if self.verdict:
             return ()
+        k = self._first_failing_column - 1
         m, rows = self._matrix, self._rows
         n = m.n_max
         step, d = _over_common_denominator(self._phi_entries)
@@ -301,7 +307,7 @@ class SubstitutionReport:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def _key(self) -> tuple:
-        return (self.verdict, self.failing_columns, self.extracted_g, self.extracted_phi)
+        return (self.failing_columns, self.extracted_g, self.extracted_phi)
 
     def __eq__(self, other):
         if not isinstance(other, SubstitutionReport):
@@ -335,6 +341,7 @@ class SubstitutionReport:
 
     @classmethod
     def from_json_obj(cls, obj) -> SubstitutionReport:
+        """Read :meth:`to_json_obj` output; ValidationError if the verdict disagrees."""
         failing = tuple(
             ColumnMismatch(
                 k=int(f["k"]),
@@ -343,12 +350,17 @@ class SubstitutionReport:
             )
             for f in obj["failing_columns"]
         )
-        return cls(
-            verdict=bool(obj["verdict"]),
+        report = cls(
             failing_columns=failing,
             extracted_g=TruncatedSeries.from_json_obj(obj["g"]),
             extracted_phi=TruncatedSeries.from_json_obj(obj["phi"]),
         )
+        if report.verdict != bool(obj["verdict"]):
+            raise ValidationError(
+                f"serialized verdict {obj['verdict']!r} does not match "
+                f"{len(failing)} failing columns"
+            )
+        return report
 
 
 @lru_cache(maxsize=32)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import bosonstirling
 from bosonstirling import (
+    ExperimentConfig,
     ExperimentResult,
     FiniteMatrix,
     GeneralizedStirlingMatrix,
@@ -23,10 +24,21 @@ from bosonstirling import (
     TruncatedSeries,
     ValidationError,
     WordClassification,
+    build_substitution_matrix,
+    classify_word,
     cli,
     is_approximate_substitution,
+    normal_order,
+    parse_word,
+    run_experiment,
+    stirling_matrix,
 )
 from bosonstirling.cli import dumps_canonical, main
+from bosonstirling.stirling import (
+    NOT_SINGLE_ANNIHILATOR,
+    PURE_SUBSTITUTION,
+    SUBSTITUTION_WITH_PREFUNCTION,
+)
 
 STIRLING2_TABLE = """\
 1  0   0   0   0   0  0
@@ -540,6 +552,15 @@ class TestMonteCarloCommand:
         )
         assert base[1] == par[1]
 
+    @pytest.mark.parametrize("ranges", ["", " ", "3,,4", ",", "3,"])
+    def test_empty_sweep_range_is_usage_error(self, capsys, ranges):
+        code, out, err = run_cli(
+            capsys, "montecarlo", "--size", "3", "--draws", "5", "--range", "2",
+            "--seed", "1", "--sweep-range", ranges, "--format", "json",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --sweep-range needs comma-separated integers, got {ranges!r}\n"
+
 
 class TestBoundCommand:
     def test_golden(self, capsys):
@@ -584,6 +605,29 @@ class TestExponentNotationRejected:
         assert (code, out) == (2, "") and "exponent" in err
 
 
+class TestZeroDenominatorRejected:
+    """A zero denominator is a usage error that names the text read."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bell", "a+ a", "--rows", "3", "--x", "1/0"],
+            ["build-subst", "--g", "1,1/0", "--phi", "0,1", "--size", "3"],
+            ["build-subst", "--g", "1", "--phi", "0,1,1/0", "--size", "3"],
+            ["check-subst", "MATRIX"],
+        ],
+        ids=["bell-x", "build-subst-g", "build-subst-phi", "matrix-file"],
+    )
+    def test_exit_2_with_message(self, capsys, tmp_path, argv):
+        path = write_matrix_file(tmp_path, [[1, 0], ["1/0", 1]])
+        argv = [path if arg == "MATRIX" else arg for arg in argv]
+        assert run_cli(capsys, *argv) == (2, "", "error: zero denominator in '1/0'\n")
+
+    def test_json_reader(self):
+        with pytest.raises(ValidationError, match="zero denominator in '-3/0'"):
+            TruncatedSeries.from_json_obj({"order": 0, "coeffs": ["-3/0"]})
+
+
 class TestJsonReadersRejectExponent:
     """The library's JSON readers take rationals through the same parser."""
 
@@ -619,6 +663,139 @@ class TestJsonReadersRejectExponent:
         )
         with pytest.raises(ValidationError):
             TruncatedSeries.from_json_obj({"order": 0, "coeffs": [0.5]})
+
+
+COUNTEREXAMPLE_ROWS = [[1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 0], [1, 1, 1, 1]]
+_KINDS = (NOT_SINGLE_ANNIHILATOR, PURE_SUBSTITUTION, SUBSTITUTION_WITH_PREFUNCTION)
+
+# Per reader: its class, the command whose --format json output it reads
+# ("MATRIX" stands for a file holding COUNTEREXAMPLE_ROWS), the part of that
+# output it reads, the same object built by the library, and the path of each
+# serialized value derived from the others.
+READER_CASES = {
+    "NormalForm": (
+        NormalForm, ["no", "a a+ a a+"], lambda obj: obj,
+        lambda: normal_order(parse_word("a a+ a a+")), [],
+    ),
+    "GeneralizedStirlingMatrix": (
+        GeneralizedStirlingMatrix, ["stirling", "a+ a a+", "--rows", "4"], lambda obj: obj,
+        lambda: stirling_matrix(parse_word("a+ a a+"), 4), [("s_tot",), ("d",)],
+    ),
+    "WordClassification": (
+        WordClassification, ["classify", "a+ a a+"], lambda obj: obj,
+        lambda: classify_word(parse_word("a+ a a+")), [("kind",), ("first_column_unit",)],
+    ),
+    "FiniteMatrix": (
+        FiniteMatrix, ["build-subst", "--g", "1,1/2", "--phi", "0,1,1", "--size", "4"],
+        lambda obj: obj,
+        lambda: build_substitution_matrix(
+            TruncatedSeries.from_coeffs([1, Fraction(1, 2)], 3),
+            TruncatedSeries.from_coeffs([0, 1, 1], 3),
+            4,
+        ),
+        [("size",)],
+    ),
+    "TruncatedSeries": (
+        TruncatedSeries, ["check-subst", "MATRIX"], lambda obj: obj["phi"],
+        lambda: is_approximate_substitution(
+            FiniteMatrix.from_rows(COUNTEREXAMPLE_ROWS)
+        ).extracted_phi,
+        [],
+    ),
+    "SubstitutionReport": (
+        SubstitutionReport, ["check-subst", "MATRIX"], lambda obj: obj,
+        lambda: is_approximate_substitution(FiniteMatrix.from_rows(COUNTEREXAMPLE_ROWS)),
+        [("verdict",)],
+    ),
+    "ExperimentResult": (
+        ExperimentResult,
+        ["montecarlo", "--size", "4", "--draws", "20", "--range", "3", "--seed", "5"],
+        lambda obj: obj,
+        lambda: run_experiment(ExperimentConfig(size=4, draws=20, range_r=3, seed=5)),
+        [("estimate",), ("wilson_95", 0), ("wilson_95", 1), ("bound",)],
+    ),
+}
+
+
+def _reader_input(capsys, tmp_path, case: str):
+    """What READER_CASES[case]'s reader reads from its command's JSON output."""
+    _, argv, select, _, _ = READER_CASES[case]
+    path = write_matrix_file(tmp_path, COUNTEREXAMPLE_ROWS)
+    argv = [path if arg == "MATRIX" else arg for arg in argv]
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code in (0, 1) and err == ""
+    return select(json.loads(out))
+
+
+def _perturbed(value):
+    """A JSON value of the same type as `value` that differs from it."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if value in _KINDS:
+        return next(kind for kind in _KINDS if kind != value)
+    return str(Fraction(value) + 1)
+
+
+class TestJsonReaders:
+    """Every reader round-trips the CLI's JSON and rejects a contradicted derived value."""
+
+    @pytest.mark.parametrize("case", list(READER_CASES))
+    def test_round_trip(self, capsys, tmp_path, case):
+        reader, _, _, build, _ = READER_CASES[case]
+        obj = _reader_input(capsys, tmp_path, case)
+        value = reader.from_json_obj(obj)
+        assert value == build()
+        assert value.to_json_obj() == obj
+        assert reader.from_json_obj(value.to_json_obj()) == value
+
+    @pytest.mark.parametrize(
+        "case,path",
+        [(case, path) for case, spec in READER_CASES.items() for path in spec[4]],
+        ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else v,
+    )
+    def test_derived_value_contradiction_rejected(self, capsys, tmp_path, case, path):
+        reader = READER_CASES[case][0]
+        obj = _reader_input(capsys, tmp_path, case)
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = _perturbed(parent[path[-1]])
+        with pytest.raises(ValidationError):
+            reader.from_json_obj(obj)
+
+    @pytest.mark.parametrize("key,text", [("estimate", "9/10"), ("bound", "5")])
+    def test_experiment_result_pins(self, key, text):
+        cfg = ExperimentConfig(size=4, draws=10, range_r=10, seed=1)
+        obj = ExperimentResult(config=cfg, successes=2).to_json_obj()
+        assert ExperimentResult.from_json_obj(obj).estimate == Fraction(1, 5)
+        obj[key] = text
+        with pytest.raises(ValidationError, match=f"serialized {key}"):
+            ExperimentResult.from_json_obj(obj)
+
+    @pytest.mark.parametrize(
+        "r,p,ends_with_a", [(None, None, True), (2, 1, True)], ids=["r-null", "p-1-ends-with-a"]
+    )
+    def test_word_classification_pins(self, r, p, ends_with_a):
+        obj = {
+            "kind": PURE_SUBSTITUTION, "r": r, "p": p,
+            "ends_with_a": ends_with_a, "first_column_unit": ends_with_a,
+        }
+        with pytest.raises(ValidationError):
+            WordClassification.from_json_obj(obj)
+
+    @pytest.mark.parametrize(
+        "rows,verdict",
+        [(COUNTEREXAMPLE_ROWS, True), ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], False)],
+        ids=["true-with-failing-column", "false-without-failing-column"],
+    )
+    def test_substitution_report_pins(self, rows, verdict):
+        obj = is_approximate_substitution(FiniteMatrix.from_rows(rows)).to_json_obj()
+        assert obj["verdict"] is not verdict
+        obj["verdict"] = verdict
+        with pytest.raises(ValidationError, match="serialized verdict"):
+            SubstitutionReport.from_json_obj(obj)
 
 
 # JSON values a matrix file may hold: well-formed entries, malformed strings,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
 from fractions import Fraction
 from math import isqrt
 
@@ -164,13 +165,15 @@ class TestRunExperiment:
     def test_result_validation(self):
         cfg = ExperimentConfig(size=3, draws=10, range_r=5, seed=0)
         with pytest.raises(ValidationError):
-            ExperimentResult(
-                config=cfg,
-                successes=11,
-                estimate=Fraction(1),
-                wilson_95=(Fraction(0), Fraction(1)),
-                bound=Fraction(1),
-            )
+            ExperimentResult(config=cfg, successes=11)
+
+    def test_result_stores_only_measured_values(self):
+        result = run_experiment(ExperimentConfig(size=4, draws=30, range_r=3, seed=2))
+        assert [f.name for f in fields(ExperimentResult)] == ["config", "successes"]
+        assert result.estimate == Fraction(result.successes, 30)
+        assert result.wilson_95 == wilson_interval_95(result.successes, 30)
+        assert result.bound == probability_bound(4, 3)
+        assert result.wilson_95 is result.wilson_95
 
     def test_result_serialization_round_trip(self):
         result = run_experiment(ExperimentConfig(size=3, draws=20, range_r=4, seed=9))

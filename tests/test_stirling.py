@@ -284,6 +284,25 @@ class TestClassifyWord:
         c = classify_word(parse_word("d d a d"))
         assert WordClassification.from_json_obj(c.to_json_obj()) == c
 
+    def test_kind_is_derived_from_r_and_p(self):
+        assert [f.name for f in fields(WordClassification)] == ["r", "p", "ends_with_a"]
+        assert WordClassification(r=None, p=None, ends_with_a=False).kind == (
+            "not-single-annihilator"
+        )
+        assert WordClassification(r=0, p=0, ends_with_a=True).kind == "pure-substitution"
+        assert WordClassification(r=3, p=2, ends_with_a=False).kind == (
+            "substitution-with-prefunction"
+        )
+
+    @pytest.mark.parametrize(
+        "r,p,ends_with_a",
+        [(1, None, True), (None, 0, True), (1, 2, False), (1, -1, False),
+         (2, 1, True), (2, 0, False)],
+    )
+    def test_impossible_decomposition_rejected(self, r, p, ends_with_a):
+        with pytest.raises(ValidationError):
+            WordClassification(r=r, p=p, ends_with_a=ends_with_a)
+
     def test_first_column_unit_is_derived(self):
         assert "first_column_unit" not in [f.name for f in fields(WordClassification)]
         obj = classify_word(parse_word("d a")).to_json_obj()

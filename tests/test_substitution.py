@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from bosonstirling import (
     FiniteMatrix,
     RangeError,
+    SubstitutionReport,
     TruncatedSeries,
     ValidationError,
     build_substitution_matrix,
@@ -362,6 +363,14 @@ class TestLazyDiagnostics:
         for argv, code in runs:
             assert cli_main(argv) == code, argv
         assert "expected:" in capsys.readouterr().out
+
+    def test_verdict_is_not_stored(self):
+        rows = [[1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 0], [1, 1, 1, 1]]
+        report = is_approximate_substitution(FiniteMatrix.from_rows(rows))
+        assert report.verdict is False
+        assert {"verdict", "failing_columns", "extracted_phi"}.isdisjoint(vars(report))
+        read = SubstitutionReport.from_json_obj(report.to_json_obj())
+        assert "verdict" not in vars(read) and read.verdict is False
 
     def test_diagnostics_are_cached(self):
         rows = [[1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 0], [1, 1, 1, 1]]
