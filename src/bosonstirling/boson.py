@@ -32,8 +32,8 @@ class BosonWord:
     the first may have r = 0 and only the last s = 0.  The constructor merges
     any sequence of non-negative (r, s) pairs into that form, so equal words
     compare equal however their runs were given.  The empty word (no runs)
-    is valid and denotes the identity operator.  Letters, as ``"a"``
-    (annihilator) and ``"d"`` (creator, a†), are derived from the runs.
+    is valid and denotes the identity operator.  ``text``, the letters
+    ``"a"`` (annihilator) and ``"d"`` (creator, a†), is derived from the runs.
     """
 
     runs: tuple[tuple[int, int], ...] = ()
@@ -73,17 +73,9 @@ class BosonWord:
         return sum(r for r, _ in self.runs)
 
     @property
-    def letters(self) -> tuple[str, ...]:
-        return tuple(self.text)
-
-    @property
     def text(self) -> str:
         """Canonical parseable form, e.g. ``"da"`` for a†a."""
         return "".join(CREATOR * r + ANNIHILATOR * s for r, s in self.runs)
-
-    def pretty(self) -> str:
-        """Human-readable form, e.g. ``"a†a"``; the empty word prints as ``"1"``."""
-        return "".join("a†" * r + "a" * s for r, s in self.runs) or "1"
 
 
 class NormalForm:
@@ -111,9 +103,6 @@ class NormalForm:
     def identity(cls) -> NormalForm:
         return cls({(0, 0): 1})
 
-    def coefficient(self, j: int, l: int) -> int:
-        return self.terms.get((j, l), 0)
-
     def sorted_terms(self) -> list[tuple[tuple[int, int], int]]:
         """Terms in canonical order: ascending in j, then l."""
         return sorted(self.terms.items())
@@ -137,11 +126,6 @@ class NormalForm:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def __mul__(self, other) -> NormalForm:
-        if not isinstance(other, NormalForm):
-            return NotImplemented
-        return multiply_normal_forms(self, other)
 
     def __str__(self) -> str:
         if not self.terms:

@@ -179,8 +179,9 @@ def cmd_classify(args) -> int:
         if c.r is not None:
             lines.append(f"r: {c.r}")
             lines.append(f"p: {c.p}")
-        lines.append(f"ends_with_a: {'true' if c.ends_with_a else 'false'}")
-        lines.append(f"first_column_unit: {'true' if c.first_column_unit else 'false'}")
+        ends_with_a = "true" if c.ends_with_a else "false"
+        lines.append(f"ends_with_a: {ends_with_a}")
+        lines.append(f"first_column_unit: {ends_with_a}")
         text = "\n".join(lines)
     _emit(args, text)
     return EXIT_OK
@@ -238,23 +239,34 @@ _MC_HEADER = [
 ]
 
 
-def _mc_table_row(result) -> list[str]:
+def _mc_fields(result) -> list:
+    """The exact values of an experiment's row, one per ``_MC_HEADER`` name."""
     c = result.config
     return [
-        str(c.size), str(c.draws), str(c.range_r), str(c.seed),
-        str(result.successes), _approx(result.estimate),
-        _approx(result.wilson_95[0]), _approx(result.wilson_95[1]),
-        str(result.bound),
+        c.size, c.draws, c.range_r, c.seed, result.successes,
+        result.estimate, *result.wilson_95, result.bound,
     ]
 
 
+def _mc_csv_row(result) -> str:
+    return ";".join(map(str, _mc_fields(result)))
+
+
+def _mc_table_row(result) -> list[str]:
+    """The CSV values, with the estimate and Wilson interval as decimals."""
+    fields = _mc_fields(result)
+    cells = list(map(str, fields))
+    cells[5:8] = map(_approx, fields[5:8])
+    return cells
+
+
 def _parse_sweep_range(text: str) -> list[int]:
-    parts = text.split(",")
-    if not all(part.strip() for part in parts):
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError:
         raise ValidationError(
             f"--sweep-range needs comma-separated integers, got {text!r}"
-        )
-    return [int(part) for part in parts]
+        ) from None
 
 
 def cmd_montecarlo(args) -> int:
@@ -271,7 +283,7 @@ def cmd_montecarlo(args) -> int:
             text = dumps_canonical(rows)
         elif args.format == "csv":
             lines = [";".join(_MC_HEADER)]
-            lines += [r.to_csv_row() for r in results]
+            lines += [_mc_csv_row(r) for r in results]
             text = "\n".join(lines)
         else:
             table = [_MC_HEADER + ["ratio"]]
@@ -287,7 +299,7 @@ def cmd_montecarlo(args) -> int:
     if args.format == "json":
         text = dumps_canonical(result.to_json_obj())
     elif args.format == "csv":
-        text = "\n".join([";".join(_MC_HEADER), result.to_csv_row()])
+        text = "\n".join([";".join(_MC_HEADER), _mc_csv_row(result)])
     else:
         text = format_columns([_MC_HEADER, _mc_table_row(result)])
     _emit(args, text)
@@ -315,16 +327,17 @@ def cmd_bound(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_format(sp, *, csv: bool = True) -> None:
-    choices = ["table", "json", "csv"] if csv else ["table", "json"]
+def _add_command(sub, name, func, help, *, csv=True,
+                 out_help="write output to FILE instead of stdout"):
+    """A subcommand running `func`, with ``--format`` (CSV only if `csv`) and ``--out``."""
+    sp = sub.add_parser(name, help=help)
     sp.add_argument(
-        "--format", choices=choices, default="table",
-        help="output format (default: table)",
+        "--format", choices=["table", "json", "csv"] if csv else ["table", "json"],
+        default="table", help="output format (default: table)",
     )
-
-
-def _add_out(sp) -> None:
-    sp.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
+    sp.add_argument("--out", metavar="FILE", help=out_help)
+    sp.set_defaults(func=func)
+    return sp
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -336,19 +349,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    sp = sub.add_parser("no", help="normally order a word")
+    sp = _add_command(sub, "no", cmd_no, "normally order a word")
     sp.add_argument("word", help="word text, e.g. \"a a+ a\" or \"rs:[1,1]\"")
-    _add_format(sp)
-    _add_out(sp)
-    sp.set_defaults(func=cmd_no)
 
-    sp = sub.add_parser("dd", help="double-dot form of a word")
+    sp = _add_command(sub, "dd", cmd_dd, "double-dot form of a word")
     sp.add_argument("word")
-    _add_format(sp)
-    _add_out(sp)
-    sp.set_defaults(func=cmd_dd)
 
-    sp = sub.add_parser("stirling", help="generalized Stirling matrix of a word")
+    sp = _add_command(sub, "stirling", cmd_stirling, "generalized Stirling matrix of a word")
     sp.add_argument("word")
     sp.add_argument("--rows", type=int, required=True, help="materialize rows 0..N")
     sp.add_argument(
@@ -356,11 +363,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="also test the truncated matrix for the substitution condition "
         "(single-annihilator words)",
     )
-    _add_format(sp)
-    _add_out(sp)
-    sp.set_defaults(func=cmd_stirling)
 
-    sp = sub.add_parser("bell", help="Bell numbers (or polynomial values) of a word")
+    sp = _add_command(sub, "bell", cmd_bell, "Bell numbers (or polynomial values) of a word")
     sp.add_argument("word")
     sp.add_argument("--rows", type=int, required=True)
     sp.add_argument(
@@ -368,31 +372,28 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="evaluate the Bell polynomials at this rational; "
         "write a negative value as --x=-3/2",
     )
-    _add_format(sp)
-    _add_out(sp)
-    sp.set_defaults(func=cmd_bell)
 
-    sp = sub.add_parser("classify", help="substitution classification of a word")
+    sp = _add_command(
+        sub, "classify", cmd_classify, "substitution classification of a word", csv=False
+    )
     sp.add_argument("word")
-    _add_format(sp, csv=False)
-    _add_out(sp)
-    sp.set_defaults(func=cmd_classify)
 
-    sp = sub.add_parser("check-subst", help="test a matrix file for the substitution condition")
+    sp = _add_command(
+        sub, "check-subst", cmd_check_subst,
+        "test a matrix file for the substitution condition", csv=False,
+    )
     sp.add_argument("matrix_file")
-    _add_format(sp, csv=False)
-    _add_out(sp)
-    sp.set_defaults(func=cmd_check_subst)
 
-    sp = sub.add_parser("build-subst", help="build the matrix of g·f(φ) from series coefficients")
+    sp = _add_command(
+        sub, "build-subst", cmd_build_subst,
+        "build the matrix of g·f(φ) from series coefficients", csv=False,
+        out_help="write the matrix JSON to FILE",
+    )
     sp.add_argument("--g", required=True, help="comma-separated rationals, constant term first")
     sp.add_argument("--phi", required=True, help="comma-separated rationals, constant term first")
     sp.add_argument("--size", type=int, required=True)
-    sp.add_argument("--out", metavar="FILE", help="write the matrix JSON to FILE")
-    _add_format(sp, csv=False)
-    sp.set_defaults(func=cmd_build_subst)
 
-    sp = sub.add_parser("montecarlo", help="random unipotent matrix experiment")
+    sp = _add_command(sub, "montecarlo", cmd_montecarlo, "random unipotent matrix experiment")
     sp.add_argument("--size", type=int, required=True)
     sp.add_argument("--draws", type=int, required=True)
     sp.add_argument("--range", type=int, required=True, help="entries drawn from {1..RANGE}")
@@ -402,16 +403,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--sweep-range", metavar="R1,R2,...",
         help="run once per range cardinality and report estimate/bound ratios",
     )
-    _add_format(sp)
-    _add_out(sp)
-    sp.set_defaults(func=cmd_montecarlo)
 
-    sp = sub.add_parser("bound", help="upper bound on the substitution probability")
+    sp = _add_command(
+        sub, "bound", cmd_bound, "upper bound on the substitution probability", csv=False
+    )
     sp.add_argument("--size", type=int, required=True)
     sp.add_argument("--range", type=int, required=True)
-    _add_format(sp, csv=False)
-    _add_out(sp)
-    sp.set_defaults(func=cmd_bound)
 
     return parser
 

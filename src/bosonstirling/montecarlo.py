@@ -145,14 +145,6 @@ class ExperimentResult:
                 )
         return result
 
-    def to_csv_row(self) -> str:
-        c = self.config
-        fields = [
-            c.size, c.draws, c.range_r, c.seed, self.successes,
-            self.estimate, self.wilson_95[0], self.wilson_95[1], self.bound,
-        ]
-        return ";".join(str(v) for v in fields)
-
 
 class FreeParameterCount(NamedTuple):
     determined: int

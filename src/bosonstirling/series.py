@@ -3,9 +3,13 @@
 A :class:`TruncatedSeries` is a polynomial of bounded degree with
 :class:`fractions.Fraction` coefficients, standing for a power series known
 only up to its truncation order.  The order is carried by the value itself,
-never by ambient context: results of binary operations carry the minimum of
-the operand orders, and truncating beyond the stored order is an error
-because the dropped coefficients are unknown, not zero.
+as its coefficient count, never by ambient context: a product carries the
+minimum of the operand orders.
+
+The package's EGF convention lives here alone: the series Σ c_i·x^i is the
+exponential generating function of the entries i!·c_i, a matrix column in
+the substitution condition.  :meth:`TruncatedSeries.from_egf_entries` and
+:meth:`TruncatedSeries.egf_entries` convert between the two.
 
 :func:`parse_rational` is the one reader of rationals from outside text
 (matrix files, command-line values and the JSON readers).
@@ -15,8 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
-from .errors import RangeError, ValidationError
+from .errors import ValidationError
 
 
 def parse_rational(text: str | int) -> Fraction:
@@ -42,56 +47,49 @@ def parse_rational(text: str | int) -> Fraction:
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Σ coeffs[i]·x^i for i = 0..order, with exact rational coefficients."""
+    """Σ coeffs[i]·x^i for i = 0..order, with exact rational coefficients.
 
-    order: int
+    The order is not stored: it is the coefficient count less one.
+    """
+
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if self.order < 0:
-            raise ValidationError(f"order must be non-negative, got {self.order}")
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
-        if len(coeffs) != self.order + 1:
-            raise ValidationError(
-                f"expected {self.order + 1} coefficients, got {len(coeffs)}"
-            )
+        coeffs = tuple(map(Fraction, self.coeffs))
+        if not coeffs:
+            raise ValidationError("a series needs at least one coefficient")
         object.__setattr__(self, "coeffs", coeffs)
+
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
 
     @classmethod
     def from_coeffs(cls, coeffs, order: int | None = None) -> TruncatedSeries:
         """Build from a coefficient list, zero-padding up to `order` if given."""
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = tuple(coeffs)
         if order is None:
             order = max(len(coeffs) - 1, 0)
         if len(coeffs) > order + 1:
             raise ValidationError(
                 f"{len(coeffs)} coefficients exceed order {order}"
             )
-        coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
-        return cls(order, tuple(coeffs))
+        return cls(coeffs + (0,) * (order + 1 - len(coeffs)))
 
     @classmethod
-    def zero(cls, order: int) -> TruncatedSeries:
-        return cls.from_coeffs([], order)
+    def from_egf_entries(cls, entries, denominator: int = 1) -> TruncatedSeries:
+        """The series with coefficients entries[i]/(denominator·i!).
 
-    @classmethod
-    def one(cls, order: int) -> TruncatedSeries:
-        return cls.from_coeffs([1], order)
+        Entries are ``int`` or ``Fraction``; `denominator`, a positive
+        ``int``, is a common denominator taken out of integer entries.
+        """
+        return cls(tuple(
+            Fraction(v, denominator * factorial(i)) for i, v in enumerate(entries)
+        ))
 
-    @classmethod
-    def x(cls, order: int) -> TruncatedSeries:
-        return cls.from_coeffs([0, 1], order)
-
-    def truncate(self, n: int) -> TruncatedSeries:
-        """Drop all terms of degree > n.  Raising the order is not possible."""
-        if n > self.order:
-            raise RangeError(
-                f"cannot truncate order-{self.order} series at {n}: "
-                "higher coefficients are unknown"
-            )
-        if n < 0:
-            raise ValidationError(f"truncation order must be non-negative, got {n}")
-        return TruncatedSeries(n, self.coeffs[: n + 1])
+    def egf_entries(self) -> list[Fraction]:
+        """The EGF entries i!·coeffs[i], inverse to :meth:`from_egf_entries`."""
+        return [c * factorial(i) for i, c in enumerate(self.coeffs)]
 
     def multiply(self, other: TruncatedSeries) -> TruncatedSeries:
         """Cauchy product truncated at min(self.order, other.order)."""
@@ -104,13 +102,7 @@ class TruncatedSeries:
                 b = other.coeffs[j]
                 if b:
                     out[i + j] += a * b
-        return TruncatedSeries(n, tuple(out))
-
-    def add(self, other: TruncatedSeries) -> TruncatedSeries:
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            n, tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1))
-        )
+        return TruncatedSeries(tuple(out))
 
     def invert(self) -> TruncatedSeries:
         """Multiplicative inverse up to the truncation order.
@@ -125,11 +117,7 @@ class TruncatedSeries:
         for i in range(1, self.order + 1):
             s = sum(self.coeffs[u] * out[i - u] for u in range(1, i + 1))
             out.append(-s / a0)
-        return TruncatedSeries(self.order, tuple(out))
-
-    def scale(self, q) -> TruncatedSeries:
-        q = Fraction(q)
-        return TruncatedSeries(self.order, tuple(c * q for c in self.coeffs))
+        return TruncatedSeries(tuple(out))
 
     def __str__(self) -> str:
         parts: list[str] = []
@@ -153,4 +141,11 @@ class TruncatedSeries:
 
     @classmethod
     def from_json_obj(cls, obj) -> TruncatedSeries:
-        return cls(int(obj["order"]), tuple(map(parse_rational, obj["coeffs"])))
+        """Read :meth:`to_json_obj` output; ValidationError if ``order`` disagrees."""
+        s = cls(tuple(map(parse_rational, obj["coeffs"])))
+        if s.order != int(obj["order"]):
+            raise ValidationError(
+                f"serialized order {obj['order']!r} does not match "
+                f"{len(s.coeffs)} coefficients"
+            )
+        return s

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 from operator import add
 
 from .boson import BosonWord, excess, normal_order
@@ -84,8 +84,15 @@ class GeneralizedStirlingMatrix:
 
     @classmethod
     def from_json_obj(cls, obj) -> GeneralizedStirlingMatrix:
+        """Read :meth:`to_json_obj` output; ValidationError if a derived value disagrees.
+
+        The rows follow from the word and the row count, so they are
+        recomputed and compared, as ``s_tot`` and ``d`` are.
+        """
         rows = tuple(tuple(int(v) for v in row) for row in obj["rows"])
-        m = cls(word=BosonWord.from_letters(obj["word"]), rows=rows)
+        m = stirling_matrix(BosonWord.from_letters(obj["word"]), len(rows) - 1)
+        if m.rows != rows:
+            raise ValidationError(f"serialized rows are not the rows of {m.word.text!r}")
         if m.s_tot != int(obj["s_tot"]) or m.d != int(obj["d"]):
             raise ValidationError("serialized s_tot/d do not match the word")
         return m
@@ -182,7 +189,7 @@ class WordClassification:
     (p = 0) or of a substitution with prefunction (p > 0), which ``kind``
     names.  Other words have ``r`` and ``p`` None.  ``ends_with_a``
     equivalently reports whether the first matrix column is (1, 0, 0, ...),
-    which ``first_column_unit`` names.
+    which the JSON key ``first_column_unit`` names.
     """
 
     r: int | None
@@ -206,17 +213,13 @@ class WordClassification:
             return NOT_SINGLE_ANNIHILATOR
         return PURE_SUBSTITUTION if self.p == 0 else SUBSTITUTION_WITH_PREFUNCTION
 
-    @property
-    def first_column_unit(self) -> bool:
-        return self.ends_with_a
-
     def to_json_obj(self) -> dict:
         return {
             "kind": self.kind,
             "r": self.r,
             "p": self.p,
             "ends_with_a": self.ends_with_a,
-            "first_column_unit": self.first_column_unit,
+            "first_column_unit": self.ends_with_a,
         }
 
     @classmethod
@@ -231,7 +234,7 @@ class WordClassification:
             raise ValidationError(
                 f"serialized kind {obj['kind']!r} does not match r and p ({c.kind})"
             )
-        if c.first_column_unit != bool(obj["first_column_unit"]):
+        if c.ends_with_a != bool(obj["first_column_unit"]):
             raise ValidationError("serialized first_column_unit does not match ends_with_a")
         return c
 
@@ -252,11 +255,9 @@ def column_egf(matrix, k: int, order: int) -> TruncatedSeries:
 
     Accepts anything with an ``entry(i, k)`` accessor (a materialized
     Stirling matrix or a finite square matrix); entries must exist through
-    row `order`, else the accessor's RangeError propagates.
+    row `order`, else the accessor's RangeError propagates.  A negative
+    order leaves no coefficient, and the series rejects that.
     """
-    if order < 0:
-        raise ValidationError(f"order must be non-negative, got {order}")
-    coeffs = tuple(
-        Fraction(matrix.entry(i, k)) / factorial(i) for i in range(order + 1)
+    return TruncatedSeries.from_egf_entries(
+        [matrix.entry(i, k) for i in range(order + 1)]
     )
-    return TruncatedSeries(order, coeffs)

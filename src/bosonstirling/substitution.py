@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, factorial, lcm
+from math import comb, lcm
 
 from .errors import RangeError, ValidationError
 from .series import TruncatedSeries, parse_rational
@@ -262,10 +262,7 @@ class SubstitutionReport:
 
     @cached_property
     def extracted_phi(self) -> TruncatedSeries:
-        phi = self._phi_entries
-        return TruncatedSeries(
-            len(phi) - 1, tuple(Fraction(v) / factorial(i) for i, v in enumerate(phi))
-        )
+        return TruncatedSeries.from_egf_entries(self._phi_entries)
 
     @cached_property
     def failing_columns(self) -> tuple[ColumnMismatch, ...]:
@@ -293,10 +290,7 @@ class SubstitutionReport:
             column = _egf_product(column, step, j - 1)
             scale *= d * j
             if any(column[i] != scale * rows[i][j] for i in range(j, n + 1)):
-                denominator = rows[0][0] * scale
-                expected = TruncatedSeries(n, tuple(
-                    Fraction(v, denominator * factorial(i)) for i, v in enumerate(column)
-                ))
+                expected = TruncatedSeries.from_egf_entries(column, rows[0][0] * scale)
                 failing.append(ColumnMismatch(j, expected, column_egf(m, j, n)))
         return tuple(failing)
 
@@ -341,7 +335,12 @@ class SubstitutionReport:
 
     @classmethod
     def from_json_obj(cls, obj) -> SubstitutionReport:
-        """Read :meth:`to_json_obj` output; ValidationError if the verdict disagrees."""
+        """Read :meth:`to_json_obj` output; ValidationError if it cannot be a report.
+
+        The verdict must agree with the failing columns.  Their indices must
+        increase strictly within 2..g.order, because columns 0 and 1 hold by
+        definition, and each column must differ from its expectation.
+        """
         failing = tuple(
             ColumnMismatch(
                 k=int(f["k"]),
@@ -355,6 +354,16 @@ class SubstitutionReport:
             extracted_g=TruncatedSeries.from_json_obj(obj["g"]),
             extracted_phi=TruncatedSeries.from_json_obj(obj["phi"]),
         )
+        previous = 1
+        for f in failing:
+            if not previous < f.k <= report.extracted_g.order:
+                raise ValidationError(
+                    f"failing column {f.k} is not in {previous + 1}.."
+                    f"{report.extracted_g.order}"
+                )
+            if f.expected == f.actual:
+                raise ValidationError(f"failing column {f.k} equals its expectation")
+            previous = f.k
         if report.verdict != bool(obj["verdict"]):
             raise ValidationError(
                 f"serialized verdict {obj['verdict']!r} does not match "
@@ -501,12 +510,8 @@ def build_substitution_matrix(
         raise ValidationError("g must have constant term 1")
     if phi.coeffs[0] != 0 or phi.coeffs[1] != 1:
         raise ValidationError("phi must have constant term 0 and linear coefficient 1")
-    column, d_g = _over_common_denominator(
-        [c * factorial(i) for i, c in enumerate(g.coeffs[:size])]
-    )
-    step, d_phi = _over_common_denominator(
-        [c * factorial(i) for i, c in enumerate(phi.coeffs[:size])]
-    )
+    column, d_g = _over_common_denominator(g.egf_entries()[:size])
+    step, d_phi = _over_common_denominator(phi.egf_entries()[:size])
     columns = [column]
     denominators = [d_g]
     for k in range(1, size):

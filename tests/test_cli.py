@@ -552,7 +552,7 @@ class TestMonteCarloCommand:
         )
         assert base[1] == par[1]
 
-    @pytest.mark.parametrize("ranges", ["", " ", "3,,4", ",", "3,"])
+    @pytest.mark.parametrize("ranges", ["", " ", "3,,4", ",", "3,", "2,x"])
     def test_empty_sweep_range_is_usage_error(self, capsys, ranges):
         code, out, err = run_cli(
             capsys, "montecarlo", "--size", "3", "--draws", "5", "--range", "2",
@@ -679,7 +679,7 @@ READER_CASES = {
     ),
     "GeneralizedStirlingMatrix": (
         GeneralizedStirlingMatrix, ["stirling", "a+ a a+", "--rows", "4"], lambda obj: obj,
-        lambda: stirling_matrix(parse_word("a+ a a+"), 4), [("s_tot",), ("d",)],
+        lambda: stirling_matrix(parse_word("a+ a a+"), 4), [("s_tot",), ("d",), ("rows", 1, 0)],
     ),
     "WordClassification": (
         WordClassification, ["classify", "a+ a a+"], lambda obj: obj,
@@ -700,7 +700,7 @@ READER_CASES = {
         lambda: is_approximate_substitution(
             FiniteMatrix.from_rows(COUNTEREXAMPLE_ROWS)
         ).extracted_phi,
-        [],
+        [("order",)],
     ),
     "SubstitutionReport": (
         SubstitutionReport, ["check-subst", "MATRIX"], lambda obj: obj,
@@ -795,6 +795,37 @@ class TestJsonReaders:
         assert obj["verdict"] is not verdict
         obj["verdict"] = verdict
         with pytest.raises(ValidationError, match="serialized verdict"):
+            SubstitutionReport.from_json_obj(obj)
+
+    def test_stirling_rows_pin(self):
+        obj = {"word": "da", "s_tot": 1, "d": 0, "rows": [["1"], ["5", "7", "9", "11"]]}
+        with pytest.raises(ValidationError, match="serialized rows"):
+            GeneralizedStirlingMatrix.from_json_obj(obj)
+
+    @pytest.mark.parametrize("k", [0, 1, 4])
+    def test_failing_column_outside_two_to_order_rejected(self, k):
+        obj = is_approximate_substitution(FiniteMatrix.from_rows(COUNTEREXAMPLE_ROWS)).to_json_obj()
+        obj["failing_columns"][0]["k"] = k
+        with pytest.raises(ValidationError, match=f"failing column {k} is not in"):
+            SubstitutionReport.from_json_obj(obj)
+
+    @pytest.mark.parametrize(
+        "reorder", [lambda cols: cols[::-1], lambda cols: cols[:1] * 2], ids=["reversed", "repeated"]
+    )
+    def test_failing_columns_not_increasing_rejected(self, reorder):
+        rows = [[1] * (i + 1) + [0] * (4 - i) for i in range(5)]
+        obj = is_approximate_substitution(FiniteMatrix.from_rows(rows)).to_json_obj()
+        assert [f["k"] for f in obj["failing_columns"]] == [2, 3]
+        SubstitutionReport.from_json_obj(obj)
+        obj["failing_columns"] = reorder(obj["failing_columns"])
+        with pytest.raises(ValidationError, match="is not in"):
+            SubstitutionReport.from_json_obj(obj)
+
+    def test_failing_column_equal_to_expectation_rejected(self):
+        obj = is_approximate_substitution(FiniteMatrix.from_rows(COUNTEREXAMPLE_ROWS)).to_json_obj()
+        column = obj["failing_columns"][0]
+        column["expected"] = column["actual"]
+        with pytest.raises(ValidationError, match="equals its expectation"):
             SubstitutionReport.from_json_obj(obj)
 
 

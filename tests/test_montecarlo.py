@@ -29,6 +29,7 @@ from bosonstirling import (
 )
 from bosonstirling import batch, montecarlo
 from bosonstirling.batch import batch_draws, batch_verdicts, fits_int64
+from bosonstirling.cli import main as cli_main
 from bosonstirling.montecarlo import MAX_SIZE, worker_count
 from bosonstirling.substitution import recurrence_failure
 
@@ -180,12 +181,14 @@ class TestRunExperiment:
         obj = result.to_json_obj()
         assert ExperimentResult.from_json_obj(obj) == result
 
-    def test_csv_row_fields(self):
-        result = run_experiment(ExperimentConfig(size=3, draws=20, range_r=4, seed=9))
-        fields = result.to_csv_row().split(";")
-        assert fields[:5] == ["3", "20", "4", "9", "20"]
-        assert fields[5] == "1"
-        assert len(fields) == 9
+    def test_csv_row_fields(self, capsys):
+        argv = ["montecarlo", "--size", "3", "--draws", "20", "--range", "4", "--seed", "9"]
+        assert cli_main([*argv, "--format", "csv"]) == 0
+        _, row = capsys.readouterr().out.splitlines()
+        values = row.split(";")
+        assert values[:5] == ["3", "20", "4", "9", "20"]
+        assert values[5] == "1"
+        assert len(values) == 9
 
 
 class TestRangeSweep:

@@ -26,6 +26,7 @@ from bosonstirling import (
     normal_order,
     parse_word,
     stirling_matrix,
+    truncate_rn,
 )
 from bosonstirling import stirling as stirling_module
 
@@ -142,7 +143,7 @@ class TestStirlingMatrix:
             w = BosonWord.from_letters(("d",) * lead + ("a",) + ("d",) * p)
             m = stirling_matrix(w, 4)
             column = [m.entry(n, 0) for n in range(5)]
-            if w.letters[-1] == "a":
+            if w.text[-1] == "a":
                 assert column == [1, 0, 0, 0, 0]
             else:
                 assert any(v != 0 for v in column[1:])
@@ -218,7 +219,7 @@ class TestStepsStopWherePermVanishes:
     def test_rows_and_step_count(self, monkeypatch, text, n_max):
         w = parse_word(text)
         m, calls = self._comb_calls(monkeypatch, text, n_max)
-        assert [list(row) for row in m.rows] == stirling_rows_by_action(w.letters, n_max)
+        assert [list(row) for row in m.rows] == stirling_rows_by_action(w.text, n_max)
         d_minus = max(-m.d, 0)
         kappa_max = min(m.r_tot, max((n_max - 1) * (m.s_tot + d_minus), 0))
         terms = normal_order(w).terms
@@ -263,12 +264,12 @@ class TestClassifyWord:
     def test_pure_substitution(self):
         c = classify_word(parse_word("d a"))
         assert (c.kind, c.r, c.p) == ("pure-substitution", 1, 0)
-        assert c.ends_with_a and c.first_column_unit
+        assert c.ends_with_a
 
     def test_substitution_with_prefunction(self):
         c = classify_word(parse_word("d a d"))
         assert (c.kind, c.r, c.p) == ("substitution-with-prefunction", 2, 1)
-        assert not c.ends_with_a and not c.first_column_unit
+        assert not c.ends_with_a
 
     def test_trailing_creators_counted(self):
         c = classify_word(parse_word("a d d"))
@@ -319,13 +320,22 @@ class TestColumnEgf:
 
     def test_stirling2_column_zero_is_one(self):
         m = stirling_matrix(parse_word("d a"), 4)
-        assert column_egf(m, 0, 4) == TruncatedSeries.one(4)
+        assert column_egf(m, 0, 4) == TruncatedSeries.from_coeffs([1], 4)
 
     def test_stirling2_column_one(self):
         m = stirling_matrix(parse_word("d a"), 3)
         assert column_egf(m, 1, 3) == TruncatedSeries.from_coeffs(
             [0, 1, Fraction(1, 2), Fraction(1, 6)]
         )
+
+    def test_truncated_stirling_columns_by_hand(self):
+        m = truncate_rn(stirling_matrix(parse_word("d a"), 6), 6)
+        for k in range(7):
+            by_hand = TruncatedSeries(tuple(
+                Fraction(row[k] if k < len(row) else 0, factorial(i))
+                for i, row in enumerate(STIRLING2_ROWS)
+            ))
+            assert column_egf(m, k, 6) == by_hand
 
     def test_insufficient_materialization(self):
         m = stirling_matrix(parse_word("d a"), 3)
@@ -337,3 +347,7 @@ class TestColumnEgf:
     def test_column_out_of_range_for_finite_matrix(self):
         with pytest.raises(RangeError):
             column_egf(FiniteMatrix.identity(3), 3, 2)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValidationError):
+            column_egf(FiniteMatrix.identity(3), 0, -1)

@@ -38,18 +38,17 @@ from tables import STIRLING2_ROWS
 
 def exp_minus_one(order):
     return TruncatedSeries(
-        order,
         tuple(Fraction(0) if i == 0 else Fraction(1, factorial(i)) for i in range(order + 1)),
     )
 
 
 def geometric(order):
     """1/(1-x) truncated."""
-    return TruncatedSeries(order, tuple(Fraction(1) for _ in range(order + 1)))
+    return TruncatedSeries(tuple(Fraction(1) for _ in range(order + 1)))
 
 
 def x_over_one_minus_x(order):
-    return TruncatedSeries(order, tuple(Fraction(0 if i == 0 else 1) for i in range(order + 1)))
+    return TruncatedSeries(tuple(Fraction(0 if i == 0 else 1) for i in range(order + 1)))
 
 
 def random_unipotent_int(rng, size, lo=1, hi=10):
@@ -176,8 +175,8 @@ class TestCondition:
         for size in (2, 3, 5, 8):
             report = is_approximate_substitution(FiniteMatrix.identity(size))
             assert report.verdict
-            assert report.extracted_g == TruncatedSeries.one(size - 1)
-            assert report.extracted_phi == TruncatedSeries.x(size - 1)
+            assert report.extracted_g == TruncatedSeries.from_coeffs([1], size - 1)
+            assert report.extracted_phi == TruncatedSeries.from_coeffs([0, 1], size - 1)
 
     def test_every_size3_unipotent_passes(self):
         rng = random.Random(17)
@@ -383,7 +382,7 @@ class TestLazyDiagnostics:
         with pytest.raises(AttributeError):
             report.verdict = False
         with pytest.raises(AttributeError):
-            report.extracted_g = TruncatedSeries.one(2)
+            report.extracted_g = TruncatedSeries.from_coeffs([1], 2)
 
 
 class TestEntryTypes:
@@ -498,11 +497,12 @@ class TestEntryParsing:
 
 class TestBuilder:
     def test_identity_from_trivial_pair(self):
-        built = build_substitution_matrix(TruncatedSeries.one(4), TruncatedSeries.x(4), 5)
+        one, x = TruncatedSeries.from_coeffs([1], 4), TruncatedSeries.from_coeffs([0, 1], 4)
+        built = build_substitution_matrix(one, x, 5)
         assert built == FiniteMatrix.identity(5)
 
     def test_stirling_second_kind_from_exponential(self):
-        built = build_substitution_matrix(TruncatedSeries.one(6), exp_minus_one(6), 7)
+        built = build_substitution_matrix(TruncatedSeries.from_coeffs([1], 6), exp_minus_one(6), 7)
         expected = truncate_rn(stirling_matrix(parse_word("d a"), 6), 6)
         assert built == expected
         assert [int(v) for v in built.entries[4][:5]] == list(STIRLING2_ROWS[4])
@@ -525,12 +525,15 @@ class TestBuilder:
             assert report.extracted_phi == phi
 
     def test_normalization_enforced(self):
+        one, x = TruncatedSeries.from_coeffs([1], 4), TruncatedSeries.from_coeffs([0, 1], 4)
         with pytest.raises(ValidationError):
-            build_substitution_matrix(TruncatedSeries.x(4), TruncatedSeries.x(4), 5)
+            build_substitution_matrix(x, x, 5)
         with pytest.raises(ValidationError):
-            build_substitution_matrix(TruncatedSeries.one(4), TruncatedSeries.one(4), 5)
+            build_substitution_matrix(one, one, 5)
         with pytest.raises(ValidationError):
-            build_substitution_matrix(TruncatedSeries.one(2), TruncatedSeries.x(2), 5)
+            build_substitution_matrix(
+                TruncatedSeries.from_coeffs([1], 2), TruncatedSeries.from_coeffs([0, 1], 2), 5
+            )
 
     def test_determined_by_first_two_columns(self):
         # Two passing matrices of equal size with equal columns 0 and 1 are
@@ -555,7 +558,7 @@ class TestShefferCheck:
             truncate_rn(stirling_matrix(parse_word("d a"), 5), 5)
         )
         assert report.verdict
-        assert report.extracted_g == TruncatedSeries.one(5)
+        assert report.extracted_g == TruncatedSeries.from_coeffs([1], 5)
         assert report.extracted_phi == exp_minus_one(5)
 
     def test_prefunction_truncation(self):
@@ -569,8 +572,8 @@ class TestShefferCheck:
     def test_identity(self):
         report = is_approximate_substitution(FiniteMatrix.identity(4))
         assert report.verdict
-        assert report.extracted_g == TruncatedSeries.one(3)
-        assert report.extracted_phi == TruncatedSeries.x(3)
+        assert report.extracted_g == TruncatedSeries.from_coeffs([1], 3)
+        assert report.extracted_phi == TruncatedSeries.from_coeffs([0, 1], 3)
 
 
 class TestSingleAnnihilatorWords:
