@@ -28,7 +28,6 @@ from .montecarlo import (
     ExperimentConfig,
     count_free_parameters,
     probability_bound,
-    range_sweep,
     run_experiment,
 )
 from .series import TruncatedSeries, parse_rational
@@ -269,44 +268,66 @@ def _parse_sweep_range(text: str) -> list[int]:
         ) from None
 
 
+def _require_printable_bound(size: int, range_r: int) -> None:
+    """ValidationError, before any work, if the bound 1/r^e is too long to print.
+
+    Python refuses to convert an integer of more than
+    ``sys.get_int_max_str_digits()`` digits to text (0: no limit), so r^e
+    cannot be printed exactly when r^e ≥ 10^limit.  With b the bit length
+    of r, 2^(b−1) ≤ r < 2^b, and 3.3 < log₂10 < 10/3: so r^e prints when
+    10·b·e ≤ 33·limit and does not when 3·(b−1)·e ≥ 10·limit.  Only in the
+    narrow band between, where r^e has fewer than 7·limit bits, is it
+    computed and compared.  A range below 2 is left to the usual checks.
+    """
+    limit = sys.get_int_max_str_digits()
+    if not limit or range_r < 2:
+        return
+    determined, total = count_free_parameters(size)
+    exponent = total - determined
+    bits = range_r.bit_length()
+    if 10 * bits * exponent <= 33 * limit:
+        return
+    if 3 * (bits - 1) * exponent >= 10 * limit or range_r**exponent >= 10**limit:
+        raise ValidationError(
+            f"the bound's denominator {range_r}^{exponent} has more than "
+            f"{limit} digits, too many to print"
+        )
+
+
 def cmd_montecarlo(args) -> int:
-    jobs = args.jobs
-    if args.sweep_range is not None:
-        ranges = _parse_sweep_range(args.sweep_range)
-        results = range_sweep(args.size, args.draws, ranges, args.seed, jobs=jobs)
-        if args.format == "json":
-            rows = []
-            for r in results:
-                obj = r.to_json_obj()
-                obj["ratio"] = str(r.ratio_to_bound)
-                rows.append(obj)
-            text = dumps_canonical(rows)
-        elif args.format == "csv":
-            lines = [";".join(_MC_HEADER)]
-            lines += [_mc_csv_row(r) for r in results]
-            text = "\n".join(lines)
-        else:
-            table = [_MC_HEADER + ["ratio"]]
-            table += [_mc_table_row(r) + [str(r.ratio_to_bound)] for r in results]
-            text = format_columns(table)
-        _emit(args, text)
-        return EXIT_OK
-    cfg = ExperimentConfig(
-        size=args.size, draws=args.draws, range_r=args.range,
-        seed=args.seed, jobs=jobs,
-    )
-    result = run_experiment(cfg)
+    sweep = args.sweep_range is not None
+    ranges = _parse_sweep_range(args.sweep_range) if sweep else [args.range]
+    configs = [
+        ExperimentConfig(
+            size=args.size, draws=args.draws, range_r=r, seed=args.seed, jobs=args.jobs
+        )
+        for r in ranges
+    ]
+    for cfg in configs:
+        _require_printable_bound(cfg.size, cfg.range_r)
+    results = [run_experiment(cfg) for cfg in configs]
+    # A sweep is a list with each estimate/bound ratio (none in CSV); a
+    # single run is one JSON object.
     if args.format == "json":
-        text = dumps_canonical(result.to_json_obj())
+        objs = [r.to_json_obj() for r in results]
+        if sweep:
+            for obj, r in zip(objs, results):
+                obj["ratio"] = str(r.ratio_to_bound)
+        text = dumps_canonical(objs if sweep else objs[0])
     elif args.format == "csv":
-        text = "\n".join([";".join(_MC_HEADER), _mc_csv_row(result)])
+        text = "\n".join([";".join(_MC_HEADER), *map(_mc_csv_row, results)])
+    elif sweep:
+        table = [_MC_HEADER + ["ratio"]]
+        table += [_mc_table_row(r) + [str(r.ratio_to_bound)] for r in results]
+        text = format_columns(table)
     else:
-        text = format_columns([_MC_HEADER, _mc_table_row(result)])
+        text = format_columns([_MC_HEADER, *map(_mc_table_row, results)])
     _emit(args, text)
     return EXIT_OK
 
 
 def cmd_bound(args) -> int:
+    _require_printable_bound(args.size, args.range)
     value = probability_bound(args.size, args.range)
     if args.format == "json":
         determined, total = count_free_parameters(args.size)

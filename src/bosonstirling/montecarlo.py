@@ -165,11 +165,11 @@ def count_free_parameters(size: int) -> FreeParameterCount:
 
 
 def probability_bound(size: int, range_r: int) -> Fraction:
-    """Upper bound r^(2n−3)/r^(n(n−1)/2) on the substitution probability."""
+    """Upper bound r^(2n−3)/r^(n(n−1)/2) = 1/r^((n−2)(n−3)/2) on the substitution probability."""
     if range_r < 1:
         raise ValidationError(f"range must be at least 1, got {range_r}")
     determined, total = count_free_parameters(size)
-    return Fraction(range_r**determined, range_r**total)
+    return Fraction(1, range_r ** (total - determined))
 
 
 def trial_stream(seed: int, trial: int) -> np.random.Generator:
@@ -343,11 +343,11 @@ def range_sweep(
     """Run one experiment per range cardinality, reusing the seed.
 
     Emits the estimate-versus-bound data used to probe how the choice of
-    range fades with growing size; no verdicts are attached.
+    range fades with growing size; no verdicts are attached.  Every
+    configuration is checked before the first experiment runs.
     """
-    return [
-        run_experiment(
-            ExperimentConfig(size=size, draws=draws, range_r=r, seed=seed, jobs=jobs)
-        )
+    configs = [
+        ExperimentConfig(size=size, draws=draws, range_r=r, seed=seed, jobs=jobs)
         for r in ranges
     ]
+    return [run_experiment(cfg) for cfg in configs]

@@ -33,7 +33,7 @@ matrices, where it is a morphism for the product).
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, lcm
@@ -190,49 +190,37 @@ class ColumnMismatch:
     actual: TruncatedSeries
 
 
+@dataclass(frozen=True)
 class SubstitutionReport:
-    """Verdict plus per-column diagnostics of the substitution condition.
+    """Verdict plus per-column diagnostics of the substitution condition on `matrix`.
 
     ``extracted_g`` is the column-0 EGF and ``extracted_phi`` the exact
     quotient c_1/c_0; for a unipotent input, phi has zero constant term and
     unit linear coefficient.  ``failing_columns`` holds every column k whose
     EGF differs from g·φ^k/k!, with both series.
 
-    Every report stores the index of its first failing column, or None, and
-    ``verdict`` is read from it alone.  A report returned by
-    :func:`is_approximate_substitution` holds that index and its source
-    matrix: each diagnostic is computed on first access and then cached.
-    Reports are immutable, and equality and hashing compare the three
-    diagnostics, which determine the verdict.
+    The matrix is the one stored field.  Construction checks that it is
+    unipotent and runs :func:`recurrence_failure`, whose first failing step
+    alone gives ``verdict``; each diagnostic is computed on first access and
+    then cached.  Equality and hashing compare the matrix, which determines
+    every diagnostic.
     """
 
-    def __init__(self, failing_columns, extracted_g, extracted_phi):
-        vars(self).update(
-            _first_failing_column=failing_columns[0].k if failing_columns else None,
-            failing_columns=failing_columns,
-            extracted_g=extracted_g,
-            extracted_phi=extracted_phi,
-        )
+    matrix: FiniteMatrix
 
-    @classmethod
-    def _of_matrix(cls, m: FiniteMatrix, rows, first_failure: int | None) -> SubstitutionReport:
-        """Report on `m`, given its integer rows L·m and first failing step."""
-        report = cls.__new__(cls)
-        vars(report).update(
-            _first_failing_column=None if first_failure is None else first_failure + 1,
-            _matrix=m,
-            _rows=rows,
-        )
-        return report
+    def __post_init__(self):
+        _require_unipotent(self.matrix)
+        rows = _integer_rows(self.matrix)
+        vars(self).update(_rows=rows, _first_failure=recurrence_failure(rows))
 
     @property
     def verdict(self) -> bool:
         """Whether every column satisfies the condition; computes no diagnostic."""
-        return self._first_failing_column is None
+        return self._first_failure is None
 
     @cached_property
     def extracted_g(self) -> TruncatedSeries:
-        return column_egf(self._matrix, 0, self._matrix.n_max)
+        return column_egf(self.matrix, 0, self.matrix.n_max)
 
     @cached_property
     def _phi_entries(self) -> list:
@@ -247,7 +235,7 @@ class SubstitutionReport:
         gives every entry without a division, visiting only the nonzero
         entries of column 0.
         """
-        entries = self._matrix.entries
+        entries = self.matrix.entries
         n = len(entries) - 1
         binomials = _binomial_rows(n)
         col0 = [(j, row[0]) for j, row in enumerate(entries) if j and row[0]]
@@ -279,8 +267,8 @@ class SubstitutionReport:
         """
         if self.verdict:
             return ()
-        k = self._first_failing_column - 1
-        m, rows = self._matrix, self._rows
+        k = self._first_failure
+        m, rows = self.matrix, self._rows
         n = m.n_max
         step, d = _over_common_denominator(self._phi_entries)
         column = [row[k] for row in rows]
@@ -293,30 +281,6 @@ class SubstitutionReport:
                 expected = TruncatedSeries.from_egf_entries(column, rows[0][0] * scale)
                 failing.append(ColumnMismatch(j, expected, column_egf(m, j, n)))
         return tuple(failing)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple:
-        return (self.failing_columns, self.extracted_g, self.extracted_phi)
-
-    def __eq__(self, other):
-        if not isinstance(other, SubstitutionReport):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"SubstitutionReport(verdict={self.verdict!r}, "
-            f"failing_columns={self.failing_columns!r}, "
-            f"extracted_g={self.extracted_g!r}, extracted_phi={self.extracted_phi!r})"
-        )
 
     def to_json_obj(self) -> dict:
         return {
@@ -335,11 +299,15 @@ class SubstitutionReport:
 
     @classmethod
     def from_json_obj(cls, obj) -> SubstitutionReport:
-        """Read :meth:`to_json_obj` output; ValidationError if it cannot be a report.
+        """Read :meth:`to_json_obj` output; ValidationError unless it is a matrix's report.
 
         The verdict must agree with the failing columns.  Their indices must
         increase strictly within 2..g.order, because columns 0 and 1 hold by
-        definition, and each column must differ from its expectation.
+        definition, and each column must differ from its expectation.  g, φ
+        and the failing columns' actual series then fix the matrix, since
+        every other column k is g·φ^k/k!: it is rebuilt, and the file is
+        read as its report only if that report has the same verdict, g, φ
+        and failing columns.
         """
         failing = tuple(
             ColumnMismatch(
@@ -349,25 +317,34 @@ class SubstitutionReport:
             )
             for f in obj["failing_columns"]
         )
-        report = cls(
-            failing_columns=failing,
-            extracted_g=TruncatedSeries.from_json_obj(obj["g"]),
-            extracted_phi=TruncatedSeries.from_json_obj(obj["phi"]),
-        )
+        g = TruncatedSeries.from_json_obj(obj["g"])
+        phi = TruncatedSeries.from_json_obj(obj["phi"])
         previous = 1
         for f in failing:
-            if not previous < f.k <= report.extracted_g.order:
+            if not previous < f.k <= g.order:
                 raise ValidationError(
-                    f"failing column {f.k} is not in {previous + 1}.."
-                    f"{report.extracted_g.order}"
+                    f"failing column {f.k} is not in {previous + 1}..{g.order}"
                 )
             if f.expected == f.actual:
                 raise ValidationError(f"failing column {f.k} equals its expectation")
             previous = f.k
-        if report.verdict != bool(obj["verdict"]):
+        verdict = not failing
+        if verdict != bool(obj["verdict"]):
             raise ValidationError(
                 f"serialized verdict {obj['verdict']!r} does not match "
                 f"{len(failing)} failing columns"
+            )
+        size = g.order + 1
+        rows = [list(row) for row in build_substitution_matrix(g, phi, size).entries]
+        for f in failing:
+            for row, v in zip(rows, f.actual.egf_entries()):
+                row[f.k] = v
+        report = cls(FiniteMatrix(rows))
+        if (report.verdict, report.extracted_g, report.extracted_phi,
+                report.failing_columns) != (verdict, g, phi, failing):
+            raise ValidationError(
+                "the report does not match the matrix that its g, phi and "
+                "failing columns fix"
             )
         return report
 
@@ -478,9 +455,7 @@ def is_approximate_substitution(m: FiniteMatrix) -> SubstitutionReport:
     The verdict comes from :func:`recurrence_failure`; reading it does no
     series work.  The report's diagnostics are computed on first access.
     """
-    _require_unipotent(m)
-    rows = _integer_rows(m)
-    return SubstitutionReport._of_matrix(m, rows, recurrence_failure(rows))
+    return SubstitutionReport(m)
 
 
 def build_substitution_matrix(

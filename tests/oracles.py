@@ -165,3 +165,29 @@ def substitution_report(rows) -> dict:
         "g": _series_json(g),
         "phi": _series_json(phi),
     }
+
+
+def closed_form_pair(r: int, p: int, order: int) -> tuple[list, list]:
+    """(g, φ) of the word (a†)^{r−p} a (a†)^p as coefficient lists through x^order.
+
+    Blasiak, Penson and Solomon (Ann. Comb. 7, 2003) give the Stirling
+    matrix of that word as the substitution pair g = (1−(r−1)x)^{−p/(r−1)}
+    and φ = (1−(r−1)x)^{−1/(r−1)} − 1 for r ≥ 2, and g = e^{px}, φ = e^x − 1
+    for r = 1.  The binomial series (1−c·x)^{−a} has coefficient
+    a(a+1)···(a+k−1)·c^k/k! at x^k.
+    """
+    if r == 1:
+        g = [Fraction(p**k, factorial(k)) for k in range(order + 1)]
+        phi = [Fraction(0)] + [Fraction(1, factorial(k)) for k in range(1, order + 1)]
+        return g, phi
+    c = r - 1
+
+    def binomial_series(a: Fraction) -> list:
+        coeffs = [Fraction(1)]
+        for k in range(1, order + 1):
+            coeffs.append(coeffs[-1] * (a + k - 1) * c / k)
+        return coeffs
+
+    phi = binomial_series(Fraction(1, c))
+    phi[0] -= 1
+    return binomial_series(Fraction(p, c)), phi

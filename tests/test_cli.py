@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bosonstirling
@@ -411,7 +411,7 @@ class TestCheckSubstCommand:
         path = write_matrix_file(
             tmp_path, [[1, 0], [Fraction(1, 3), 1]], name="canonical.json"
         )
-        original = open(path, encoding="utf-8").read()
+        original = Path(path).read_text(encoding="utf-8")
         reloaded = FiniteMatrix.from_json_obj(json.loads(original))
         assert dumps_canonical(reloaded.to_json_obj()) == original
 
@@ -578,6 +578,75 @@ class TestBoundCommand:
         obj = json.loads(out)
         assert Fraction(obj["bound"]) == Fraction(1, 10)
         assert (obj["determined"], obj["total"]) == (5, 6)
+
+
+def _refuse(*args):
+    raise AssertionError("work done before the input was checked")
+
+
+class TestUnprintableBoundRejectedEarly:
+    """A bound too long to print exits 2 before it or any trial is computed."""
+
+    @pytest.mark.parametrize(
+        "argv,exponent",
+        [
+            (["bound", "--size", "64", "--range", str(2**32 - 1)], 1891),
+            (["bound", "--size", "100000", "--range", "10", "--format", "json"], 4999750003),
+            (["montecarlo", "--size", "64", "--draws", "300", "--range", str(2**32 - 1),
+              "--seed", "3", "--format", "json"], 1891),
+            (["montecarlo", "--size", "64", "--draws", "300", "--range", "10",
+              "--seed", "3", "--sweep-range", "10,1000"], 1891),
+        ],
+        ids=["bound", "bound-huge-size", "montecarlo", "montecarlo-sweep"],
+    )
+    def test_exit_2_before_any_work(self, capsys, monkeypatch, argv, exponent):
+        monkeypatch.setattr(cli, "probability_bound", _refuse)
+        monkeypatch.setattr(cli, "run_experiment", _refuse)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"^{exponent} has more than 4300 digits" in err
+
+    def test_largest_printed_bounds_unchanged(self, capsys):
+        assert run_cli(capsys, "bound", "--size", "100", "--range", "2") == (
+            0, f"{Fraction(2**197, 2**4950)}\n", ""
+        )
+        code, out, _ = run_cli(capsys, "bound", "--size", "64", "--range", "10")
+        assert code == 0 and out == f"1/1{'0' * 1891}\n"
+
+    # 187^1891 has 4,297 digits and 188^1891 4,301; 1000^1431 has 4,294 and
+    # 1023^1431 4,307, where only the direct comparison decides.
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 120), st.integers(2, 2**40))
+    @example(64, 187)
+    @example(64, 188)
+    @example(56, 1000)
+    @example(56, 1023)
+    def test_rejects_exactly_what_cannot_print(self, size, range_r):
+        exponent = (size - 2) * (size - 3) // 2
+        printable = range_r**exponent < 10 ** sys.get_int_max_str_digits()
+        try:
+            cli._require_printable_bound(size, range_r)
+        except ValidationError:
+            assert not printable
+        else:
+            assert printable
+
+    def test_limit_zero_rejects_nothing(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            code, out, _ = run_cli(capsys, "bound", "--size", "64", "--range", str(2**32 - 1))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 0 and len(out) > 18_000
+
+    def test_sweep_checks_every_range_first(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_experiment", _refuse)
+        code, out, err = run_cli(
+            capsys, "montecarlo", "--size", "12", "--draws", "200000", "--range", "10",
+            "--seed", "1", "--sweep-range", "10,0",
+        )
+        assert (code, out, err) == (2, "", "error: range must be at least 1, got 0\n")
 
 
 class TestExponentNotationRejected:

@@ -199,6 +199,14 @@ class TestRangeSweep:
             assert r.bound == probability_bound(4, r.config.range_r)
             assert 0 <= r.ratio_to_bound  # data only, no verdicts
 
+    def test_every_config_checked_before_the_first_run(self, monkeypatch):
+        def refuse(cfg):
+            raise AssertionError("experiment ran before every range was checked")
+
+        monkeypatch.setattr(montecarlo, "run_experiment", refuse)
+        with pytest.raises(ValidationError, match="range must be at least 1"):
+            range_sweep(12, 200_000, [10, 0], seed=1)
+
 
 class TestSizeCap:
     # Only the config is built: no trial is drawn at these sizes.

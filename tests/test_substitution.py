@@ -32,7 +32,7 @@ from bosonstirling.cli import main as cli_main
 from bosonstirling.series import parse_rational
 from bosonstirling.substitution import _exact
 
-from oracles import substitution_matrix, substitution_report
+from oracles import closed_form_pair, substitution_matrix, substitution_report
 from tables import STIRLING2_ROWS
 
 
@@ -385,6 +385,69 @@ class TestLazyDiagnostics:
             report.extracted_g = TruncatedSeries.from_coeffs([1], 2)
 
 
+COUNTEREXAMPLE_ROWS = [[1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 0], [1, 1, 1, 1]]
+
+
+def counterexample_json() -> dict:
+    """The report of COUNTEREXAMPLE_ROWS: g of order 3, column 2 failing."""
+    return is_approximate_substitution(FiniteMatrix.from_rows(COUNTEREXAMPLE_ROWS)).to_json_obj()
+
+
+class TestReportIsItsMatrix:
+    """A report stores its matrix alone, and its reader rebuilds that matrix."""
+
+    def test_phi_of_lower_order_than_g_rejected(self):
+        obj = counterexample_json()
+        obj["phi"] = {"order": 1, "coeffs": ["0", "1"]}
+        obj["failing_columns"][0]["actual"] = {
+            "order": 5, "coeffs": ["0", "0", "1/2", "1/6", "0", "0"],
+        }
+        with pytest.raises(ValidationError, match="need series through order 3"):
+            SubstitutionReport.from_json_obj(obj)
+
+    def test_wrong_expected_rejected(self):
+        obj = counterexample_json()
+        obj["failing_columns"][0]["expected"]["coeffs"][3] = "1/3"
+        with pytest.raises(ValidationError, match="does not match the matrix"):
+            SubstitutionReport.from_json_obj(obj)
+
+    def test_actual_of_wrong_order_rejected(self):
+        obj = counterexample_json()
+        obj["failing_columns"][0]["actual"] = {"order": 2, "coeffs": ["0", "0", "1/2"]}
+        with pytest.raises(ValidationError, match="does not match the matrix"):
+            SubstitutionReport.from_json_obj(obj)
+
+    def test_actual_that_breaks_unipotence_rejected(self):
+        obj = counterexample_json()
+        obj["failing_columns"][0]["actual"]["coeffs"][0] = "1"
+        with pytest.raises(ValidationError, match="unipotent"):
+            SubstitutionReport.from_json_obj(obj)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(
+        unipotent_rows(st.integers(-3, 12)), unipotent_rows(SMALL_FRACTIONS)
+    ).filter(lambda rows: len(rows) <= 8))
+    def test_round_trip(self, rows):
+        report = is_approximate_substitution(FiniteMatrix.from_rows(rows))
+        obj = report.to_json_obj()
+        read = SubstitutionReport.from_json_obj(json.loads(json.dumps(obj)))
+        assert read == report
+        assert read.to_json_obj() == obj
+
+    def test_equality_computes_no_diagnostic(self):
+        m = FiniteMatrix.from_rows(COUNTEREXAMPLE_ROWS)
+        a, b = is_approximate_substitution(m), is_approximate_substitution(m)
+        assert a == b and hash(a) == hash(b)
+        assert a != is_approximate_substitution(FiniteMatrix.identity(4))
+        diagnostics = {"extracted_g", "extracted_phi", "_phi_entries", "failing_columns"}
+        assert diagnostics.isdisjoint(vars(a)) and diagnostics.isdisjoint(vars(b))
+
+    def test_read_report_equals_and_hashes_like_the_lazy_one(self):
+        report = is_approximate_substitution(FiniteMatrix.from_rows(COUNTEREXAMPLE_ROWS))
+        read = SubstitutionReport.from_json_obj(report.to_json_obj())
+        assert read == report and hash(read) == hash(report)
+
+
 class TestEntryTypes:
     def test_integral_inputs_become_int(self):
         m = FiniteMatrix.from_rows([[Fraction(4, 2), 0], ["6/3", 1.0]])
@@ -591,6 +654,20 @@ class TestSingleAnnihilatorWords:
                     w,
                     order,
                 )
+
+
+class TestClosedFormPairs:
+    """The Stirling matrix of (a†)^{r−p} a (a†)^p is the matrix of its closed-form pair."""
+
+    @pytest.mark.parametrize(
+        "r,p", [(r, p) for r in range(1, 7) for p in range(r + 1)]
+    )
+    def test_stirling_matrix_is_built_from_the_pair(self, r, p):
+        w = parse_word(" ".join(["a+"] * (r - p) + ["a"] + ["a+"] * p))
+        m = stirling_matrix(w, 25)
+        for n in (1, 2, 5, 12, 25):
+            g, phi = (TruncatedSeries(c) for c in closed_form_pair(r, p, n))
+            assert truncate_rn(m, n) == build_substitution_matrix(g, phi, n + 1), n
 
 
 class TestTruncations:
