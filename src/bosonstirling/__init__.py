@@ -26,7 +26,6 @@ from .montecarlo import (
     count_free_parameters,
     probability_bound,
     random_unipotent,
-    range_sweep,
     run_experiment,
     trial_stream,
     wilson_interval_95,
@@ -82,7 +81,6 @@ __all__ = [
     "parse_word",
     "probability_bound",
     "random_unipotent",
-    "range_sweep",
     "run_experiment",
     "stirling_matrix",
     "trial_stream",

@@ -10,17 +10,29 @@ so fixed-width arithmetic is never safe here.
 
 from __future__ import annotations
 
+import re
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import groupby
 from math import comb, perm
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, json_int
 
 ANNIHILATOR = "a"
 CREATOR = "d"
 
-_WHITESPACE = " \t\r\n"
+# The word grammar.  Letter text is whitespace and the tokens a, a+ and d in
+# either case.  A token of the rs: form follows optional whitespace and is a
+# decimal integer, any other single character, or the end of the text.
+_WS = r"[ \t\r\n]"
+_LETTER_TEXT = re.compile(rf"(?:{_WS}|[aA]\+?|[dD])*")
+_RS_PREFIX = re.compile(rf"{_WS}*[rR][sS]:")
+_RS_TOKEN = re.compile(rf"{_WS}*(?P<token>(?P<int>-?\d+)|.|\Z)", re.DOTALL)
+_RS_EXPECTED = {
+    "[": "expected '[' after rs:",
+    ",": "expected ',' between r and s",
+    ";]": "expected ';' or ']'",
+}
 
 
 @dataclass(frozen=True)
@@ -78,26 +90,26 @@ class BosonWord:
         return "".join(CREATOR * r + ANNIHILATOR * s for r, s in self.runs)
 
 
+@dataclass(frozen=True)
 class NormalForm:
     """A finite integer combination of basis monomials (a†)^j a^l.
 
     ``terms`` maps exponent pairs ``(j, l)`` to nonzero integers.  Zero
-    coefficients are never stored.  Instances are value-like: treat them as
-    immutable after construction.
+    coefficients are never stored.
     """
 
-    __slots__ = ("terms",)
+    terms: dict[tuple[int, int], int]
 
-    def __init__(self, terms):
+    def __post_init__(self):
         cleaned: dict[tuple[int, int], int] = {}
-        for (j, l), c in dict(terms).items():
+        for (j, l), c in dict(self.terms).items():
             if j < 0 or l < 0:
                 raise ValidationError(f"negative exponent in term ({j}, {l})")
             if not isinstance(c, int):
                 raise ValidationError(f"coefficient {c!r} is not an exact integer")
             if c != 0:
                 cleaned[(int(j), int(l))] = c
-        self.terms = cleaned
+        object.__setattr__(self, "terms", cleaned)
 
     @classmethod
     def identity(cls) -> NormalForm:
@@ -114,15 +126,10 @@ class NormalForm:
 
     @classmethod
     def from_json_obj(cls, obj) -> NormalForm:
-        terms = {(int(t["j"]), int(t["l"])): int(t["coeff"]) for t in obj}
+        terms = {(json_int(t, "j"), json_int(t, "l")): int(t["coeff"]) for t in obj}
         if len(terms) != len(obj):
             raise ValidationError("duplicate (j, l) pair in serialized normal form")
         return cls(terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NormalForm):
-            return NotImplemented
-        return self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -138,9 +145,6 @@ class NormalForm:
                 parts.append(f"{c} (a†)^{j} a^{l}")
         return " + ".join(parts)
 
-    def __repr__(self) -> str:
-        return f"NormalForm({self.terms!r})"
-
 
 def parse_word(text: str) -> BosonWord:
     """Parse word text into a BosonWord.
@@ -153,82 +157,45 @@ def parse_word(text: str) -> BosonWord:
       ``(a†)^{r1} a^{s1} (a†)^{r2} a^{s2} ···``, stored as these runs
       without expanding them into letters.
 
-    Unknown tokens raise :class:`ParseError` carrying the character offset;
-    a negative exponent in the ``rs:`` form raises :class:`ValidationError`.
+    Whitespace is space, tab, CR and LF, and ``rs:`` exponents are decimal
+    integers.  Unknown tokens raise :class:`ParseError` carrying the
+    character offset; a negative exponent raises :class:`ValidationError`.
     """
-    stripped = text.lstrip(_WHITESPACE)
-    if stripped[:3].lower() == "rs:":
-        return _parse_rs(text, offset=len(text) - len(stripped) + 3)
-    letters: list[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in _WHITESPACE:
-            i += 1
-            continue
-        low = ch.lower()
-        if low == "a":
-            if i + 1 < n and text[i + 1] == "+":
-                letters.append(CREATOR)
-                i += 2
-            else:
-                letters.append(ANNIHILATOR)
-                i += 1
-        elif low == "d":
-            letters.append(CREATOR)
-            i += 1
-        else:
-            raise ParseError(f"unknown token {ch!r}", offset=i)
-    return BosonWord.from_letters(letters)
+    rs = _RS_PREFIX.match(text)
+    if rs:
+        return _parse_rs(text, rs.end())
+    valid = _LETTER_TEXT.match(text).end()
+    if valid < len(text):
+        raise ParseError(f"unknown token {text[valid]!r}", offset=valid)
+    return BosonWord.from_letters("".join(text.lower().replace("a+", CREATOR).split()))
 
 
 def _parse_rs(text: str, offset: int) -> BosonWord:
-    """Parse the ``rs:[r1,s1;...]`` vector syntax; `offset` points past ``rs:``."""
-    i, n = offset, len(text)
+    """Parse the ``rs:[r1,s1;...]`` vector syntax; `offset` points past ``rs:``.
 
-    def skip_ws(i):
-        while i < n and text[i] in _WHITESPACE:
-            i += 1
-        return i
-
-    def read_int(i):
-        i = skip_ws(i)
-        start = i
-        if i < n and text[i] == "-":
-            i += 1
-        while i < n and text[i].isdigit():
-            i += 1
-        if i == start or text[start:i] == "-":
-            raise ParseError("expected integer", offset=start)
-        value = int(text[start:i])
-        if value < 0:
-            raise ValidationError(f"negative exponent {value} in rs: form")
-        return value, i
-
-    i = skip_ws(i)
-    if i >= n or text[i] != "[":
-        raise ParseError("expected '[' after rs:", offset=i)
-    i += 1
-    pairs: list[tuple[int, int]] = []
-    while True:
-        r, i = read_int(i)
-        i = skip_ws(i)
-        if i >= n or text[i] != ",":
-            raise ParseError("expected ',' between r and s", offset=i)
-        s, i = read_int(i + 1)
-        pairs.append((r, s))
-        i = skip_ws(i)
-        if i < n and text[i] == ";":
-            i += 1
-            continue
-        if i < n and text[i] == "]":
-            i += 1
+    ``expect`` names the next token allowed: "[", "int", ",", ";]" or "end".
+    """
+    exponents: list[int] = []
+    expect = "["
+    for m in _RS_TOKEN.finditer(text, offset):
+        token, at = m["token"], m.start("token")
+        if expect == "end":
+            if token:
+                raise ParseError(f"trailing input {token[0]!r}", offset=at)
             break
-        raise ParseError("expected ';' or ']'", offset=i)
-    i = skip_ws(i)
-    if i != n:
-        raise ParseError(f"trailing input {text[i]!r}", offset=i)
-    return BosonWord(pairs)
+        if expect == "int":
+            if m["int"] is None:
+                raise ParseError("expected integer", offset=at)
+            value = int(token)
+            if value < 0:
+                raise ValidationError(f"negative exponent {value} in rs: form")
+            exponents.append(value)
+            expect = "," if len(exponents) % 2 else ";]"
+        elif not token or token not in expect:
+            raise ParseError(_RS_EXPECTED[expect], offset=at)
+        else:
+            expect = "end" if token == "]" else "int"
+    return BosonWord(tuple(zip(exponents[::2], exponents[1::2])))
 
 
 def excess(w: BosonWord) -> int:

@@ -146,7 +146,11 @@ def cmd_stirling(args) -> int:
                 print(f"substitution check skipped: {exc}", file=sys.stderr)
             else:
                 verdict = "PASS" if report.verdict else "FAIL"
-                print(f"substitution check (order {args.rows}): {verdict}")
+                # JSON and CSV stdout must stay parseable as data.
+                print(
+                    f"substitution check (order {args.rows}): {verdict}",
+                    file=sys.stdout if args.format == "table" else sys.stderr,
+                )
                 if not report.verdict:
                     code = EXIT_FALSE
     return code

@@ -1,4 +1,4 @@
-"""Exceptions shared across the package."""
+"""Exceptions shared across the package, and the checks of JSON scalar types."""
 
 
 class ParseError(ValueError):
@@ -18,3 +18,19 @@ class ValidationError(ValueError):
 
 class RangeError(IndexError):
     """Requested data lies outside what has been materialized or stored."""
+
+
+def json_int(obj, key: str) -> int:
+    """``obj[key]`` if it is a JSON integer (not a boolean), else ValidationError."""
+    value = obj[key]
+    if type(value) is not int:
+        raise ValidationError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def json_bool(obj, key: str) -> bool:
+    """``obj[key]`` if it is a JSON boolean, else ValidationError."""
+    value = obj[key]
+    if type(value) is not bool:
+        raise ValidationError(f"{key} must be a boolean, got {value!r}")
+    return value

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, json_int
 from .series import parse_rational
 from .substitution import (
     FiniteMatrix,
@@ -125,13 +125,13 @@ class ExperimentResult:
     def from_json_obj(cls, obj) -> ExperimentResult:
         """Read :meth:`to_json_obj` output; ValidationError if a derived value disagrees."""
         cfg = ExperimentConfig(
-            size=int(obj["size"]),
-            draws=int(obj["draws"]),
-            range_r=int(obj["range"]),
-            seed=int(obj["seed"]),
-            jobs=int(obj["jobs"]),
+            size=json_int(obj, "size"),
+            draws=json_int(obj, "draws"),
+            range_r=json_int(obj, "range"),
+            seed=json_int(obj, "seed"),
+            jobs=json_int(obj, "jobs"),
         )
-        result = cls(config=cfg, successes=int(obj["successes"]))
+        result = cls(config=cfg, successes=json_int(obj, "successes"))
         serialized = {
             "estimate": parse_rational(obj["estimate"]),
             "wilson_95": tuple(map(parse_rational, obj["wilson_95"])),
@@ -336,18 +336,3 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             successes = sum(f.result() for f in futures)
     return ExperimentResult(config=cfg, successes=successes)
 
-
-def range_sweep(
-    size: int, draws: int, ranges, seed: int, jobs: int = 1
-) -> list[ExperimentResult]:
-    """Run one experiment per range cardinality, reusing the seed.
-
-    Emits the estimate-versus-bound data used to probe how the choice of
-    range fades with growing size; no verdicts are attached.  Every
-    configuration is checked before the first experiment runs.
-    """
-    configs = [
-        ExperimentConfig(size=size, draws=draws, range_r=r, seed=seed, jobs=jobs)
-        for r in ranges
-    ]
-    return [run_experiment(cfg) for cfg in configs]

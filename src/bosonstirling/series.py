@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .errors import ValidationError
+from .errors import ValidationError, json_int
 
 
 def parse_rational(text: str | int) -> Fraction:
@@ -143,7 +143,7 @@ class TruncatedSeries:
     def from_json_obj(cls, obj) -> TruncatedSeries:
         """Read :meth:`to_json_obj` output; ValidationError if ``order`` disagrees."""
         s = cls(tuple(map(parse_rational, obj["coeffs"])))
-        if s.order != int(obj["order"]):
+        if s.order != json_int(obj, "order"):
             raise ValidationError(
                 f"serialized order {obj['order']!r} does not match "
                 f"{len(s.coeffs)} coefficients"

@@ -25,7 +25,7 @@ from math import comb
 from operator import add
 
 from .boson import BosonWord, excess, normal_order
-from .errors import RangeError, ValidationError
+from .errors import RangeError, ValidationError, json_bool, json_int
 from .series import TruncatedSeries
 
 NOT_SINGLE_ANNIHILATOR = "not-single-annihilator"
@@ -93,7 +93,7 @@ class GeneralizedStirlingMatrix:
         m = stirling_matrix(BosonWord.from_letters(obj["word"]), len(rows) - 1)
         if m.rows != rows:
             raise ValidationError(f"serialized rows are not the rows of {m.word.text!r}")
-        if m.s_tot != int(obj["s_tot"]) or m.d != int(obj["d"]):
+        if m.s_tot != json_int(obj, "s_tot") or m.d != json_int(obj, "d"):
             raise ValidationError("serialized s_tot/d do not match the word")
         return m
 
@@ -226,15 +226,15 @@ class WordClassification:
     def from_json_obj(cls, obj) -> WordClassification:
         """Read :meth:`to_json_obj` output; ValidationError if a derived value disagrees."""
         c = cls(
-            r=None if obj["r"] is None else int(obj["r"]),
-            p=None if obj["p"] is None else int(obj["p"]),
-            ends_with_a=bool(obj["ends_with_a"]),
+            r=None if obj["r"] is None else json_int(obj, "r"),
+            p=None if obj["p"] is None else json_int(obj, "p"),
+            ends_with_a=json_bool(obj, "ends_with_a"),
         )
         if c.kind != str(obj["kind"]):
             raise ValidationError(
                 f"serialized kind {obj['kind']!r} does not match r and p ({c.kind})"
             )
-        if c.ends_with_a != bool(obj["first_column_unit"]):
+        if c.ends_with_a != json_bool(obj, "first_column_unit"):
             raise ValidationError("serialized first_column_unit does not match ends_with_a")
         return c
 

@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, lcm
 
-from .errors import RangeError, ValidationError
+from .errors import RangeError, ValidationError, json_bool, json_int
 from .series import TruncatedSeries, parse_rational
 from .stirling import column_egf
 
@@ -311,7 +311,7 @@ class SubstitutionReport:
         """
         failing = tuple(
             ColumnMismatch(
-                k=int(f["k"]),
+                k=json_int(f, "k"),
                 expected=TruncatedSeries.from_json_obj(f["expected"]),
                 actual=TruncatedSeries.from_json_obj(f["actual"]),
             )
@@ -329,7 +329,7 @@ class SubstitutionReport:
                 raise ValidationError(f"failing column {f.k} equals its expectation")
             previous = f.k
         verdict = not failing
-        if verdict != bool(obj["verdict"]):
+        if verdict != json_bool(obj, "verdict"):
             raise ValidationError(
                 f"serialized verdict {obj['verdict']!r} does not match "
                 f"{len(failing)} failing columns"

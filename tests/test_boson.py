@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import math
+import pickle
 import random
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import given, settings
@@ -66,6 +67,32 @@ class TestParseWord:
             parse_word("rs:[1;2]")
         with pytest.raises(ParseError):
             parse_word("rs:[1,2")
+
+    @pytest.mark.parametrize(
+        "text,error,message,offset",
+        [
+            ("a a b", ParseError, "unknown token 'b'", 4),
+            ("d +", ParseError, "unknown token '+'", 2),
+            ("rs:", ParseError, "expected '[' after rs:", 3),
+            ("rs: x", ParseError, "expected '[' after rs:", 4),
+            ("rs:[,1]", ParseError, "expected integer", 4),
+            ("rs:[-,1]", ParseError, "expected integer", 4),
+            ("rs:[²,1]", ParseError, "expected integer", 4),
+            ("rs:[1 ;2]", ParseError, "expected ',' between r and s", 6),
+            ("rs:[1,2", ParseError, "expected ';' or ']'", 7),
+            ("rs:[1,2]-3", ParseError, "trailing input '-'", 8),
+            ("rs:[1,-2]", ValidationError, "negative exponent -2 in rs: form", None),
+        ],
+    )
+    def test_error_contract(self, text, error, message, offset):
+        with pytest.raises(error) as exc:
+            parse_word(text)
+        assert type(exc.value) is error
+        if offset is None:
+            assert str(exc.value) == message
+        else:
+            assert str(exc.value) == f"{message} (offset {offset})"
+            assert exc.value.offset == offset
 
     def test_text_round_trip(self):
         w = parse_word("rs:[2,1;0,3;1,0]")
@@ -292,6 +319,15 @@ class TestNormalFormValue:
         assert str(NormalForm.identity()) == "1"
         nf = normal_order(parse_word(EXAMPLE_WORD))
         assert str(nf) == "2 (a†)^0 a^2 + 4 (a†)^1 a^3 + 1 (a†)^2 a^4"
+
+    def test_frozen_value(self):
+        nf = normal_order(parse_word(EXAMPLE_WORD))
+        assert [f.name for f in fields(NormalForm)] == ["terms"]
+        with pytest.raises(FrozenInstanceError):
+            nf.terms = {(9, 9): 1}
+        copy = pickle.loads(pickle.dumps(nf))
+        assert copy == nf and hash(copy) == hash(nf)
+        assert hash(NormalForm({(1, 1): 2, (0, 0): 1})) == hash(NormalForm({(0, 0): 1, (1, 1): 2}))
 
     def test_json_round_trip(self):
         nf = normal_order(parse_word("a d a d"))

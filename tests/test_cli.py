@@ -264,6 +264,26 @@ class TestStirlingCommand:
         assert code == 0
         assert out.endswith("substitution check (order 5): PASS\n")
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("passing", [True, False], ids=["pass", "fail"])
+    def test_check_subst_verdict_on_stderr_for_data_formats(
+        self, capsys, monkeypatch, fmt, passing
+    ):
+        if not passing:
+            # No single-annihilator word fails, so the verdict is forced.
+            failing = is_approximate_substitution(FiniteMatrix.from_rows(COUNTEREXAMPLE_ROWS))
+            monkeypatch.setattr(cli, "is_approximate_substitution", lambda m: failing)
+        code, out, err = run_cli(
+            capsys, "stirling", "a+ a", "--rows", "3", "--format", fmt, "--check-subst"
+        )
+        verdict = "PASS" if passing else "FAIL"
+        assert (code, err) == (0 if passing else 1, f"substitution check (order 3): {verdict}\n")
+        m = stirling_matrix(parse_word("a+ a"), 3)
+        if fmt == "json":
+            assert GeneralizedStirlingMatrix.from_json_obj(json.loads(out)) == m
+        else:
+            assert out.splitlines() == [";".join(map(str, row)) for row in m.rows]
+
     def test_check_subst_skipped_for_wide_words(self, capsys):
         code, out, err = run_cli(
             capsys, "stirling", "a+ a a a+ a+", "--rows", "3", "--check-subst"
@@ -807,6 +827,15 @@ def _perturbed(value):
     return str(Fraction(value) + 1)
 
 
+def _mistyped(value):
+    """A JSON value of another type that the lenient int() or bool() reads as `value`."""
+    if isinstance(value, bool):
+        return "no" if value else 0
+    if value in (0, 1):
+        return bool(value)
+    return value + 0.5
+
+
 class TestJsonReaders:
     """Every reader round-trips the CLI's JSON and rejects a contradicted derived value."""
 
@@ -832,6 +861,32 @@ class TestJsonReaders:
             parent = parent[key]
         parent[path[-1]] = _perturbed(parent[path[-1]])
         with pytest.raises(ValidationError):
+            reader.from_json_obj(obj)
+
+    @pytest.mark.parametrize(
+        "case,path",
+        [
+            ("NormalForm", (0, "j")), ("NormalForm", (0, "l")),
+            ("GeneralizedStirlingMatrix", ("s_tot",)), ("GeneralizedStirlingMatrix", ("d",)),
+            ("WordClassification", ("r",)), ("WordClassification", ("p",)),
+            ("WordClassification", ("ends_with_a",)),
+            ("WordClassification", ("first_column_unit",)),
+            ("FiniteMatrix", ("size",)), ("TruncatedSeries", ("order",)),
+            ("SubstitutionReport", ("verdict",)),
+            ("SubstitutionReport", ("failing_columns", 0, "k")),
+            *[("ExperimentResult", (key,))
+              for key in ("size", "draws", "range", "seed", "jobs", "successes")],
+        ],
+        ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else v,
+    )
+    def test_mistyped_key_rejected(self, capsys, tmp_path, case, path):
+        reader = READER_CASES[case][0]
+        obj = _reader_input(capsys, tmp_path, case)
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = _mistyped(parent[path[-1]])
+        with pytest.raises(ValidationError, match=f"{path[-1]} must be an? (integer|boolean)"):
             reader.from_json_obj(obj)
 
     @pytest.mark.parametrize("key,text", [("estimate", "9/10"), ("bound", "5")])

@@ -22,7 +22,6 @@ from bosonstirling import (
     is_approximate_substitution,
     probability_bound,
     random_unipotent,
-    range_sweep,
     run_experiment,
     trial_stream,
     wilson_interval_95,
@@ -189,23 +188,6 @@ class TestRunExperiment:
         assert values[:5] == ["3", "20", "4", "9", "20"]
         assert values[5] == "1"
         assert len(values) == 9
-
-
-class TestRangeSweep:
-    def test_emits_data_per_range(self):
-        results = range_sweep(4, 50, [2, 3, 5, 10], seed=21)
-        assert [r.config.range_r for r in results] == [2, 3, 5, 10]
-        for r in results:
-            assert r.bound == probability_bound(4, r.config.range_r)
-            assert 0 <= r.ratio_to_bound  # data only, no verdicts
-
-    def test_every_config_checked_before_the_first_run(self, monkeypatch):
-        def refuse(cfg):
-            raise AssertionError("experiment ran before every range was checked")
-
-        monkeypatch.setattr(montecarlo, "run_experiment", refuse)
-        with pytest.raises(ValidationError, match="range must be at least 1"):
-            range_sweep(12, 200_000, [10, 0], seed=1)
 
 
 class TestSizeCap:
