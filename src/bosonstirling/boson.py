@@ -12,22 +12,25 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import groupby
 from math import comb, perm
+from types import MappingProxyType
 
-from .errors import ParseError, ValidationError, json_int
+from .errors import ParseError, ValidationError, json_int, json_list
+from .series import INTEGER_PATTERN, parse_integer
 
 ANNIHILATOR = "a"
 CREATOR = "d"
 
 # The word grammar.  Letter text is whitespace and the tokens a, a+ and d in
-# either case.  A token of the rs: form follows optional whitespace and is a
-# decimal integer, any other single character, or the end of the text.
+# either case.  A token of the rs: form follows optional whitespace and is an
+# INTEGER_PATTERN integer, any other single character, or the end of the text.
 _WS = r"[ \t\r\n]"
 _LETTER_TEXT = re.compile(rf"(?:{_WS}|[aA]\+?|[dD])*")
 _RS_PREFIX = re.compile(rf"{_WS}*[rR][sS]:")
-_RS_TOKEN = re.compile(rf"{_WS}*(?P<token>(?P<int>-?\d+)|.|\Z)", re.DOTALL)
+_RS_TOKEN = re.compile(rf"{_WS}*(?P<token>(?P<int>{INTEGER_PATTERN})|.|\Z)", re.DOTALL)
 _RS_EXPECTED = {
     "[": "expected '[' after rs:",
     ",": "expected ',' between r and s",
@@ -94,11 +97,11 @@ class BosonWord:
 class NormalForm:
     """A finite integer combination of basis monomials (a†)^j a^l.
 
-    ``terms`` maps exponent pairs ``(j, l)`` to nonzero integers.  Zero
-    coefficients are never stored.
+    ``terms`` is a read-only mapping from exponent pairs ``(j, l)`` to
+    nonzero integers.  Zero coefficients are never stored.
     """
 
-    terms: dict[tuple[int, int], int]
+    terms: Mapping[tuple[int, int], int]
 
     def __post_init__(self):
         cleaned: dict[tuple[int, int], int] = {}
@@ -109,7 +112,11 @@ class NormalForm:
                 raise ValidationError(f"coefficient {c!r} is not an exact integer")
             if c != 0:
                 cleaned[(int(j), int(l))] = c
-        object.__setattr__(self, "terms", cleaned)
+        object.__setattr__(self, "terms", MappingProxyType(cleaned))
+
+    def __reduce__(self):
+        # A mappingproxy does not pickle; the dict behind it does.
+        return NormalForm, (dict(self.terms),)
 
     @classmethod
     def identity(cls) -> NormalForm:
@@ -126,7 +133,8 @@ class NormalForm:
 
     @classmethod
     def from_json_obj(cls, obj) -> NormalForm:
-        terms = {(json_int(t, "j"), json_int(t, "l")): int(t["coeff"]) for t in obj}
+        terms = {(json_int(t, "j"), json_int(t, "l")): parse_integer(t["coeff"])
+                 for t in json_list(obj, "a normal form", of=dict)}
         if len(terms) != len(obj):
             raise ValidationError("duplicate (j, l) pair in serialized normal form")
         return cls(terms)
@@ -157,8 +165,8 @@ def parse_word(text: str) -> BosonWord:
       ``(a†)^{r1} a^{s1} (a†)^{r2} a^{s2} ···``, stored as these runs
       without expanding them into letters.
 
-    Whitespace is space, tab, CR and LF, and ``rs:`` exponents are decimal
-    integers.  Unknown tokens raise :class:`ParseError` carrying the
+    Whitespace is space, tab, CR and LF, and ``rs:`` exponents are integers
+    in ASCII digits.  Unknown tokens raise :class:`ParseError` carrying the
     character offset; a negative exponent raises :class:`ValidationError`.
     """
     rs = _RS_PREFIX.match(text)

@@ -30,7 +30,7 @@ from .montecarlo import (
     probability_bound,
     run_experiment,
 )
-from .series import TruncatedSeries, parse_rational
+from .series import TruncatedSeries, parse_integer, parse_rational
 from .stirling import (
     bell_numbers,
     bell_polynomial,
@@ -214,9 +214,7 @@ def cmd_check_subst(args) -> int:
 
 def _parse_series_arg(text: str, order: int) -> TruncatedSeries:
     coeffs = [parse_rational(part.strip()) for part in text.split(",")]
-    if len(coeffs) > order + 1:
-        coeffs = coeffs[: order + 1]
-    return TruncatedSeries.from_coeffs(coeffs, order)
+    return TruncatedSeries.from_coeffs(coeffs[: order + 1], order)
 
 
 def cmd_build_subst(args) -> int:
@@ -265,7 +263,7 @@ def _mc_table_row(result) -> list[str]:
 
 def _parse_sweep_range(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",")]
+        return [parse_integer(part.strip()) for part in text.split(",")]
     except ValueError:
         raise ValidationError(
             f"--sweep-range needs comma-separated integers, got {text!r}"

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError, json_int
+from .errors import ValidationError, json_int, json_list
 from .series import parse_rational
 from .substitution import (
     FiniteMatrix,
@@ -132,9 +132,10 @@ class ExperimentResult:
             jobs=json_int(obj, "jobs"),
         )
         result = cls(config=cfg, successes=json_int(obj, "successes"))
+        wilson = json_list(obj["wilson_95"], "wilson_95", length=2)
         serialized = {
             "estimate": parse_rational(obj["estimate"]),
-            "wilson_95": tuple(map(parse_rational, obj["wilson_95"])),
+            "wilson_95": tuple(map(parse_rational, wilson)),
             "bound": parse_rational(obj["bound"]),
         }
         for key, value in serialized.items():

@@ -11,38 +11,56 @@ exponential generating function of the entries i!·c_i, a matrix column in
 the substitution condition.  :meth:`TruncatedSeries.from_egf_entries` and
 :meth:`TruncatedSeries.egf_entries` convert between the two.
 
-:func:`parse_rational` is the one reader of rationals from outside text
-(matrix files, command-line values and the JSON readers).
+Every number the package reads from outside text (matrix files,
+command-line values, the JSON readers and the exponents in word text)
+follows one grammar, declared here; :func:`parse_integer` and
+:func:`parse_rational` are its two readers.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .errors import ValidationError, json_int
+from .errors import ValidationError, json_int, json_list
 
 
-def parse_rational(text: str | int) -> Fraction:
-    """Read an exact rational (an integer, ``p/q`` or a decimal) from outside text.
+# The number grammar, in ASCII digits only.  An integer is INTEGER_PATTERN; a
+# rational is an integer, p/q with q > 0, or a decimal with digits on at least
+# one side of the point.  No '+', whitespace, '_' or exponent: a few bytes of
+# "1e999999999" would make Fraction build the power of ten for minutes.
+INTEGER_PATTERN = "-?[0-9]+"
+_FRACTION_OR_DECIMAL = re.compile(rf"({INTEGER_PATTERN})/([0-9]+)|-?(?:[0-9]+\.[0-9]*|\.[0-9]+)")
 
-    Exponent notation is rejected: ``Fraction("1e999999999")`` builds the
-    power of ten digit by digit, in time superlinear in the exponent, so a
-    few bytes of input could stall the program.  An ``int``, as a JSON
-    reader returns it, is taken as it is; any other type is rejected, and so
-    is a zero denominator.
+
+def parse_integer(value: str | int) -> int:
+    """Read an integer of the grammar or an ``int``; anything else raises ValidationError."""
+    if type(value) is int or type(value) is str and re.fullmatch(INTEGER_PATTERN, value):
+        return int(value)
+    raise ValidationError(f"expected an integer in ASCII digits, got {value!r}")
+
+
+def parse_rational(value: str | int) -> int | Fraction:
+    """Read a rational of the grammar or an ``int``, as ``int`` when integral, else ``Fraction``.
+
+    Anything else, a boolean or a float included, raises ValidationError.
     """
-    if type(text) is int:
-        return Fraction(text)
-    if type(text) is not str:
-        raise ValidationError(f"expected a rational as a string, got {text!r}")
-    if "e" in text or "E" in text:
-        raise ValidationError(f"exponent notation is not accepted: {text!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValidationError(f"zero denominator in {text!r}") from None
+    if type(value) is str:
+        # The common matrix entry, tested faster than by INTEGER_PATTERN.
+        digits = value[1:] if value[:1] == "-" else value
+        if digits.isdigit() and digits.isascii():
+            return int(value)
+        m = _FRACTION_OR_DECIMAL.fullmatch(value)
+        if m and m[2] and not int(m[2]):
+            raise ValidationError(f"zero denominator in {value!r}")
+        if m:
+            q = Fraction(int(m[1]), int(m[2])) if m[2] else Fraction(value)
+            return q.numerator if q.denominator == 1 else q
+    elif type(value) is int:
+        return value
+    raise ValidationError(f"not a rational (integer, p/q or decimal; no exponent): {value!r}")
 
 
 @dataclass(frozen=True)
@@ -142,7 +160,7 @@ class TruncatedSeries:
     @classmethod
     def from_json_obj(cls, obj) -> TruncatedSeries:
         """Read :meth:`to_json_obj` output; ValidationError if ``order`` disagrees."""
-        s = cls(tuple(map(parse_rational, obj["coeffs"])))
+        s = cls(tuple(map(parse_rational, json_list(obj["coeffs"], "coeffs"))))
         if s.order != json_int(obj, "order"):
             raise ValidationError(
                 f"serialized order {obj['order']!r} does not match "

@@ -25,8 +25,8 @@ from math import comb
 from operator import add
 
 from .boson import BosonWord, excess, normal_order
-from .errors import RangeError, ValidationError, json_bool, json_int
-from .series import TruncatedSeries
+from .errors import RangeError, ValidationError, json_bool, json_int, json_list
+from .series import TruncatedSeries, parse_integer
 
 NOT_SINGLE_ANNIHILATOR = "not-single-annihilator"
 PURE_SUBSTITUTION = "pure-substitution"
@@ -89,7 +89,8 @@ class GeneralizedStirlingMatrix:
         The rows follow from the word and the row count, so they are
         recomputed and compared, as ``s_tot`` and ``d`` are.
         """
-        rows = tuple(tuple(int(v) for v in row) for row in obj["rows"])
+        rows = tuple(tuple(map(parse_integer, row))
+                     for row in json_list(obj["rows"], "rows", of=list))
         m = stirling_matrix(BosonWord.from_letters(obj["word"]), len(rows) - 1)
         if m.rows != rows:
             raise ValidationError(f"serialized rows are not the rows of {m.word.text!r}")

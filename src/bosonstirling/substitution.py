@@ -38,13 +38,12 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, lcm
 
-from .errors import RangeError, ValidationError, json_bool, json_int
+from .errors import RangeError, ValidationError, json_bool, json_int, json_list
 from .series import TruncatedSeries, parse_rational
 from .stirling import column_egf
 
 
 _INT = frozenset((int,))
-_JSON_ENTRY = frozenset((int, str))
 
 
 def _all_int(row) -> bool:
@@ -52,21 +51,12 @@ def _all_int(row) -> bool:
 
 
 def _exact(v) -> int | Fraction:
-    """`v` as an exact number: ``int`` when integral, else ``Fraction``.
-
-    A string of ASCII digits with an optional leading ``-``, the common
-    matrix-file entry, is read by ``int`` directly; it gives the value, and
-    past the digit limit the error, that :func:`parse_rational` would.
-    """
+    """`v` as stored, ``int`` when integral, else ``Fraction``; text is read by parse_rational."""
     if type(v) is int:
         return v
     if type(v) is str:
-        digits = v[1:] if v[:1] == "-" else v
-        if digits.isdigit() and digits.isascii():
-            return int(v)
-        q = parse_rational(v)
-    else:
-        q = Fraction(v)
+        return parse_rational(v)
+    q = v if type(v) is Fraction else Fraction(v)
     return q.numerator if q.denominator == 1 else q
 
 
@@ -128,23 +118,6 @@ class FiniteMatrix:
             row[i] == 1 for i, row in enumerate(self.entries)
         )
 
-    def __matmul__(self, other: FiniteMatrix) -> FiniteMatrix:
-        if not isinstance(other, FiniteMatrix):
-            return NotImplemented
-        if self.size != other.size:
-            raise ValidationError(
-                f"size mismatch in product: {self.size} vs {other.size}"
-            )
-        n = self.size
-        rows = [
-            [
-                sum(self.entries[i][j] * other.entries[j][k] for j in range(n))
-                for k in range(n)
-            ]
-            for i in range(n)
-        ]
-        return FiniteMatrix.from_rows(rows)
-
     def to_json_obj(self) -> dict:
         return {
             "size": self.size,
@@ -155,29 +128,18 @@ class FiniteMatrix:
     def from_json_obj(cls, obj) -> FiniteMatrix:
         """Read ``{"size": int, "entries": [[int or "p/q" string, ...], ...]}``.
 
-        Anything else, a JSON float or boolean entry included, raises
-        ValidationError.
+        Every entry is read by :func:`parse_rational`, so anything else, a
+        JSON float or boolean entry included, raises ValidationError.
         """
         if not isinstance(obj, dict):
             raise ValidationError("a matrix must be a JSON object")
         size, entries = obj.get("size"), obj.get("entries")
         if type(size) is not int:
             raise ValidationError(f"size must be an integer, got {size!r}")
-        if not isinstance(entries, list) or not all(
-            isinstance(row, list) for row in entries
-        ):
-            raise ValidationError("entries must be a list of lists")
-        for row in entries:
-            if not _JSON_ENTRY.issuperset(map(type, row)):
-                bad = next(v for v in row if type(v) not in _JSON_ENTRY)
-                raise ValidationError(
-                    f"entry {bad!r} is neither an integer nor a string"
-                )
-        m = cls.from_rows(entries)
+        rows = json_list(entries, "entries", of=list)
+        m = cls.from_rows([list(map(parse_rational, row)) for row in rows])
         if m.size != size:
-            raise ValidationError(
-                f"declared size {size} does not match {m.size} rows"
-            )
+            raise ValidationError(f"declared size {size} does not match {m.size} rows")
         return m
 
 
@@ -315,7 +277,7 @@ class SubstitutionReport:
                 expected=TruncatedSeries.from_json_obj(f["expected"]),
                 actual=TruncatedSeries.from_json_obj(f["actual"]),
             )
-            for f in obj["failing_columns"]
+            for f in json_list(obj["failing_columns"], "failing_columns", of=dict)
         )
         g = TruncatedSeries.from_json_obj(obj["g"])
         phi = TruncatedSeries.from_json_obj(obj["phi"])

@@ -16,6 +16,8 @@ from collections import defaultdict
 from fractions import Fraction
 from math import factorial
 
+from bosonstirling import FiniteMatrix
+
 
 def rewrite_normal_order(letters: tuple[str, ...]) -> dict[tuple[int, int], int]:
     """Exhaustive single-swap rewriting of a word into its normal form.
@@ -90,6 +92,17 @@ def stirling_rows_by_action(letters: tuple[str, ...], n_max: int) -> list[list[i
 def all_words(length: int):
     """Every letter tuple of exactly the given length."""
     return itertools.product("ad", repeat=length)
+
+
+def matrix_product(a: FiniteMatrix, b: FiniteMatrix) -> FiniteMatrix:
+    """The product of two square matrices of one size, by row-times-column sums."""
+    n = a.size
+    return FiniteMatrix(
+        [
+            [sum(a.entries[i][j] * b.entries[j][k] for j in range(n)) for k in range(n)]
+            for i in range(n)
+        ]
+    )
 
 
 def geometric_inverse_coeffs(c: int, order: int) -> list:

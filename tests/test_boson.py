@@ -94,6 +94,11 @@ class TestParseWord:
             assert str(exc.value) == f"{message} (offset {offset})"
             assert exc.value.offset == offset
 
+    @pytest.mark.parametrize("text", ["rs:[٣,1]", "rs:[1,１]", "rs:[+1,1]"])
+    def test_rs_exponents_are_ascii_integers(self, text):
+        with pytest.raises(ParseError, match="expected integer"):
+            parse_word(text)
+
     def test_text_round_trip(self):
         w = parse_word("rs:[2,1;0,3;1,0]")
         assert parse_word(w.text) == w
@@ -328,6 +333,15 @@ class TestNormalFormValue:
         copy = pickle.loads(pickle.dumps(nf))
         assert copy == nf and hash(copy) == hash(nf)
         assert hash(NormalForm({(1, 1): 2, (0, 0): 1})) == hash(NormalForm({(0, 0): 1, (1, 1): 2}))
+
+    def test_terms_are_read_only(self):
+        nf = normal_order(parse_word(EXAMPLE_WORD))
+        before = hash(nf)
+        with pytest.raises(TypeError):
+            nf.terms[(9, 9)] = 1
+        with pytest.raises(TypeError):
+            del nf.terms[(0, 2)]
+        assert (9, 9) not in nf.terms and hash(nf) == before
 
     def test_json_round_trip(self):
         nf = normal_order(parse_word("a d a d"))

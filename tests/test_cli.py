@@ -581,6 +581,26 @@ class TestMonteCarloCommand:
         assert (code, out) == (2, "")
         assert err == f"error: --sweep-range needs comma-separated integers, got {ranges!r}\n"
 
+    @pytest.mark.parametrize("ranges", ["2,٣", "2,+3", "2,3_0"])
+    def test_sweep_range_reads_ascii_integers(self, capsys, ranges):
+        code, out, err = run_cli(
+            capsys, "montecarlo", "--size", "3", "--draws", "5", "--range", "2",
+            "--seed", "1", "--sweep-range", ranges, "--format", "json",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --sweep-range needs comma-separated integers, got {ranges!r}\n"
+
+    def test_sweep_range_parts_may_have_spaces(self, capsys):
+        spaced = run_cli(
+            capsys, "montecarlo", "--size", "3", "--draws", "5", "--range", "2",
+            "--seed", "1", "--sweep-range", "2, 3", "--format", "csv",
+        )
+        plain = run_cli(
+            capsys, "montecarlo", "--size", "3", "--draws", "5", "--range", "2",
+            "--seed", "1", "--sweep-range", "2,3", "--format", "csv",
+        )
+        assert spaced == plain and spaced[0] == 0
+
 
 class TestBoundCommand:
     def test_golden(self, capsys):
@@ -951,6 +971,49 @@ class TestJsonReaders:
         column["expected"] = column["actual"]
         with pytest.raises(ValidationError, match="equals its expectation"):
             SubstitutionReport.from_json_obj(obj)
+
+    @pytest.mark.parametrize(
+        "reader,obj",
+        [
+            (NormalForm, [{"j": 0, "l": 0, "coeff": 2.9}]),
+            (NormalForm, [{"j": 0, "l": 0, "coeff": True}]),
+            (NormalForm, [{"j": 0, "l": 0, "coeff": "+1"}]),
+            (GeneralizedStirlingMatrix,
+             {"word": "da", "s_tot": 1, "d": 0, "rows": [[1.7], [0.2, 1.9]]}),
+            (GeneralizedStirlingMatrix,
+             {"word": "da", "s_tot": 1, "d": 0, "rows": [[True], ["0", "1"]]}),
+        ],
+        ids=["coeff-float", "coeff-true", "coeff-plus", "rows-floats", "rows-true"],
+    )
+    def test_integer_text_rejected_unless_in_grammar(self, reader, obj):
+        with pytest.raises(ValidationError, match="expected an integer"):
+            reader.from_json_obj(obj)
+
+    @pytest.mark.parametrize(
+        "reader,obj,message",
+        [
+            (TruncatedSeries, {"order": 1, "coeffs": "12"}, "coeffs must be an array"),
+            (GeneralizedStirlingMatrix, {"word": "da", "s_tot": 1, "d": 0, "rows": ["1", "01"]},
+             "every item of rows must be an array"),
+            (GeneralizedStirlingMatrix, {"word": "da", "s_tot": 1, "d": 0, "rows": "1"},
+             "rows must be an array"),
+            (SubstitutionReport,
+             {**is_approximate_substitution(FiniteMatrix.identity(3)).to_json_obj(),
+              "failing_columns": ""},
+             "failing_columns must be an array"),
+            (ExperimentResult,
+             {**ExperimentResult(ExperimentConfig(size=4, draws=10, range_r=10, seed=1),
+                                 successes=2).to_json_obj(), "wilson_95": ["0", "1", "1"]},
+             "wilson_95 must be an array of 2 items"),
+            (NormalForm, {"j": 1}, "a normal form must be an array"),
+            (NormalForm, [["j", 1]], "every item of a normal form must be an object"),
+        ],
+        ids=["coeffs", "rows-of-strings", "rows", "failing_columns", "wilson_95",
+             "normal-form", "normal-form-term"],
+    )
+    def test_non_array_rejected(self, reader, obj, message):
+        with pytest.raises(ValidationError, match=message):
+            reader.from_json_obj(obj)
 
 
 # JSON values a matrix file may hold: well-formed entries, malformed strings,
