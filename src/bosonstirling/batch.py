@@ -203,11 +203,10 @@ def batch_verdicts(size: int, values: np.ndarray) -> np.ndarray:
 def trials_per_block(size: int) -> int:
     """Trials one block takes, so that its arrays stay below the element budget.
 
-    A trial needs its draws rounded up to whole Philox blocks, its size²
-    matrix entries and the terms of step k = 1.  The later steps only see
-    the few trials that pass that one.
+    A trial holds size² matrix entries.  Its 32-bit draws, rounded up to
+    whole Philox blocks, number 8·⌈size(size−1)/16⌉, which is at most size²
+    for size ≥ 3 and 8 at size 2; the terms of its step k = 1 number
+    n(n−1)−2 < size² with n = size−1.  The later steps only see the few
+    trials that pass that one.
     """
-    count = size * (size - 1) // 2
-    stages = _verdict_plan(size)[1]
-    first_stage = len(stages[0].coef) if stages else 0
-    return max(1, _BLOCK_ELEMENTS // max(8 * -(-count // 8), size * size, first_stage))
+    return _BLOCK_ELEMENTS // max(8, size * size)

@@ -18,7 +18,7 @@ from itertools import groupby
 from math import comb, perm
 from types import MappingProxyType
 
-from .errors import ParseError, ValidationError, json_int, json_list
+from .errors import ParseError, ValidationError, json_list, json_value
 from .series import INTEGER_PATTERN, parse_integer
 
 ANNIHILATOR = "a"
@@ -133,8 +133,11 @@ class NormalForm:
 
     @classmethod
     def from_json_obj(cls, obj) -> NormalForm:
-        terms = {(json_int(t, "j"), json_int(t, "l")): parse_integer(t["coeff"])
-                 for t in json_list(obj, "a normal form", of=dict)}
+        terms = {
+            (json_value(t, "j", int), json_value(t, "l", int)):
+                parse_integer(json_value(t, "coeff"))
+            for t in json_list(obj, "a normal form", of=dict)
+        }
         if len(terms) != len(obj):
             raise ValidationError("duplicate (j, l) pair in serialized normal form")
         return cls(terms)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import cache
 from itertools import zip_longest
 
@@ -73,13 +72,6 @@ def format_columns(rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-def _approx(value: Fraction) -> str:
-    try:
-        return format(float(value), ".6g")
-    except OverflowError:
-        return str(value)
-
-
 def _emit(args, text: str) -> None:
     out_path = getattr(args, "out", None)
     if out_path:
@@ -126,34 +118,30 @@ def cmd_stirling(args) -> int:
         ]
         text = format_columns(padded)
     _emit(args, text)
-    code = EXIT_OK
-    if args.check_subst:
-        if m.s_tot != 1:
-            print(
-                f"substitution check skipped: word has {m.s_tot} annihilators, "
-                "need exactly 1 for a unitriangular matrix",
-                file=sys.stderr,
-            )
-        elif args.rows < 1:
-            print(
-                "substitution check skipped: need at least rows 0..1",
-                file=sys.stderr,
-            )
+    if not args.check_subst:
+        return EXIT_OK
+    if m.s_tot != 1:
+        reason = (
+            f"word has {m.s_tot} annihilators, "
+            "need exactly 1 for a unitriangular matrix"
+        )
+    elif args.rows < 1:
+        reason = "need at least rows 0..1"
+    else:
+        try:
+            report = is_approximate_substitution(truncate_rn(m, args.rows))
+        except ValidationError as exc:
+            reason = str(exc)
         else:
-            try:
-                report = is_approximate_substitution(truncate_rn(m, args.rows))
-            except ValidationError as exc:
-                print(f"substitution check skipped: {exc}", file=sys.stderr)
-            else:
-                verdict = "PASS" if report.verdict else "FAIL"
-                # JSON and CSV stdout must stay parseable as data.
-                print(
-                    f"substitution check (order {args.rows}): {verdict}",
-                    file=sys.stdout if args.format == "table" else sys.stderr,
-                )
-                if not report.verdict:
-                    code = EXIT_FALSE
-    return code
+            verdict = "PASS" if report.verdict else "FAIL"
+            # JSON and CSV stdout must stay parseable as data.
+            print(
+                f"substitution check (order {args.rows}): {verdict}",
+                file=sys.stdout if args.format == "table" else sys.stderr,
+            )
+            return EXIT_OK if report.verdict else EXIT_FALSE
+    print(f"substitution check skipped: {reason}", file=sys.stderr)
+    return EXIT_OK
 
 
 def cmd_bell(args) -> int:
@@ -257,7 +245,7 @@ def _mc_table_row(result) -> list[str]:
     """The CSV values, with the estimate and Wilson interval as decimals."""
     fields = _mc_fields(result)
     cells = list(map(str, fields))
-    cells[5:8] = map(_approx, fields[5:8])
+    cells[5:8] = (format(float(v), ".6g") for v in fields[5:8])
     return cells
 
 
@@ -274,26 +262,28 @@ def _require_printable_bound(size: int, range_r: int) -> None:
     """ValidationError, before any work, if the bound 1/r^e is too long to print.
 
     Python refuses to convert an integer of more than
-    ``sys.get_int_max_str_digits()`` digits to text (0: no limit), so r^e
-    cannot be printed exactly when r^e ≥ 10^limit.  With b the bit length
-    of r, 2^(b−1) ≤ r < 2^b, and 3.3 < log₂10 < 10/3: so r^e prints when
-    10·b·e ≤ 33·limit and does not when 3·(b−1)·e ≥ 10·limit.  Only in the
-    narrow band between, where r^e has fewer than 7·limit bits, is it
-    computed and compared.  A range below 2 is left to the usual checks.
+    ``sys.get_int_max_str_digits()`` digits to text (0: no limit).  With b
+    the bit length of r, r^e ≥ 2^((b−1)·e), so (b−1)·e ≥ 4·limit gives
+    r^e ≥ 16^limit > 10^limit and rejects without computing r^e.  Otherwise
+    r^e < 2^(b·e) ≤ 2^(2(b−1)·e) < 2^(8·limit) is computed once and
+    ``str()`` itself decides.  A range below 2 is left to the usual checks.
     """
     limit = sys.get_int_max_str_digits()
     if not limit or range_r < 2:
         return
     determined, total = count_free_parameters(size)
     exponent = total - determined
-    bits = range_r.bit_length()
-    if 10 * bits * exponent <= 33 * limit:
-        return
-    if 3 * (bits - 1) * exponent >= 10 * limit or range_r**exponent >= 10**limit:
-        raise ValidationError(
-            f"the bound's denominator {range_r}^{exponent} has more than "
-            f"{limit} digits, too many to print"
-        )
+    if (range_r.bit_length() - 1) * exponent < 4 * limit:
+        try:
+            str(range_r**exponent)
+        except ValueError:
+            pass
+        else:
+            return
+    raise ValidationError(
+        f"the bound's denominator {range_r}^{exponent} has more than "
+        f"{limit} digits, too many to print"
+    )
 
 
 def cmd_montecarlo(args) -> int:

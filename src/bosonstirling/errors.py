@@ -20,19 +20,23 @@ class RangeError(IndexError):
     """Requested data lies outside what has been materialized or stored."""
 
 
-def json_int(obj, key: str) -> int:
-    """``obj[key]`` if it is a JSON integer (not a boolean), else ValidationError."""
-    value = obj[key]
-    if type(value) is not int:
-        raise ValidationError(f"{key} must be an integer, got {value!r}")
-    return value
+#: How a message names each type that :func:`json_value` checks.
+_KIND_NAMES = {int: "an integer", bool: "a boolean", str: "a string"}
 
 
-def json_bool(obj, key: str) -> bool:
-    """``obj[key]`` if it is a JSON boolean, else ValidationError."""
+def json_value(obj, key: str, kind: type | None = None):
+    """``obj[key]``, of exactly type `kind` if given: a boolean is not an ``int``.
+
+    ValidationError, naming `key`, if `obj` is not a JSON object, lacks
+    `key` or holds a value of another type there.
+    """
+    if type(obj) is not dict:
+        raise ValidationError(f"expected a JSON object with key {key!r}")
+    if key not in obj:
+        raise ValidationError(f"missing key {key!r}")
     value = obj[key]
-    if type(value) is not bool:
-        raise ValidationError(f"{key} must be a boolean, got {value!r}")
+    if kind is not None and type(value) is not kind:
+        raise ValidationError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
     return value
 
 

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError, json_int, json_list
+from .errors import ValidationError, json_list, json_value
 from .series import parse_rational
 from .substitution import (
     FiniteMatrix,
@@ -125,23 +125,24 @@ class ExperimentResult:
     def from_json_obj(cls, obj) -> ExperimentResult:
         """Read :meth:`to_json_obj` output; ValidationError if a derived value disagrees."""
         cfg = ExperimentConfig(
-            size=json_int(obj, "size"),
-            draws=json_int(obj, "draws"),
-            range_r=json_int(obj, "range"),
-            seed=json_int(obj, "seed"),
-            jobs=json_int(obj, "jobs"),
+            size=json_value(obj, "size", int),
+            draws=json_value(obj, "draws", int),
+            range_r=json_value(obj, "range", int),
+            seed=json_value(obj, "seed", int),
+            jobs=json_value(obj, "jobs", int),
         )
-        result = cls(config=cfg, successes=json_int(obj, "successes"))
-        wilson = json_list(obj["wilson_95"], "wilson_95", length=2)
+        result = cls(config=cfg, successes=json_value(obj, "successes", int))
+        texts = {key: json_value(obj, key) for key in ("estimate", "wilson_95", "bound")}
+        wilson = json_list(texts["wilson_95"], "wilson_95", length=2)
         serialized = {
-            "estimate": parse_rational(obj["estimate"]),
+            "estimate": parse_rational(texts["estimate"]),
             "wilson_95": tuple(map(parse_rational, wilson)),
-            "bound": parse_rational(obj["bound"]),
+            "bound": parse_rational(texts["bound"]),
         }
         for key, value in serialized.items():
             if value != getattr(result, key):
                 raise ValidationError(
-                    f"serialized {key} {obj[key]!r} does not match the derived "
+                    f"serialized {key} {texts[key]!r} does not match the derived "
                     f"{result.to_json_obj()[key]!r}"
                 )
         return result
@@ -192,7 +193,7 @@ def random_unipotent(
         raise ValidationError(f"range must be at least 1, got {range_r}")
     count = size * (size - 1) // 2
     values = rng.integers(1, range_r, size=count, endpoint=True).tolist()
-    return FiniteMatrix.from_rows(_unipotent_rows(values, size))
+    return FiniteMatrix(_unipotent_rows(values, size))
 
 
 def _unipotent_rows(values: list[int], size: int) -> list[list[int]]:
@@ -270,20 +271,15 @@ def _count_successes(seed: int, size: int, range_r: int, start: int, stop: int) 
     return successes
 
 
-#: Decimal digits to which :func:`_sqrt_bounds` encloses a square root.
+#: Decimal digits to which :func:`_sqrt_above` bounds a square root.
 _SQRT_DIGITS = 30
 
 
-def _sqrt_bounds(value: Fraction) -> tuple[Fraction, Fraction]:
-    """Rational enclosure of √value, tight to 10^-_SQRT_DIGITS."""
-    if value < 0:
-        raise ValidationError("square root of a negative value")
-    if value == 0:
-        return Fraction(0), Fraction(0)
+def _sqrt_above(value: Fraction) -> Fraction:
+    """A rational above √value by at most 10^-_SQRT_DIGITS, for value > 0."""
     a, b = value.numerator, value.denominator
     scale = 10**_SQRT_DIGITS
-    root = isqrt(a * b * scale * scale)
-    return Fraction(root, b * scale), Fraction(root + 1, b * scale)
+    return Fraction(isqrt(a * b * scale * scale) + 1, b * scale)
 
 
 def wilson_interval_95(successes: int, draws: int) -> tuple[Fraction, Fraction]:
@@ -291,8 +287,11 @@ def wilson_interval_95(successes: int, draws: int) -> tuple[Fraction, Fraction]:
 
     The exact endpoints are irrational (they contain a square root); this
     returns a rational outer enclosure, widened by less than 10^-30 on each
-    side, and clipped to [0, 1].
+    side, and clipped to [0, 1].  With draws ≥ 1 the square root's argument
+    is at least z²/(4·draws²) > 0.
     """
+    if draws < 1:
+        raise ValidationError(f"draws must be at least 1, got {draws}")
     if not 0 <= successes <= draws:
         raise ValidationError(f"successes {successes} outside 0..{draws}")
     n = draws
@@ -301,9 +300,9 @@ def wilson_interval_95(successes: int, draws: int) -> tuple[Fraction, Fraction]:
     denom = 1 + z2 / n
     center = phat + z2 / (2 * n)
     disc = phat * (1 - phat) / n + z2 / (4 * n * n)
-    _, sqrt_hi = _sqrt_bounds(disc)
-    lo = (center - _Z95 * sqrt_hi) / denom
-    hi = (center + _Z95 * sqrt_hi) / denom
+    margin = _Z95 * _sqrt_above(disc)
+    lo = (center - margin) / denom
+    hi = (center + margin) / denom
     return max(Fraction(0), lo), min(Fraction(1), hi)
 
 

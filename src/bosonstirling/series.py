@@ -14,7 +14,9 @@ the substitution condition.  :meth:`TruncatedSeries.from_egf_entries` and
 Every number the package reads from outside text (matrix files,
 command-line values, the JSON readers and the exponents in word text)
 follows one grammar, declared here; :func:`parse_integer` and
-:func:`parse_rational` are its two readers.
+:func:`parse_rational` are its two readers.  The library constructors read
+text through the same grammar: a ``str`` series coefficient, matrix entry or
+Bell polynomial point goes through :func:`parse_rational`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .errors import ValidationError, json_int, json_list
+from .errors import ValidationError, json_list, json_value
 
 
 # The number grammar, in ASCII digits only.  An integer is INTEGER_PATTERN; a
@@ -73,7 +75,9 @@ class TruncatedSeries:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        coeffs = tuple(map(Fraction, self.coeffs))
+        coeffs = tuple(
+            Fraction(parse_rational(c) if type(c) is str else c) for c in self.coeffs
+        )
         if not coeffs:
             raise ValidationError("a series needs at least one coefficient")
         object.__setattr__(self, "coeffs", coeffs)
@@ -160,10 +164,11 @@ class TruncatedSeries:
     @classmethod
     def from_json_obj(cls, obj) -> TruncatedSeries:
         """Read :meth:`to_json_obj` output; ValidationError if ``order`` disagrees."""
-        s = cls(tuple(map(parse_rational, json_list(obj["coeffs"], "coeffs"))))
-        if s.order != json_int(obj, "order"):
+        coeffs = json_list(json_value(obj, "coeffs"), "coeffs")
+        s = cls(tuple(map(parse_rational, coeffs)))
+        order = json_value(obj, "order", int)
+        if s.order != order:
             raise ValidationError(
-                f"serialized order {obj['order']!r} does not match "
-                f"{len(s.coeffs)} coefficients"
+                f"serialized order {order!r} does not match {len(s.coeffs)} coefficients"
             )
         return s

@@ -25,8 +25,8 @@ from math import comb
 from operator import add
 
 from .boson import BosonWord, excess, normal_order
-from .errors import RangeError, ValidationError, json_bool, json_int, json_list
-from .series import TruncatedSeries, parse_integer
+from .errors import RangeError, ValidationError, json_list, json_value
+from .series import TruncatedSeries, parse_integer, parse_rational
 
 NOT_SINGLE_ANNIHILATOR = "not-single-annihilator"
 PURE_SUBSTITUTION = "pure-substitution"
@@ -90,11 +90,12 @@ class GeneralizedStirlingMatrix:
         recomputed and compared, as ``s_tot`` and ``d`` are.
         """
         rows = tuple(tuple(map(parse_integer, row))
-                     for row in json_list(obj["rows"], "rows", of=list))
-        m = stirling_matrix(BosonWord.from_letters(obj["word"]), len(rows) - 1)
+                     for row in json_list(json_value(obj, "rows"), "rows", of=list))
+        word = BosonWord.from_letters(json_value(obj, "word", str))
+        m = stirling_matrix(word, len(rows) - 1)
         if m.rows != rows:
             raise ValidationError(f"serialized rows are not the rows of {m.word.text!r}")
-        if m.s_tot != json_int(obj, "s_tot") or m.d != json_int(obj, "d"):
+        if m.s_tot != json_value(obj, "s_tot", int) or m.d != json_value(obj, "d", int):
             raise ValidationError("serialized s_tot/d do not match the word")
         return m
 
@@ -166,7 +167,7 @@ def bell_polynomial(m: GeneralizedStirlingMatrix, n: int, x) -> Fraction:
     """
     if not 0 <= n <= m.n_max:
         raise RangeError(f"row {n} not materialized (have 0..{m.n_max})")
-    x = Fraction(x)
+    x = Fraction(parse_rational(x) if type(x) is str else x)
     p, q = x.numerator, x.denominator
     row = m.rows[n]
     value, q_power = row[-1], 1
@@ -227,15 +228,16 @@ class WordClassification:
     def from_json_obj(cls, obj) -> WordClassification:
         """Read :meth:`to_json_obj` output; ValidationError if a derived value disagrees."""
         c = cls(
-            r=None if obj["r"] is None else json_int(obj, "r"),
-            p=None if obj["p"] is None else json_int(obj, "p"),
-            ends_with_a=json_bool(obj, "ends_with_a"),
+            r=None if json_value(obj, "r") is None else json_value(obj, "r", int),
+            p=None if json_value(obj, "p") is None else json_value(obj, "p", int),
+            ends_with_a=json_value(obj, "ends_with_a", bool),
         )
-        if c.kind != str(obj["kind"]):
+        kind = json_value(obj, "kind")
+        if c.kind != kind:
             raise ValidationError(
-                f"serialized kind {obj['kind']!r} does not match r and p ({c.kind})"
+                f"serialized kind {kind!r} does not match r and p ({c.kind})"
             )
-        if c.ends_with_a != json_bool(obj, "first_column_unit"):
+        if c.ends_with_a != json_value(obj, "first_column_unit", bool):
             raise ValidationError("serialized first_column_unit does not match ends_with_a")
         return c
 

@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, lcm
 
-from .errors import RangeError, ValidationError, json_bool, json_int, json_list
+from .errors import RangeError, ValidationError, json_list, json_value
 from .series import TruncatedSeries, parse_rational
 from .stirling import column_egf
 
@@ -101,7 +101,7 @@ class FiniteMatrix:
 
     @classmethod
     def identity(cls, size: int) -> FiniteMatrix:
-        return cls.from_rows(
+        return cls(
             [[1 if i == k else 0 for k in range(size)] for i in range(size)]
         )
 
@@ -131,13 +131,9 @@ class FiniteMatrix:
         Every entry is read by :func:`parse_rational`, so anything else, a
         JSON float or boolean entry included, raises ValidationError.
         """
-        if not isinstance(obj, dict):
-            raise ValidationError("a matrix must be a JSON object")
-        size, entries = obj.get("size"), obj.get("entries")
-        if type(size) is not int:
-            raise ValidationError(f"size must be an integer, got {size!r}")
-        rows = json_list(entries, "entries", of=list)
-        m = cls.from_rows([list(map(parse_rational, row)) for row in rows])
+        size = json_value(obj, "size", int)
+        rows = json_list(json_value(obj, "entries"), "entries", of=list)
+        m = cls([list(map(parse_rational, row)) for row in rows])
         if m.size != size:
             raise ValidationError(f"declared size {size} does not match {m.size} rows")
         return m
@@ -273,14 +269,14 @@ class SubstitutionReport:
         """
         failing = tuple(
             ColumnMismatch(
-                k=json_int(f, "k"),
-                expected=TruncatedSeries.from_json_obj(f["expected"]),
-                actual=TruncatedSeries.from_json_obj(f["actual"]),
+                k=json_value(f, "k", int),
+                expected=TruncatedSeries.from_json_obj(json_value(f, "expected")),
+                actual=TruncatedSeries.from_json_obj(json_value(f, "actual")),
             )
-            for f in json_list(obj["failing_columns"], "failing_columns", of=dict)
+            for f in json_list(json_value(obj, "failing_columns"), "failing_columns", of=dict)
         )
-        g = TruncatedSeries.from_json_obj(obj["g"])
-        phi = TruncatedSeries.from_json_obj(obj["phi"])
+        g = TruncatedSeries.from_json_obj(json_value(obj, "g"))
+        phi = TruncatedSeries.from_json_obj(json_value(obj, "phi"))
         previous = 1
         for f in failing:
             if not previous < f.k <= g.order:
@@ -290,10 +286,10 @@ class SubstitutionReport:
             if f.expected == f.actual:
                 raise ValidationError(f"failing column {f.k} equals its expectation")
             previous = f.k
-        verdict = not failing
-        if verdict != json_bool(obj, "verdict"):
+        verdict, serialized = not failing, json_value(obj, "verdict", bool)
+        if verdict != serialized:
             raise ValidationError(
-                f"serialized verdict {obj['verdict']!r} does not match "
+                f"serialized verdict {serialized!r} does not match "
                 f"{len(failing)} failing columns"
             )
         size = g.order + 1
@@ -455,7 +451,7 @@ def build_substitution_matrix(
         column = _egf_product(column, step, k - 1)
         columns.append(column)
         denominators.append(denominators[-1] * d_phi * k)
-    return FiniteMatrix.from_rows(
+    return FiniteMatrix(
         [[_ratio(column[i], d) for column, d in zip(columns, denominators)]
          for i in range(size)]
     )
@@ -478,7 +474,7 @@ def truncate_rn(m, n: int) -> FiniteMatrix:
         raise ValidationError(f"truncation order must be non-negative, got {n}")
     if n > m.n_max:
         raise RangeError(f"matrix materialized through row {m.n_max}, need {n}")
-    return FiniteMatrix.from_rows(
+    return FiniteMatrix(
         [[m.entry(i, k) for k in range(n + 1)] for i in range(n + 1)]
     )
 

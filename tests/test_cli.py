@@ -301,6 +301,27 @@ class TestStirlingCommand:
         assert "substitution check" not in out
         assert "skipped" in err
 
+    @pytest.mark.parametrize(
+        "word,rows,out,reason",
+        [
+            ("a+ a a a+ a+", "3",
+             "  1     0     0     0    0   0  0\n"
+             "  2     4     1     0    0   0  0\n"
+             " 12    60    54    14    1   0  0\n"
+             "144  1296  2232  1296  306  30  1\n",
+             "word has 2 annihilators, need exactly 1 for a unitriangular matrix"),
+            ("a+ a", "0", "1\n", "need at least rows 0..1"),
+            ("a", "3", "1  0  0  0\n" * 4,
+             "the substitution condition is defined for unipotent matrices "
+             "(lower triangular, unit diagonal)"),
+        ],
+        ids=["wide-word", "rows-0", "non-unipotent"],
+    )
+    def test_check_subst_skip_messages(self, capsys, word, rows, out, reason):
+        assert run_cli(capsys, "stirling", word, "--rows", rows, "--check-subst") == (
+            0, out, f"substitution check skipped: {reason}\n"
+        )
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "table.txt"
         code, out, _ = run_cli(
@@ -1014,6 +1035,62 @@ class TestJsonReaders:
     def test_non_array_rejected(self, reader, obj, message):
         with pytest.raises(ValidationError, match=message):
             reader.from_json_obj(obj)
+
+
+    @pytest.mark.parametrize(
+        "case,path,key",
+        [
+            ("TruncatedSeries", (), "order"),
+            ("NormalForm", (0,), "coeff"),
+            ("FiniteMatrix", (), "entries"),
+            ("GeneralizedStirlingMatrix", (), "word"),
+            ("WordClassification", (), "kind"),
+            ("SubstitutionReport", (), "g"),
+            ("SubstitutionReport", ("failing_columns", 0), "actual"),
+            ("ExperimentResult", (), "bound"),
+        ],
+        ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else v,
+    )
+    def test_missing_key_rejected(self, capsys, tmp_path, case, path, key):
+        reader = READER_CASES[case][0]
+        obj = _reader_input(capsys, tmp_path, case)
+        parent = obj
+        for step in path:
+            parent = parent[step]
+        del parent[key]
+        with pytest.raises(ValidationError, match=f"missing key '{key}'"):
+            reader.from_json_obj(obj)
+
+    @pytest.mark.parametrize(
+        "case,path,key",
+        [
+            ("TruncatedSeries", (), "coeffs"),
+            ("FiniteMatrix", (), "size"),
+            ("GeneralizedStirlingMatrix", (), "rows"),
+            ("WordClassification", (), "r"),
+            ("SubstitutionReport", ("g",), "coeffs"),
+            ("SubstitutionReport", ("failing_columns", 0, "expected"), "coeffs"),
+            ("ExperimentResult", (), "size"),
+        ],
+        ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else v,
+    )
+    def test_non_object_rejected(self, capsys, tmp_path, case, path, key):
+        reader = READER_CASES[case][0]
+        obj = _reader_input(capsys, tmp_path, case)
+        if path:
+            parent = obj
+            for step in path[:-1]:
+                parent = parent[step]
+            parent[path[-1]] = "x"
+        else:
+            obj = [obj]
+        with pytest.raises(ValidationError, match=f"expected a JSON object with key '{key}'"):
+            reader.from_json_obj(obj)
+
+    def test_stirling_word_must_be_text(self):
+        obj = {"word": 5, "s_tot": 1, "d": 0, "rows": [["1"]]}
+        with pytest.raises(ValidationError, match="word must be a string"):
+            GeneralizedStirlingMatrix.from_json_obj(obj)
 
 
 # JSON values a matrix file may hold: well-formed entries, malformed strings,

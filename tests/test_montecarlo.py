@@ -121,6 +121,11 @@ class TestWilson:
         with pytest.raises(ValidationError):
             wilson_interval_95(5, 4)
 
+    @pytest.mark.parametrize("draws", [0, -1])
+    def test_rejects_draws_below_one(self, draws):
+        with pytest.raises(ValidationError, match="draws must be at least 1"):
+            wilson_interval_95(0, draws)
+
 
 class TestRunExperiment:
     def test_size3_universality(self):
@@ -373,6 +378,24 @@ class TestBatchAgreesWithPerTrialPath:
         monkeypatch.setattr(batch, "batch_verdicts", flip_first)
         assert montecarlo._count_successes(2, 4, 3, 0, 500) == expected
         assert montecarlo._batch_ok is False
+
+
+class TestTrialsPerBlock:
+    @pytest.mark.parametrize("size", range(2, 58))
+    def test_size_squared_bounds_draws_and_first_step(self, size):
+        # Every size that fits_int64 admits: 57 is the largest, at r = 1.
+        draws = 8 * -(-size * (size - 1) // 16)
+        assert draws <= size * size if size >= 3 else draws == 8
+        stages = batch._verdict_plan(size)[1]
+        first_step = len(stages[0].coef) if stages else 0
+        n = size - 1
+        assert first_step == max(n * (n - 1) - 2, 0) < size * size
+        assert batch.trials_per_block(size) == (
+            batch._BLOCK_ELEMENTS // max(draws, size * size, first_step)
+        )
+
+    def test_sizes_fits_int64_admits(self):
+        assert fits_int64(57, 1) and not fits_int64(58, 1)
 
 
 class TestBatchVerdicts:

@@ -56,6 +56,17 @@ class TestConstruction:
         assert [f.name for f in fields(TruncatedSeries)] == ["coeffs"]
         assert TruncatedSeries((1, 0, 2)).order == 2
 
+    @pytest.mark.parametrize("text", ["1e3", " 2 ", "1_0"])
+    def test_text_coefficient_read_by_number_grammar(self, text):
+        with pytest.raises(ValidationError):
+            TruncatedSeries(("1", text))
+
+    def test_other_coefficients_read_as_before(self):
+        s = TruncatedSeries(("1/2", 3, Fraction(1, 3), 0.25, "-0.5"))
+        assert s.coeffs == (
+            Fraction(1, 2), 3, Fraction(1, 3), Fraction(1, 4), Fraction(-1, 2)
+        )
+
 
 class TestEgfEntries:
     def test_entries_are_factorial_multiples(self):

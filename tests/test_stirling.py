@@ -259,6 +259,19 @@ class TestBell:
         with pytest.raises(RangeError):
             bell_polynomial(m, 3, 1)
 
+    @pytest.mark.parametrize("text", ["1e2", " 2 ", "1_0"])
+    def test_text_point_read_by_number_grammar(self, text):
+        m = stirling_matrix(parse_word("d a"), 3)
+        with pytest.raises(ValidationError):
+            bell_polynomial(m, 3, text)
+
+    def test_other_points_read_as_before(self):
+        m = stirling_matrix(parse_word("d a"), 3)
+        # B(3, x) = x + 3x² + x³
+        for x, value in [("1/2", Fraction(11, 8)), (2, 22), (0.5, Fraction(11, 8)),
+                         (Fraction(-1, 2), Fraction(1, 8))]:
+            assert bell_polynomial(m, 3, x) == value
+
 
 class TestClassifyWord:
     def test_pure_substitution(self):
