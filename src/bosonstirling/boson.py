@@ -97,8 +97,9 @@ class BosonWord:
 class NormalForm:
     """A finite integer combination of basis monomials (a†)^j a^l.
 
-    ``terms`` is a read-only mapping from exponent pairs ``(j, l)`` to
-    nonzero integers.  Zero coefficients are never stored.
+    ``terms`` is a read-only mapping from pairs ``(j, l)`` of non-negative
+    ``int`` to nonzero ``int``; a float or a boolean raises ValidationError.
+    Zero coefficients are never stored.
     """
 
     terms: Mapping[tuple[int, int], int]
@@ -106,12 +107,12 @@ class NormalForm:
     def __post_init__(self):
         cleaned: dict[tuple[int, int], int] = {}
         for (j, l), c in dict(self.terms).items():
-            if j < 0 or l < 0:
-                raise ValidationError(f"negative exponent in term ({j}, {l})")
-            if not isinstance(c, int):
+            if type(j) is not int or type(l) is not int or j < 0 or l < 0:
+                raise ValidationError(f"exponents ({j!r}, {l!r}) are not non-negative integers")
+            if type(c) is not int:
                 raise ValidationError(f"coefficient {c!r} is not an exact integer")
             if c != 0:
-                cleaned[(int(j), int(l))] = c
+                cleaned[(j, l)] = c
         object.__setattr__(self, "terms", MappingProxyType(cleaned))
 
     def __reduce__(self):
@@ -197,7 +198,7 @@ def _parse_rs(text: str, offset: int) -> BosonWord:
         if expect == "int":
             if m["int"] is None:
                 raise ParseError("expected integer", offset=at)
-            value = int(token)
+            value = parse_integer(token)
             if value < 0:
                 raise ValidationError(f"negative exponent {value} in rs: form")
             exponents.append(value)

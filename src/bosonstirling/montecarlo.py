@@ -49,6 +49,9 @@ _Z95 = Fraction(196, 100)
 #: (4,096 entries); the tests and the benchmark use sizes up to 12.
 MAX_SIZE = 64
 
+#: Largest range an experiment accepts: numpy draws entries as ``int64``.
+MAX_RANGE = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -69,6 +72,8 @@ class ExperimentConfig:
             raise ValidationError(f"draws must be at least 1, got {self.draws}")
         if self.range_r < 1:
             raise ValidationError(f"range must be at least 1, got {self.range_r}")
+        if self.range_r > MAX_RANGE:
+            raise ValidationError(f"range must be at most {MAX_RANGE}, got {self.range_r}")
         if not 0 <= self.seed < 2**64:
             raise ValidationError("seed must fit in 64 bits")
         if self.jobs < 1:
@@ -206,13 +211,11 @@ def _unipotent_rows(values: list[int], size: int) -> list[list[int]]:
     return rows
 
 
-def _agrees_with_trial(
-    seed: int, trial: int, size: int, range_r: int, row: np.ndarray, passed: bool
-) -> bool:
-    """Whether the batch path's draws and verdict of `trial` are the per-trial path's."""
+def _scalar_trial(seed: int, size: int, range_r: int, trial: int) -> tuple[list[int], bool]:
+    """`trial` by the per-trial path: its strict lower triangle, row-major, and verdict."""
     m = random_unipotent(size, range_r, trial_stream(seed, trial))
     triangle = [v for i, entries in enumerate(m.entries) for v in entries[:i]]
-    return row.tolist() == triangle and passed == is_approximate_substitution(m).verdict
+    return triangle, is_approximate_substitution(m).verdict
 
 
 #: Whether the batch path may be used in this process; False for good after
@@ -222,12 +225,7 @@ _batch_ok = True
 
 def _scalar_successes(seed: int, size: int, range_r: int, trials) -> int:
     """Passes among `trials`, each drawn from its own stream and tested exactly."""
-    successes = 0
-    for trial in trials:
-        m = random_unipotent(size, range_r, trial_stream(seed, trial))
-        if is_approximate_substitution(m).verdict:
-            successes += 1
-    return successes
+    return sum(_scalar_trial(seed, size, range_r, trial)[1] for trial in trials)
 
 
 def _count_successes(seed: int, size: int, range_r: int, start: int, stop: int) -> int:
@@ -260,9 +258,7 @@ def _count_successes(seed: int, size: int, range_r: int, start: int, stop: int) 
         if not checked and kept.size:
             checked = True
             t = int(kept[0])
-            if not _agrees_with_trial(
-                seed, lo + t, size, range_r, values[t], bool(passed[t])
-            ):
+            if _scalar_trial(seed, size, range_r, lo + t) != (values[t].tolist(), bool(passed[t])):
                 _batch_ok = False
                 return _scalar_successes(seed, size, range_r, range(start, stop))
         redo = (lo + np.flatnonzero(rejected)).tolist()

@@ -313,6 +313,14 @@ class TestNormalFormValue:
         with pytest.raises(ValidationError):
             NormalForm({(0, 0): 1.5})
 
+    def test_rejects_non_integer_exponents(self):
+        with pytest.raises(ValidationError, match="exponents"):
+            NormalForm({(1.5, 0): 1})
+
+    def test_rejects_boolean_coefficients(self):
+        with pytest.raises(ValidationError, match="coefficient"):
+            NormalForm({(0, 0): True})
+
     def test_drops_zero_coefficients(self):
         assert NormalForm({(0, 0): 1, (1, 1): 0}).terms == {(0, 0): 1}
 

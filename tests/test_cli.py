@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -34,6 +35,7 @@ from bosonstirling import (
     stirling_matrix,
 )
 from bosonstirling.cli import dumps_canonical, main
+from bosonstirling.series import parse_integer
 from bosonstirling.stirling import (
     NOT_SINGLE_ANNIHILATOR,
     PURE_SUBSTITUTION,
@@ -611,6 +613,15 @@ class TestMonteCarloCommand:
         assert (code, out) == (2, "")
         assert err == f"error: --sweep-range needs comma-separated integers, got {ranges!r}\n"
 
+    def test_sweep_checks_every_range_against_the_cap_first(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_experiment", _refuse)
+        code, out, err = run_cli(
+            capsys, "montecarlo", "--size", "4", "--draws", "3", "--range", "10",
+            "--seed", "1", "--sweep-range", f"10,{2**63}",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: range must be at most {2**63 - 1}, got {2**63}\n"
+
     def test_sweep_range_parts_may_have_spaces(self, capsys):
         spaced = run_cli(
             capsys, "montecarlo", "--size", "3", "--draws", "5", "--range", "2",
@@ -701,6 +712,28 @@ class TestUnprintableBoundRejectedEarly:
             sys.set_int_max_str_digits(limit)
         assert code == 0 and len(out) > 18_000
 
+    def test_limit_zero_keeps_a_digit_budget(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "probability_bound", _refuse)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            code, out, err = run_cli(capsys, "bound", "--size", "3000", "--range", "10")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, out) == (2, "")
+        assert "10^4492503 has more than 100000 digits" in err
+
+    def test_limit_zero_budget_edge(self):
+        # 10^99681 has 99,682 digits and 10^100128 has 100,129.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            cli._require_printable_bound(449, 10)
+            with pytest.raises(ValidationError, match="100000 digits"):
+                cli._require_printable_bound(450, 10)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_sweep_checks_every_range_first(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_experiment", _refuse)
         code, out, err = run_cli(
@@ -708,6 +741,81 @@ class TestUnprintableBoundRejectedEarly:
             "--seed", "1", "--sweep-range", "10,0",
         )
         assert (code, out, err) == (2, "", "error: range must be at least 1, got 0\n")
+
+
+# Each integer flag in a command that runs at once for every value below;
+# None marks the flag's value.
+INTEGER_FLAGS = {
+    "stirling --rows": ["stirling", "a+ a", "--rows", None],
+    "bell --rows": ["bell", "a+ a", "--rows", None],
+    "build-subst --size": ["build-subst", "--g", "1", "--phi", "0,1", "--size", None],
+    "montecarlo --size": ["montecarlo", "--size", None, "--draws", "1", "--range", "2",
+                          "--seed", "1"],
+    "montecarlo --draws": ["montecarlo", "--size", "3", "--draws", None, "--range", "2",
+                           "--seed", "1"],
+    "montecarlo --range": ["montecarlo", "--size", "3", "--draws", "1", "--range", None,
+                           "--seed", "1"],
+    "montecarlo --seed": ["montecarlo", "--size", "3", "--draws", "1", "--range", "2",
+                          "--seed", None],
+    "montecarlo --jobs": ["montecarlo", "--size", "3", "--draws", "1", "--range", "2",
+                          "--seed", "1", "--jobs", None],
+    "bound --size": ["bound", "--size", None, "--range", "2"],
+    "bound --range": ["bound", "--size", "5", "--range", None],
+}
+
+# Texts that Python's int() reads and the number grammar does not: an
+# underscore, a '+', whitespace and Arabic-Indic digits.  --jobs gets values
+# of 1, so that no worker process would start where they were read.
+OUTSIDE_GRAMMAR = ["1_0", "+5", " 5", "٤"]
+OUTSIDE_GRAMMAR_JOBS = ["0_1", "+1", " 1", "١"]
+
+
+def _flag_argv(flag: str, text: str) -> list[str]:
+    return [text if part is None else part for part in INTEGER_FLAGS[flag]]
+
+
+class TestIntegerFlagGrammar:
+    """Every integer flag reads the number grammar, and nothing else."""
+
+    @pytest.mark.parametrize(
+        "flag,text",
+        [
+            (flag, text)
+            for flag in INTEGER_FLAGS
+            for text in (OUTSIDE_GRAMMAR_JOBS if flag.endswith("--jobs") else OUTSIDE_GRAMMAR)
+        ],
+    )
+    def test_text_outside_grammar_is_usage_error(self, capsys, flag, text):
+        with pytest.raises(SystemExit) as exc:
+            main(_flag_argv(flag, text))
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert f"argument {flag.split()[1]}: " in captured.err
+        assert repr(text) in captured.err
+
+    @pytest.mark.parametrize("text", ["5.0", "1e3"])
+    @pytest.mark.parametrize("flag", INTEGER_FLAGS)
+    def test_decimal_and_exponent_stay_usage_errors(self, capsys, flag, text):
+        with pytest.raises(SystemExit) as exc:
+            main(_flag_argv(flag, text))
+        assert (exc.value.code, capsys.readouterr().out) == (2, "")
+
+    @pytest.mark.parametrize(
+        "flag,text,plain", [("bound --size", "007", "7"), ("montecarlo --seed", "-0", "0")]
+    )
+    def test_leading_zeros_and_minus_zero_read_as_before(self, capsys, flag, text, plain):
+        assert run_cli(capsys, *_flag_argv(flag, text)) == run_cli(
+            capsys, *_flag_argv(flag, plain)
+        )
+
+    def test_no_flag_is_read_by_int(self):
+        parser = cli.build_arg_parser()
+        (commands,) = [
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        types = [a.type for sp in commands.choices.values() for a in sp._actions]
+        assert not any(t is int for t in types)
+        assert sum(t is parse_integer for t in types) == len(INTEGER_FLAGS)
 
 
 class TestExponentNotationRejected:

@@ -29,7 +29,7 @@ from bosonstirling import (
 from bosonstirling import batch, montecarlo
 from bosonstirling.batch import batch_draws, batch_verdicts, fits_int64
 from bosonstirling.cli import main as cli_main
-from bosonstirling.montecarlo import MAX_SIZE, worker_count
+from bosonstirling.montecarlo import MAX_RANGE, MAX_SIZE, worker_count
 from bosonstirling.substitution import recurrence_failure
 
 # Recorded from the reference generator at first run; guards against stream
@@ -54,6 +54,14 @@ class TestConfig:
             ExperimentConfig(size=3, draws=10, range_r=5, seed=2**64)
         with pytest.raises(ValidationError):
             ExperimentConfig(size=3, draws=10, range_r=5, seed=1, jobs=0)
+
+    def test_range_cap_is_what_numpy_draws(self):
+        # numpy draws entries as int64; one more would fail at the first draw.
+        assert run_experiment(
+            ExperimentConfig(size=4, draws=3, range_r=MAX_RANGE, seed=1)
+        ).successes == 0
+        with pytest.raises(ValidationError, match="range must be at most"):
+            ExperimentConfig(size=4, draws=3, range_r=MAX_RANGE + 1, seed=1)
 
 
 class TestRandomUnipotent:
