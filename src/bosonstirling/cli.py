@@ -245,6 +245,14 @@ def _mc_table_row(result) -> list[str]:
     return cells
 
 
+def _integer_flag(text: str) -> int:
+    """`parse_integer` for argparse, whose usage message is then the grammar's own."""
+    try:
+        return parse_integer(text)
+    except ValidationError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
 def _parse_sweep_range(text: str) -> list[int]:
     try:
         return [parse_integer(part.strip()) for part in text.split(",")]
@@ -358,7 +366,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    integer = {"type": parse_integer, "required": True}
+    integer = {"type": _integer_flag, "required": True}
 
     sp = _add_command(sub, "no", cmd_no, "normally order a word")
     sp.add_argument("word", help="word text, e.g. \"a a+ a\" or \"rs:[1,1]\"")
@@ -409,7 +417,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.add_argument("--draws", **integer)
     sp.add_argument("--range", **integer, help="entries drawn from {1..RANGE}")
     sp.add_argument("--seed", **integer, help="64-bit reproducibility seed")
-    sp.add_argument("--jobs", type=parse_integer, default=1,
+    sp.add_argument("--jobs", type=_integer_flag, default=1,
                     help="parallel workers (deterministic)")
     sp.add_argument(
         "--sweep-range", metavar="R1,R2,...",

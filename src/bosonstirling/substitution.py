@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, lcm
+from operator import itemgetter, mul
 
 from .errors import RangeError, ValidationError, json_list, json_value
 from .series import TruncatedSeries, parse_rational
@@ -347,12 +348,36 @@ def recurrence_failure(rows) -> int | None:
     of column EGFs.  The EGF product has Σ_j C(i,j)·a_j·b_{i−j} at x^i/i!,
     so coefficient i of step k reads
 
-        (k+1)·Σ_j C(i,j)·M[j,0]·M[i−j,k+1] = Σ_j C(i,j)·M[j,k]·M[i−j,1],
+        (k+1)·Σ_{j=0}^{i} C(i,j)·M[j,0]·M[i−j,k+1] = Σ_{j=0}^{i} C(i,j)·M[j,k]·M[i−j,1],
 
     with no division.  For i ≤ k both sides vanish (c_{k+1} and c_k·c_1 start
     at x^{k+1}), and for i = k+1 both equal (k+1)·L², so only i = k+2..n are
-    checked.  The scan goes k = 1, 2, ... and i upwards, and returns at the
-    first failing pair.
+    checked.
+
+    Per-row weights.  Put m = i−j on the left.  Since C(i,i−m) = C(i,m), it
+    is (k+1)·Σ_m u_i[m]·M[m,k+1] with the weights u_i[m] = C(i,m)·M[i−m,0],
+    and its terms m < k+1 vanish because M is lower triangular.  The right
+    side is Σ_j v_i[j]·M[j,k] with v_i[j] = C(i,j)·M[i−j,1].  Its terms
+    j < k vanish for the same reason, and so does its term j = i, which is
+    C(i,i)·M[0,1]·M[i,k] with M[0,1] = 0 on a unipotent matrix; so v_i
+    stops at j = i−1.  Coefficient i of step k is therefore
+
+        (k+1)·Σ_{m=k+1}^{i} u_i[m]·M[m,k+1] = Σ_{j=k}^{i−1} v_i[j]·M[j,k],
+
+    two dot products of row i's weights with column slices, at one product
+    of entries per term where the sums above take two.
+
+    Laziness and order.  The weights depend on row i alone, not on k, so
+    each row's are formed once, when the scan first reaches that row, and
+    column k+1 grows by one entry for each row that step k reaches.  The
+    scan goes column by column, k = 1, 2, ... outside and i upwards inside,
+    and returns at the first failing pair, whose k is then the least failing
+    step with no bookkeeping; a row-by-row scan meets failures out of k
+    order and would have to go on checking the earlier steps of later rows.
+    A random matrix almost always fails at step 1 within its first rows, so
+    it pays for column 1 and the weights of those rows only, about what the
+    two-product sums cost it; forming every weight, or the whole transpose,
+    before the scan would cost O(n²) for a single comparison.
 
     Equivalence with the column-EGF condition c_k = c_0·φ^k/k! for all
     k = 0..n, where φ = c_1/c_0 exists because c_0 has constant term 1:
@@ -375,14 +400,23 @@ def recurrence_failure(rows) -> int | None:
     """
     n = len(rows) - 1
     binomials = _binomial_rows(n)
-    col0 = [row[0] for row in rows]
-    col1 = [row[1] for row in rows]
+    weights = [None] * (n + 1)
+    column = [row[1] for row in rows[1:]]
     for k in range(1, n - 1):
+        # M[m,k] for m = k..n, and M[m,k+1] for m = k+1..i as i goes up.
+        previous, column = column, [rows[k + 1][k + 1]]
         for i in range(k + 2, n + 1):
-            binomial = binomials[i]
-            lhs = sum(binomial[j] * col0[j] * rows[i - j][k + 1] for j in range(i - k))
-            rhs = sum(binomial[j] * rows[j][k] * col1[i - j] for j in range(k, i))
-            if (k + 1) * lhs != rhs:
+            column.append(rows[i][k + 1])
+            w = weights[i]
+            if w is None:
+                # u_i[m] for m = 0..i, and v_i[j] for j = 0..i−1.
+                binomial = binomials[i]
+                w = weights[i] = (
+                    list(map(mul, binomial, map(itemgetter(0), rows[i::-1]))),
+                    list(map(mul, binomial, map(itemgetter(1), rows[i:0:-1]))),
+                )
+            u, v = w
+            if (k + 1) * sum(map(mul, u[k + 1:], column)) != sum(map(mul, v[k:], previous)):
                 return k
     return None
 

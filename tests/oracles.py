@@ -6,7 +6,8 @@ a a† → a† a + 1, the x^m action applies a = d/dx and a† = x letter by
 letter to a monomial (and, through forward differences, recovers whole
 Stirling rows from it), the substitution check and the substitution
 matrix work on plain lists of Fractions with series division and powers of
-φ, and the helpers below stay at that level.
+φ, the step oracle sums the verdict's column recurrence term by term, and
+the helpers below stay at that level.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from bosonstirling import FiniteMatrix
 
@@ -178,6 +179,29 @@ def substitution_report(rows) -> dict:
         "g": _series_json(g),
         "phi": _series_json(phi),
     }
+
+
+def first_failing_step(rows) -> int | None:
+    """First failing step k of the column recurrence, summed term by term.
+
+    Step k, k = 1..n−2, compares (k+1)·Σ_j C(i,j)·M[j,0]·M[i−j,k+1] with
+    Σ_j C(i,j)·M[j,k]·M[i−j,1] at each coefficient i = k+2..n, as the
+    recurrence is written: two entry products per term and no weights, for
+    k upwards and then i upwards.  `rows` are integer rows of a unipotent
+    matrix.
+    """
+    n = len(rows) - 1
+    binomials = [[comb(i, j) for j in range(i + 1)] for i in range(n + 1)]
+    col0 = [row[0] for row in rows]
+    col1 = [row[1] for row in rows]
+    for k in range(1, n - 1):
+        for i in range(k + 2, n + 1):
+            binomial = binomials[i]
+            lhs = sum(binomial[j] * col0[j] * rows[i - j][k + 1] for j in range(i - k))
+            rhs = sum(binomial[j] * rows[j][k] * col1[i - j] for j in range(k, i))
+            if (k + 1) * lhs != rhs:
+                return k
+    return None
 
 
 def closed_form_pair(r: int, p: int, order: int) -> tuple[list, list]:

@@ -35,7 +35,6 @@ from bosonstirling import (
     stirling_matrix,
 )
 from bosonstirling.cli import dumps_canonical, main
-from bosonstirling.series import parse_integer
 from bosonstirling.stirling import (
     NOT_SINGLE_ANNIHILATOR,
     PURE_SUBSTITUTION,
@@ -792,13 +791,18 @@ class TestIntegerFlagGrammar:
         assert (exc.value.code, captured.out) == (2, "")
         assert f"argument {flag.split()[1]}: " in captured.err
         assert repr(text) in captured.err
+        assert f"expected an integer in ASCII digits, got {text!r}" in captured.err
+        assert "parse_integer" not in captured.err
 
     @pytest.mark.parametrize("text", ["5.0", "1e3"])
     @pytest.mark.parametrize("flag", INTEGER_FLAGS)
     def test_decimal_and_exponent_stay_usage_errors(self, capsys, flag, text):
         with pytest.raises(SystemExit) as exc:
             main(_flag_argv(flag, text))
-        assert (exc.value.code, capsys.readouterr().out) == (2, "")
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert f"expected an integer in ASCII digits, got {text!r}" in captured.err
+        assert "parse_integer" not in captured.err
 
     @pytest.mark.parametrize(
         "flag,text,plain", [("bound --size", "007", "7"), ("montecarlo --seed", "-0", "0")]
@@ -815,7 +819,7 @@ class TestIntegerFlagGrammar:
         ]
         types = [a.type for sp in commands.choices.values() for a in sp._actions]
         assert not any(t is int for t in types)
-        assert sum(t is parse_integer for t in types) == len(INTEGER_FLAGS)
+        assert sum(t is cli._integer_flag for t in types) == len(INTEGER_FLAGS)
 
 
 class TestExponentNotationRejected:

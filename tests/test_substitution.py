@@ -30,10 +30,11 @@ from bosonstirling import (
 
 from bosonstirling.cli import main as cli_main
 from bosonstirling.series import parse_integer, parse_rational
-from bosonstirling.substitution import _exact
+from bosonstirling.substitution import _exact, _integer_rows, recurrence_failure
 
 from oracles import (
     closed_form_pair,
+    first_failing_step,
     matrix_product,
     substitution_matrix,
     substitution_report,
@@ -107,6 +108,25 @@ def unipotent_rows(draw, entries):
         [draw(entries) if k < i else int(i == k) for k in range(size)]
         for i in range(size)
     ]
+
+
+@st.composite
+def perturbed_integer_matrices(draw):
+    """A passing integer matrix of size 2–14 with 1–3 entries below the diagonal changed.
+
+    A change in column c ≥ 2 first fails step c−1, and one in column 0 or 1
+    step 1.  Each column is drawn within three of the diagonal, so that the
+    failing steps vary with the rows changed.
+    """
+    size = draw(st.integers(2, 14))
+    g = [1] + [draw(st.integers(-3, 3)) for _ in range(size - 1)]
+    phi = [0, 1] + [draw(st.integers(-3, 3)) for _ in range(size - 2)]
+    rows = substitution_matrix(g, phi, size)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(1, size - 1))
+        c = draw(st.integers(max(0, i - 3), i - 1))
+        rows[i][c] += draw(st.integers(-5, 5).filter(bool))
+    return rows
 
 
 @st.composite
@@ -321,6 +341,34 @@ class TestDiagnosticsAtWorkloadSizes:
         report = is_approximate_substitution(FiniteMatrix.from_rows(rows))
         assert report.verdict is not bumped
         assert report.to_json_obj() == substitution_report(rows)
+
+
+class TestFirstFailingStep:
+    """The verdict returns the oracle's step, not only its verdict."""
+
+    @settings(max_examples=200)
+    @given(perturbed_integer_matrices())
+    def test_perturbed_integer_matrices(self, rows):
+        k = recurrence_failure(rows)
+        assert k == first_failing_step(rows)
+        report = is_approximate_substitution(FiniteMatrix(rows))
+        assert [f.k for f in report.failing_columns][:1] == ([] if k is None else [k + 1])
+
+    @pytest.mark.parametrize("source", ["int", "rat", "d a", "d a d", "d d a"])
+    @pytest.mark.parametrize("size", [21, 41, 61])
+    def test_least_step_of_two_bumps(self, size, source):
+        # Bumping M[i,c], c ≥ 2, of a passing matrix breaks column c alone,
+        # so step c−1 fails first, at row i.  Column `late` in an early row
+        # fails step late−1 early in each step's scan; column 3 in the last
+        # row fails step 2 at its last coefficient, and is the least step.
+        n = size - 1
+        rows = [list(row) for row in _integer_rows(FiniteMatrix(workload_rows(source, size)))]
+        assert recurrence_failure(rows) is None
+        late = n // 3
+        rows[late + 1][late] += 1
+        assert recurrence_failure(rows) == first_failing_step(rows) == late - 1
+        rows[n][3] += 1
+        assert recurrence_failure(rows) == first_failing_step(rows) == 2
 
 
 class TestLazyDiagnostics:
