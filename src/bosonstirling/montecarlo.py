@@ -214,7 +214,7 @@ def _unipotent_rows(values: list[int], size: int) -> list[list[int]]:
 def _scalar_trial(seed: int, size: int, range_r: int, trial: int) -> tuple[list[int], bool]:
     """`trial` by the per-trial path: its strict lower triangle, row-major, and verdict."""
     m = random_unipotent(size, range_r, trial_stream(seed, trial))
-    triangle = [v for i, entries in enumerate(m.entries) for v in entries[:i]]
+    triangle = [v for i, row in enumerate(m.numerators) for v in row[:i]]
     return triangle, is_approximate_substitution(m).verdict
 
 

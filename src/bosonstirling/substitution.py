@@ -13,17 +13,16 @@ identically; columns 2..n are genuine constraints.
 
 Nothing here multiplies or inverts series.  Everything works on EGF
 entries, the column vectors M[:,k] themselves, where the EGF product becomes
-the binomial convolution (a⊛b)[i] = Σ_j C(i,j)·a[j]·b[i−j].  The verdict,
+the binomial convolution (a⊛b)[i] = Σ_j C(i,j)·a[j]·b[i−j].  A matrix M is
+stored as the integer rows of L·M over one denominator L.  The verdict,
 :func:`recurrence_failure`, checks the equivalent division-free column
-recurrence c_0·(k+1)·c_{k+1} ≡ c_k·c_1 in integer arithmetic (a rational
-matrix is scaled by the LCM of its denominators first) and stops at the
-first failing step.  The diagnostics of a report — g, φ and every failing
-column with its expected and actual series — are computed from the matrix
-when first read: φ by forward substitution in c_1 = c_0⊛Φ, and the expected
-columns as integer convolutions of the scaled rows.  The builder convolves
-integer entry vectors too and divides once per entry.  Equality is exact
-throughout: no tolerances and no floats.  Matrix entries are stored as
-``int`` when integral and as ``Fraction`` otherwise.
+recurrence c_0·(k+1)·c_{k+1} ≡ c_k·c_1 on those rows, as it is homogeneous,
+and stops at the first failing step.  The diagnostics of a report — g, φ
+and every failing column with its expected and actual series — are
+computed from the matrix when first read: φ by forward substitution in
+c_1 = c_0⊛Φ, and the expected columns as integer convolutions of L·M.  The
+builder convolves integer entry vectors too.  Equality is exact
+throughout: no tolerances and no floats.
 
 The module also provides the two truncation operators on larger matrices:
 r_n (principal submatrix, defined for all row-finite matrices, not
@@ -36,7 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, lcm
+from itertools import chain, islice
+from math import comb, gcd, isfinite, lcm
 from operator import itemgetter, mul
 
 from .errors import RangeError, ValidationError, json_list, json_value
@@ -44,39 +44,21 @@ from .series import TruncatedSeries, parse_rational
 from .stirling import column_egf
 
 
-_INT = frozenset((int,))
-
-
-def _all_int(row) -> bool:
-    return _INT.issuperset(map(type, row))
-
-
-def _exact(v) -> int | Fraction:
-    """`v` as stored, ``int`` when integral, else ``Fraction``; text is read by parse_rational."""
-    if type(v) is int:
-        return v
-    if type(v) is str:
-        return parse_rational(v)
-    q = v if type(v) is Fraction else Fraction(v)
-    return q.numerator if q.denominator == 1 else q
-
-
 @dataclass(frozen=True)
 class FiniteMatrix:
     """Square matrix of exact rationals, indexed [i, k] from 0.
 
-    Integral entries are stored as ``int`` and the others as ``Fraction``,
-    whatever type they were given in; an ``int`` compares and hashes equal
-    to the ``Fraction`` of the same value.
+    Entry [i, k] is ``numerators[i][k] / denominator``, the denominator L
+    being the LCM of the entries' reduced denominators (1 for an integer
+    matrix).  That form is unique, so equality and hashing compare values.
+    :meth:`from_rows` builds one from exact values.
     """
 
-    entries: tuple[tuple[int | Fraction, ...], ...]
+    numerators: tuple[tuple[int, ...], ...]
+    denominator: int = 1
 
     def __post_init__(self):
-        rows = tuple(
-            tuple(row) if _all_int(row) else tuple(map(_exact, row))
-            for row in self.entries
-        )
+        rows = tuple(map(tuple, self.numerators))
         n = len(rows)
         if n == 0:
             raise ValidationError("matrix must have at least one row")
@@ -85,20 +67,44 @@ class FiniteMatrix:
                 raise ValidationError(
                     f"matrix is not square: row of length {len(row)} in size {n}"
                 )
-        object.__setattr__(self, "entries", rows)
+        if not {int}.issuperset(map(type, chain.from_iterable(rows))):
+            raise ValidationError("every matrix numerator must be an int")
+        d = self.denominator
+        if type(d) is not int or d < 1 or d > 1 and gcd(d, *chain.from_iterable(rows)) != 1:
+            raise ValidationError(
+                f"matrix denominator {d!r} is not an int ≥ 1 prime to the numerators"
+            )
+        object.__setattr__(self, "numerators", rows)
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.numerators)
 
     @property
     def n_max(self) -> int:
         """Index of the last row, as on a materialized Stirling matrix."""
-        return len(self.entries) - 1
+        return len(self.numerators) - 1
 
     @classmethod
     def from_rows(cls, rows) -> FiniteMatrix:
-        return cls(rows)
+        """The matrix of `rows`, whose entries are ``int``, ``Fraction``, ``bool``,
+        finite ``float`` or text read by :func:`parse_rational`; any other
+        entry raises ValidationError."""
+        rows = [tuple(row) for row in rows]
+        if all({int}.issuperset(map(type, row)) for row in rows):
+            return cls(rows)
+        values = []
+        for v in chain.from_iterable(rows):
+            if type(v) is str:
+                v = parse_rational(v)
+            elif type(v) not in (int, Fraction):
+                if type(v) not in (bool, float) or not isfinite(v):
+                    raise ValidationError(f"matrix entry is not an exact number: {v!r}")
+                v = Fraction(v)
+            values.append(v)
+        values, d = _over_common_denominator(values)
+        values = iter(values)
+        return cls([list(islice(values, len(row))) for row in rows], d)
 
     @classmethod
     def identity(cls, size: int) -> FiniteMatrix:
@@ -106,17 +112,27 @@ class FiniteMatrix:
             [[1 if i == k else 0 for k in range(size)] for i in range(size)]
         )
 
+    @cached_property
+    def entries(self) -> tuple[tuple[int | Fraction, ...], ...]:
+        """The entries, each ``int`` when integral and ``Fraction`` otherwise."""
+        d = self.denominator
+        return tuple(
+            tuple(Fraction(v, d) if v % d else v // d for v in row)
+            for row in self.numerators
+        )
+
     def entry(self, i: int, k: int) -> int | Fraction:
         if not (0 <= i < self.size and 0 <= k < self.size):
             raise RangeError(f"index ({i}, {k}) outside size-{self.size} matrix")
-        return self.entries[i][k]
+        v, d = self.numerators[i][k], self.denominator
+        return Fraction(v, d) if v % d else v // d
 
     def is_lower_triangular(self) -> bool:
-        return not any(any(row[i + 1:]) for i, row in enumerate(self.entries))
+        return not any(any(row[i + 1:]) for i, row in enumerate(self.numerators))
 
     def is_unipotent(self) -> bool:
         return self.is_lower_triangular() and all(
-            row[i] == 1 for i, row in enumerate(self.entries)
+            row[i] == self.denominator for i, row in enumerate(self.numerators)
         )
 
     def to_json_obj(self) -> dict:
@@ -134,7 +150,7 @@ class FiniteMatrix:
         """
         size = json_value(obj, "size", int)
         rows = json_list(json_value(obj, "entries"), "entries", of=list)
-        m = cls([list(map(parse_rational, row)) for row in rows])
+        m = cls.from_rows([list(map(parse_rational, row)) for row in rows])
         if m.size != size:
             raise ValidationError(f"declared size {size} does not match {m.size} rows")
         return m
@@ -168,9 +184,17 @@ class SubstitutionReport:
     matrix: FiniteMatrix
 
     def __post_init__(self):
-        _require_unipotent(self.matrix)
-        rows = _integer_rows(self.matrix)
-        vars(self).update(_rows=rows, _first_failure=recurrence_failure(rows))
+        m = self.matrix
+        if m.size < 2:
+            raise ValidationError(
+                "the substitution condition needs at least two columns (size ≥ 2)"
+            )
+        if not m.is_unipotent():
+            raise ValidationError(
+                "the substitution condition is defined for unipotent matrices "
+                "(lower triangular, unit diagonal)"
+            )
+        vars(self)["_first_failure"] = recurrence_failure(m.numerators)
 
     @property
     def verdict(self) -> bool:
@@ -185,26 +209,24 @@ class SubstitutionReport:
     def _phi_entries(self) -> list:
         """EGF entries Φ[i] = i!·φ_i of φ = c_1/c_0, ``int`` or ``Fraction``.
 
-        Coefficient i of c_1 = c_0⊛Φ reads M[i,1] = Σ_j C(i,j)·M[j,0]·Φ[i−j].
-        The j = 0 term is Φ[i], since M[0,0] = 1, and the j = i term
-        vanishes, since Φ[0] = M[0,1] = 0; so forward substitution
+        With R = L·M the stored rows, coefficient i of c_1 = c_0⊛Φ reads
+        R[i,1] = Σ_j C(i,j)·R[j,0]·Φ[i−j].  The j = 0 term is L·Φ[i], since
+        R[0,0] = L, and the j = i term vanishes, since Φ[0] = M[0,1] = 0; so
+        forward substitution
 
-            Φ[i] = M[i,1] − Σ_{j=1}^{i−1} C(i,j)·M[j,0]·Φ[i−j]
+            Φ[i] = (R[i,1] − Σ_{j=1}^{i−1} C(i,j)·R[j,0]·Φ[i−j]) / L
 
-        gives every entry without a division, visiting only the nonzero
-        entries of column 0.
+        gives every entry, visiting only the nonzero entries of column 0.
         """
-        entries = self.matrix.entries
-        n = len(entries) - 1
+        rows, d = self.matrix.numerators, self.matrix.denominator
+        n = len(rows) - 1
         binomials = _binomial_rows(n)
-        col0 = [(j, row[0]) for j, row in enumerate(entries) if j and row[0]]
+        col0 = [(j, row[0]) for j, row in enumerate(rows) if j and row[0]]
         phi = [0]
         for i in range(1, n + 1):
             binomial = binomials[i]
-            phi.append(
-                entries[i][1]
-                - sum([binomial[j] * c * phi[i - j] for j, c in col0 if j < i])
-            )
+            v = rows[i][1] - sum([binomial[j] * c * phi[i - j] for j, c in col0 if j < i])
+            phi.append(v if d == 1 else Fraction(v, d))
         return phi
 
     @cached_property
@@ -216,7 +238,7 @@ class SubstitutionReport:
         """Scanned from the first failing column k+1: columns 0..k hold.
 
         The expected columns follow c_{j+1} = c_j⊛Φ/(j+1) from the actual
-        column k, in integers.  With R = L·M the verdict's integer rows and
+        column k, in integers.  With R = L·M the stored integer rows and
         D the LCM of the denominators of Φ, set N_k = R[:,k] and
         N_{j+1} = N_j⊛(D·Φ); then N_j = L·D^{j−k}·(j!/k!)·E_j, E_j the
         expected entries of column j.  Φ is of degree 0 in L and the
@@ -227,7 +249,7 @@ class SubstitutionReport:
         if self.verdict:
             return ()
         k = self._first_failure
-        m, rows = self.matrix, self._rows
+        m, rows = self.matrix, self.matrix.numerators
         n = m.n_max
         step, d = _over_common_denominator(self._phi_entries)
         column = [row[k] for row in rows]
@@ -237,7 +259,7 @@ class SubstitutionReport:
             column = _egf_product(column, step, j - 1)
             scale *= d * j
             if any(column[i] != scale * rows[i][j] for i in range(j, n + 1)):
-                expected = TruncatedSeries.from_egf_entries(column, rows[0][0] * scale)
+                expected = TruncatedSeries.from_egf_entries(column, m.denominator * scale)
                 failing.append(ColumnMismatch(j, expected, column_egf(m, j, n)))
         return tuple(failing)
 
@@ -293,12 +315,11 @@ class SubstitutionReport:
                 f"serialized verdict {serialized!r} does not match "
                 f"{len(failing)} failing columns"
             )
-        size = g.order + 1
-        rows = [list(row) for row in build_substitution_matrix(g, phi, size).entries]
+        rows = [list(row) for row in build_substitution_matrix(g, phi, g.order + 1).entries]
         for f in failing:
             for row, v in zip(rows, f.actual.egf_entries()):
                 row[f.k] = v
-        report = cls(FiniteMatrix(rows))
+        report = cls(FiniteMatrix.from_rows(rows))
         if (report.verdict, report.extracted_g, report.extracted_phi,
                 report.failing_columns) != (verdict, g, phi, failing):
             raise ValidationError(
@@ -395,8 +416,8 @@ def recurrence_failure(rows) -> int | None:
 
     Scaling: every term on either side is a product of two entries, so the
     identity is homogeneous of degree 2 and holds for L·M exactly when it
-    holds for M, since L² ≠ 0.  Rational matrices therefore take this same
-    integer path after multiplying by the LCM of their denominators.
+    holds for M, since L² ≠ 0.  A rational matrix therefore takes this same
+    integer path on its stored numerators.
     """
     n = len(rows) - 1
     binomials = _binomial_rows(n)
@@ -421,26 +442,6 @@ def recurrence_failure(rows) -> int | None:
     return None
 
 
-def _integer_rows(m: FiniteMatrix):
-    """The entries of L·m as integers, L the LCM of the entry denominators."""
-    if all(map(_all_int, m.entries)):
-        return m.entries
-    scale = lcm(*[v.denominator for row in m.entries for v in row])
-    return [[v.numerator * (scale // v.denominator) for v in row] for row in m.entries]
-
-
-def _require_unipotent(m: FiniteMatrix) -> None:
-    if m.size < 2:
-        raise ValidationError(
-            "the substitution condition needs at least two columns (size ≥ 2)"
-        )
-    if not m.is_unipotent():
-        raise ValidationError(
-            "the substitution condition is defined for unipotent matrices "
-            "(lower triangular, unit diagonal)"
-        )
-
-
 def is_approximate_substitution(m: FiniteMatrix) -> SubstitutionReport:
     """Test the column-EGF condition c_k = [c_0(c_1/c_0)^k/k!]_n exactly.
 
@@ -463,8 +464,9 @@ def build_substitution_matrix(
     k+1 is column k ⊛ P/(k+1) with P[i] = i!·φ_i.  The work is in integers:
     with D_g and D_φ the LCMs of the denominators of G and P, the vectors
     N_0 = D_g·G and N_{k+1} = N_k⊛(D_φ·P) satisfy
-    N_k = D_g·D_φ^k·k!·M[:,k].  Each entry is divided by that common
-    denominator once, at the end, and kept as ``int`` when exact.
+    N_k = D_g·D_φ^k·k!·M[:,k].  Column k's reduced denominator is that
+    factor divided by its gcd with N_k; the matrix's denominator L is the
+    LCM of those, and its numerators are N_k·L divided by the factor.
     """
     if size < 2:
         raise ValidationError(f"matrix size must be at least 2, got {size}")
@@ -485,16 +487,12 @@ def build_substitution_matrix(
         column = _egf_product(column, step, k - 1)
         columns.append(column)
         denominators.append(denominators[-1] * d_phi * k)
+    scale = lcm(*[d // gcd(d, *column) for column, d in zip(columns, denominators)])
     return FiniteMatrix(
-        [[_ratio(column[i], d) for column, d in zip(columns, denominators)]
-         for i in range(size)]
+        tuple(zip(*[[v * scale // d for v in column]
+                    for column, d in zip(columns, denominators)])),
+        scale,
     )
-
-
-def _ratio(p: int, q: int) -> int | Fraction:
-    """p/q as an ``int`` when q divides p, else as a ``Fraction``."""
-    quotient, rest = divmod(p, q)
-    return Fraction(p, q) if rest else quotient
 
 
 def truncate_rn(m, n: int) -> FiniteMatrix:
@@ -508,7 +506,7 @@ def truncate_rn(m, n: int) -> FiniteMatrix:
         raise ValidationError(f"truncation order must be non-negative, got {n}")
     if n > m.n_max:
         raise RangeError(f"matrix materialized through row {m.n_max}, need {n}")
-    return FiniteMatrix(
+    return FiniteMatrix.from_rows(
         [[m.entry(i, k) for k in range(n + 1)] for i in range(n + 1)]
     )
 

@@ -98,7 +98,7 @@ def all_words(length: int):
 def matrix_product(a: FiniteMatrix, b: FiniteMatrix) -> FiniteMatrix:
     """The product of two square matrices of one size, by row-times-column sums."""
     n = a.size
-    return FiniteMatrix(
+    return FiniteMatrix.from_rows(
         [
             [sum(a.entries[i][j] * b.entries[j][k] for j in range(n)) for k in range(n)]
             for i in range(n)

@@ -29,7 +29,7 @@ from bosonstirling import (
 from bosonstirling import batch, montecarlo
 from bosonstirling.batch import batch_draws, batch_verdicts, fits_int64
 from bosonstirling.cli import main as cli_main
-from bosonstirling.montecarlo import MAX_RANGE, MAX_SIZE, worker_count
+from bosonstirling.montecarlo import MAX_RANGE, MAX_SIZE, _sqrt_above, worker_count
 from bosonstirling.substitution import recurrence_failure
 
 # Recorded from the reference generator at first run; guards against stream
@@ -133,6 +133,54 @@ class TestWilson:
     def test_rejects_draws_below_one(self, draws):
         with pytest.raises(ValidationError, match="draws must be at least 1"):
             wilson_interval_95(0, draws)
+
+    @settings(max_examples=200)
+    @given(st.integers(1, 10**9).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n))))
+    def test_encloses_the_interval_at_60_digits(self, counts):
+        # With √disc bounded within 10⁻⁶⁰ by isqrt, the interval from the
+        # upper root bound holds the exact one, and the one from the lower
+        # bound lies inside it; the enclosure must hold the first and exceed
+        # the second by less than 10⁻³⁰ on each side.
+        successes, n = counts
+        z = Fraction(196, 100)
+        phat = Fraction(successes, n)
+        center, denom = phat + z * z / (2 * n), 1 + z * z / n
+        disc = phat * (1 - phat) / n + z * z / (4 * n * n)
+        a, b = disc.numerator, disc.denominator
+        root = isqrt(a * b * 10**120)
+
+        def interval(r):
+            return max(Fraction(0), (center - z * r) / denom), min(Fraction(1), (center + z * r) / denom)
+
+        inner = interval(Fraction(root, b * 10**60))
+        outer = interval(Fraction(root + 1, b * 10**60))
+        lo, hi = wilson_interval_95(successes, n)
+        assert lo <= outer[0] and hi >= outer[1]
+        assert inner[0] - lo < Fraction(1, 10**30) and hi - inner[1] < Fraction(1, 10**30)
+
+
+class TestSqrtAbove:
+    """_sqrt_above(v) = s bounds √v within 10⁻³⁰: s > √v ≥ s − 10⁻³⁰."""
+
+    @staticmethod
+    def bounds(v):
+        s = _sqrt_above(v)
+        # √v ≥ 0, so the lower side is squared from max(s − 10⁻³⁰, 0).
+        return s * s, max(s - Fraction(1, 10**30), Fraction(0)) ** 2
+
+    @settings(max_examples=300)
+    @given(st.integers(1, 10**40), st.integers(1, 10**80))
+    def test_bounds_the_root(self, p, q):
+        v = Fraction(p, q)
+        above, below = self.bounds(v)
+        assert above > v >= below
+
+    def test_perfect_square_meets_the_lower_side(self):
+        assert self.bounds(Fraction(4)) == ((2 + Fraction(1, 10**30)) ** 2, 4)
+
+    def test_quarter_is_strictly_inside(self):
+        above, below = self.bounds(Fraction(1, 4))
+        assert above > Fraction(1, 4) > below
 
 
 class TestRunExperiment:

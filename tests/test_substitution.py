@@ -30,7 +30,7 @@ from bosonstirling import (
 
 from bosonstirling.cli import main as cli_main
 from bosonstirling.series import parse_integer, parse_rational
-from bosonstirling.substitution import _exact, _integer_rows, recurrence_failure
+from bosonstirling.substitution import recurrence_failure
 
 from oracles import (
     closed_form_pair,
@@ -362,7 +362,7 @@ class TestFirstFailingStep:
         # fails step late−1 early in each step's scan; column 3 in the last
         # row fails step 2 at its last coefficient, and is the least step.
         n = size - 1
-        rows = [list(row) for row in _integer_rows(FiniteMatrix(workload_rows(source, size)))]
+        rows = [list(row) for row in FiniteMatrix.from_rows(workload_rows(source, size)).numerators]
         assert recurrence_failure(rows) is None
         late = n // 3
         rows[late + 1][late] += 1
@@ -532,6 +532,51 @@ class TestEntryTypes:
             for v in (v for row in m.entries for v in row):
                 assert type(v) is int or (type(v) is Fraction and v.denominator != 1)
 
+    @pytest.mark.parametrize(
+        "given,value,denominator",
+        [("4/2", 2, 3), (Fraction(2, 4), Fraction(1, 2), 6), (0.5, Fraction(1, 2), 6)],
+    )
+    def test_stored_form_is_that_of_the_reduced_value(self, given, value, denominator):
+        m = FiniteMatrix.from_rows([[1, 0], [given, "1/3"]])
+        reduced = FiniteMatrix.from_rows([[1, 0], [value, Fraction(1, 3)]])
+        assert (m.numerators, m.denominator) == (reduced.numerators, reduced.denominator)
+        assert m.denominator == denominator
+
+    def test_direct_constructor_equals_from_rows_of_its_entries(self):
+        for nums, d in [([[6, 0], [3, 2]], 6), ([[1, 0], [7, 1]], 1), ([[-4, 9], [0, 1]], 3)]:
+            m = FiniteMatrix(nums, d)
+            same = FiniteMatrix.from_rows(m.entries)
+            assert m == same and hash(m) == hash(same)
+            assert same.numerators == tuple(map(tuple, nums)) and same.denominator == d
+
+    @pytest.mark.parametrize(
+        "nums,d",
+        [
+            ([[1, 0], [True, 1]], 1),
+            ([[1, 0], [0.0, 1]], 1),
+            ([[1, 0], [Fraction(1, 2), 1]], 1),
+            ([[1, 0], [0, 1]], 0),
+            ([[1, 0], [0, 1]], -1),
+            ([[1, 0], [0, 1]], True),
+            ([[2, 0], [0, 2]], 2),
+            ([[1, 0], [0]], 1),
+            ([], 1),
+        ],
+        ids=["bool", "float", "fraction", "denominator-0", "denominator-negative",
+             "denominator-bool", "not-reduced", "not-square", "empty"],
+    )
+    def test_direct_constructor_rejects_other_forms(self, nums, d):
+        with pytest.raises(ValidationError):
+            FiniteMatrix(nums, d)
+
+    @pytest.mark.parametrize(
+        "x", [float("nan"), float("inf"), None, [1], 1 + 0j], ids=repr
+    )
+    def test_non_exact_entry_is_a_validation_error(self, x):
+        for construct in (FiniteMatrix.from_rows, FiniteMatrix):
+            with pytest.raises(ValidationError):
+                construct([[1, 0], [x, 1]])
+
 
 @st.composite
 def builder_pairs(draw):
@@ -639,10 +684,10 @@ class TestEntryParsing:
     def test_digit_limit_still_applies(self):
         for text in ("7" * 4301, "-" + "7" * 4301):
             with pytest.raises(ValueError, match="Exceeds the limit"):
-                _exact(text)
+                FiniteMatrix.from_rows([[text]])
             with pytest.raises(ValueError, match="Exceeds the limit"):
                 parse_rational(text)
-        assert _exact("7" * 4300) == int("7" * 4300)
+        assert FiniteMatrix.from_rows([["7" * 4300]]).numerators == ((int("7" * 4300),),)
 
 
 class TestBuilder:
