@@ -27,6 +27,7 @@ from .montecarlo import (
     probability_bound,
     random_unipotent,
     run_experiment,
+    run_sweep,
     trial_stream,
     wilson_interval_95,
 )
@@ -82,6 +83,7 @@ __all__ = [
     "probability_bound",
     "random_unipotent",
     "run_experiment",
+    "run_sweep",
     "stirling_matrix",
     "trial_stream",
     "truncate_rn",

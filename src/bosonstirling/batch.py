@@ -10,8 +10,11 @@ r < 2³² takes one 32-bit draw u per value by Lemire's multiply-shift
 (Lemire, ACM TOMACS 29(1), 2019): value 1 + ⌊u·r/2³²⌋, unless
 u·r mod 2³² < (2³² − r) mod r, when it discards u and draws again.
 
-:func:`batch_draws` reproduces those draws for a block of trials at once,
+:func:`trial_words` computes the 32-bit draws of a block of trials at
+once, :func:`scaled_draws` turns them into numpy's values for one range,
 and :func:`batch_verdicts` decides the block's matrices in ``int64``.
+Only the scaling depends on r, so a sweep over several ranges computes
+each block's words once.
 :mod:`bosonstirling.montecarlo` imports this module at its first
 experiment, not at import, so the commands that run no experiment do not
 load it.
@@ -81,15 +84,13 @@ def _philox4x64_10(key: np.ndarray, counter: np.ndarray) -> np.ndarray:
     return out
 
 
-def batch_draws(
-    seed: int, start: int, stop: int, count: int, range_r: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The draws of trials start..stop−1, computed together.
+def trial_words(seed: int, start: int, stop: int, count: int) -> np.ndarray:
+    """The first `count` 32-bit draws of each of trials start..stop−1.
 
-    Row t of `values` equals ``trial_stream(seed, start + t).integers(1,
-    range_r, size=count, endpoint=True)`` unless ``rejected[t]``: then
-    numpy discarded a draw of that trial and drew again, which shifts its
-    stream, and the row is not its result.  Needs 1 ≤ range_r < 2³².
+    Row t holds the 32-bit words, as ``uint64``, that
+    ``trial_stream(seed, start + t)`` hands out first.  They depend on the
+    key (seed, trial) and the counter alone, never on a range, so one call
+    serves every range of a sweep.
     """
     blocks = -(-count // 8)
     trials = stop - start
@@ -101,8 +102,18 @@ def batch_draws(
     words = _philox4x64_10(key, counter).T
     # Little-endian 64-bit words read as 32-bit pairs put the low half first.
     halves = np.ascontiguousarray(words, dtype="<u8").view("<u4")
-    u = halves.reshape(trials, blocks * 8)[:, :count]
-    scaled = u.astype(np.uint64) * np.uint64(range_r)
+    return halves.reshape(trials, blocks * 8)[:, :count].astype(np.uint64)
+
+
+def scaled_draws(words: np.ndarray, range_r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lemire's values in {1..range_r} of the rows of :func:`trial_words`.
+
+    Row t of `values` equals ``trial_stream(seed, start + t).integers(1,
+    range_r, size=count, endpoint=True)`` unless ``rejected[t]``: then
+    numpy discarded a draw of that trial and drew again, which shifts its
+    stream, and the row is not its result.  Needs 1 ≤ range_r < 2³².
+    """
+    scaled = words * np.uint64(range_r)
     values = (scaled >> _SHIFT32).astype(np.int64) + 1
     rejected = ((scaled & _LOW32) < (2**32 - range_r) % range_r).any(axis=1)
     return values, rejected

@@ -28,6 +28,7 @@ from .montecarlo import (
     count_free_parameters,
     probability_bound,
     run_experiment,
+    run_sweep,
 )
 from .series import TruncatedSeries, parse_integer, parse_rational
 from .stirling import (
@@ -217,7 +218,7 @@ def cmd_build_subst(args) -> int:
     if args.format == "json" or args.out:
         text = dumps_canonical(matrix.to_json_obj())
     else:
-        text = format_columns([[str(v) for v in row] for row in matrix.entries])
+        text = format_columns(matrix.entry_texts())
     _emit(args, text)
     return EXIT_OK
 
@@ -301,7 +302,7 @@ def cmd_montecarlo(args) -> int:
     ]
     for cfg in configs:
         _require_printable_bound(cfg.size, cfg.range_r)
-    results = [run_experiment(cfg) for cfg in configs]
+    results = run_sweep(configs[0], ranges) if sweep else [run_experiment(configs[0])]
     # A sweep is a list with each estimate/bound ratio (none in CSV); a
     # single run is one JSON object.
     if args.format == "json":

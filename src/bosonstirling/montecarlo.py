@@ -19,14 +19,16 @@ Trials run in blocks: :mod:`bosonstirling.batch` computes numpy's draws
 for a whole block of trials at once and decides them in ``int64``.  That
 gives exactly what the per-trial path — :func:`trial_stream`,
 :func:`random_unipotent` and :func:`is_approximate_substitution` — gives,
-and that path still decides every trial the batch cannot.
+and that path still decides every trial the batch cannot.  A sweep over
+several ranges (:func:`run_sweep`) draws each block's Philox words once
+and scales them for every range, since only that scaling depends on r.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt
@@ -228,43 +230,66 @@ def _scalar_successes(seed: int, size: int, range_r: int, trials) -> int:
     return sum(_scalar_trial(seed, size, range_r, trial)[1] for trial in trials)
 
 
-def _count_successes(seed: int, size: int, range_r: int, start: int, stop: int) -> int:
-    """Passes among trials start..stop−1.
+def _count_successes(seed: int, size: int, ranges, start: int, stop: int) -> list[int]:
+    """Passes among trials start..stop−1, one count per range of `ranges`.
 
-    Where :func:`.batch.fits_int64` holds, trials are drawn and decided by
-    the batch kernels, :func:`.batch.trials_per_block` at a time.  NEP 19
-    lets numpy change the stream of a Generator method between releases, so
-    the first trial of every call that the batch draws without a reject is
-    also drawn and decided by the per-trial path; any disagreement sends
-    this call and every later one in the process down that path.  Trials
-    with a rejected draw, sizes and ranges outside the ``int64`` bound
-    (which excludes every range of 2³² or more) and every trial once the
-    batch path is disabled go through the per-trial path.
+    Ranges where :func:`.batch.fits_int64` holds are counted together by
+    :func:`_batch_counts`.  If its self-check disagrees, every range of
+    this call and of every later call in the process goes through the
+    per-trial path, as do the ranges outside the ``int64`` bound (which
+    excludes every range of 2³² or more).
     """
     global _batch_ok
     # Imported on first use: the commands that run no experiment never load it.
     from . import batch
 
-    if not (_batch_ok and batch.fits_int64(size, range_r)):
-        return _scalar_successes(seed, size, range_r, range(start, stop))
+    batched = [r for r in ranges if _batch_ok and batch.fits_int64(size, r)]
+    counts = _batch_counts(seed, size, batched, start, stop)
+    if counts is None:
+        _batch_ok = False
+        batched, counts = [], []
+    counts = iter(counts)
+    trials = range(start, stop)
+    return [
+        next(counts) if r in batched else _scalar_successes(seed, size, r, trials)
+        for r in ranges
+    ]
+
+
+def _batch_counts(seed: int, size: int, ranges, start: int, stop: int) -> list[int] | None:
+    """Passes among trials start..stop−1 per range, by the batch kernels.
+
+    Blocks are the outer loop and ranges the inner one, so each block's
+    Philox words are computed once and scaled for every range.  NEP 19
+    lets numpy change the stream of a Generator method between releases,
+    so for every range the first trial of the call that the batch draws
+    without a reject is also drawn and decided by the per-trial path; any
+    disagreement returns None.  Trials with a rejected draw are redrawn by
+    the per-trial path.
+    """
+    from . import batch
+
     count = size * (size - 1) // 2
     step = batch.trials_per_block(size)
-    checked = False
-    successes = 0
-    for lo in range(start, stop, step):
-        values, rejected = batch.batch_draws(seed, lo, min(lo + step, stop), count, range_r)
-        passed = batch.batch_verdicts(size, values) & ~rejected
-        kept = np.flatnonzero(~rejected)
-        if not checked and kept.size:
-            checked = True
-            t = int(kept[0])
-            if _scalar_trial(seed, size, range_r, lo + t) != (values[t].tolist(), bool(passed[t])):
-                _batch_ok = False
-                return _scalar_successes(seed, size, range_r, range(start, stop))
-        redo = (lo + np.flatnonzero(rejected)).tolist()
-        successes += int(np.count_nonzero(passed))
-        successes += _scalar_successes(seed, size, range_r, redo)
-    return successes
+    counts = [0] * len(ranges)
+    unchecked = [True] * len(ranges)
+    for lo in range(start, stop, step) if ranges else ():
+        words = batch.trial_words(seed, lo, min(lo + step, stop), count)
+        for i, range_r in enumerate(ranges):
+            values, rejected = batch.scaled_draws(words, range_r)
+            passed = batch.batch_verdicts(size, values) & ~rejected
+            kept = np.flatnonzero(~rejected)
+            if unchecked[i] and kept.size:
+                unchecked[i] = False
+                t = int(kept[0])
+                if _scalar_trial(seed, size, range_r, lo + t) != (
+                    values[t].tolist(), bool(passed[t])
+                ):
+                    return None
+            redo = (lo + np.flatnonzero(rejected)).tolist()
+            counts[i] += int(np.count_nonzero(passed))
+            counts[i] += _scalar_successes(seed, size, range_r, redo)
+    return counts
 
 
 #: Decimal digits to which :func:`_sqrt_above` bounds a square root.
@@ -307,15 +332,22 @@ def worker_count(jobs: int, draws: int) -> int:
     return min(jobs, draws, os.cpu_count() or 1)
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Draw cfg.draws unipotent matrices and count substitution-test passes.
+def run_sweep(cfg: ExperimentConfig, ranges) -> list[ExperimentResult]:
+    """The experiment of `cfg` at each range of `ranges`, in order.
 
-    The per-trial streams make the outcome a pure function of
-    (seed, size, draws, range_r); `jobs` only changes the schedule.
+    Every range sees the same trials (seed, 0), ..., (seed, draws − 1), and
+    a trial's Philox words do not depend on the range, so each block of
+    trials is drawn once for the whole sweep.  Each range's config is
+    checked before any trial is drawn.  The per-trial streams make each
+    outcome a pure function of (seed, size, draws, range); `jobs` only
+    changes the schedule: one pool serves the sweep, and each worker counts
+    every range over its span of trials.
     """
+    configs = [replace(cfg, range_r=r) for r in ranges]
+    ranges = [c.range_r for c in configs]
     jobs = worker_count(cfg.jobs, cfg.draws)
     if jobs == 1:
-        successes = _count_successes(cfg.seed, cfg.size, cfg.range_r, 0, cfg.draws)
+        counts = _count_successes(cfg.seed, cfg.size, ranges, 0, cfg.draws)
     else:
         step = -(-cfg.draws // jobs)
         spans = [
@@ -324,11 +356,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
-                pool.submit(
-                    _count_successes, cfg.seed, cfg.size, cfg.range_r, start, stop
-                )
+                pool.submit(_count_successes, cfg.seed, cfg.size, ranges, start, stop)
                 for start, stop in spans
             ]
-            successes = sum(f.result() for f in futures)
-    return ExperimentResult(config=cfg, successes=successes)
+            counts = [sum(c) for c in zip(*(f.result() for f in futures))]
+    return [ExperimentResult(config=c, successes=n) for c, n in zip(configs, counts)]
 
+
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
+    """Draw cfg.draws unipotent matrices and count substitution-test passes:
+    the sweep of :func:`run_sweep` over the one range cfg.range_r."""
+    return run_sweep(cfg, [cfg.range_r])[0]

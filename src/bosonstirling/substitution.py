@@ -135,11 +135,16 @@ class FiniteMatrix:
             row[i] == self.denominator for i, row in enumerate(self.numerators)
         )
 
+    def entry_texts(self) -> list[list[str]]:
+        """The entries as ``str`` writes :attr:`entries`: ``p/q`` in lowest
+        terms, or an integer when the denominator divides the numerator."""
+        d = self.denominator
+        if d == 1:
+            return [list(map(str, row)) for row in self.numerators]
+        return [[_ratio_text(v, d) for v in row] for row in self.numerators]
+
     def to_json_obj(self) -> dict:
-        return {
-            "size": self.size,
-            "entries": [[str(v) for v in row] for row in self.entries],
-        }
+        return {"size": self.size, "entries": self.entry_texts()}
 
     @classmethod
     def from_json_obj(cls, obj) -> FiniteMatrix:
@@ -154,6 +159,12 @@ class FiniteMatrix:
         if m.size != size:
             raise ValidationError(f"declared size {size} does not match {m.size} rows")
         return m
+
+
+def _ratio_text(v: int, d: int) -> str:
+    """``str(Fraction(v, d))`` for d ≥ 1, by one gcd and no Fraction."""
+    g = gcd(v, d)
+    return str(v // g) if g == d else f"{v // g}/{d // g}"
 
 
 @dataclass(frozen=True)

@@ -547,10 +547,11 @@ class TestMonteCarloCommand:
 
     def test_size_above_cap_is_usage_error(self, capsys, monkeypatch):
         # The config is rejected before any trial: nothing is drawn.
-        def fail(cfg):
+        def fail(*args):
             raise AssertionError("experiment ran")
 
         monkeypatch.setattr(cli, "run_experiment", fail)
+        monkeypatch.setattr(cli, "run_sweep", fail)
         code, out, err = run_cli(
             capsys, "montecarlo", "--size", "100000", "--draws", "1",
             "--range", "10", "--seed", "1",
@@ -614,12 +615,56 @@ class TestMonteCarloCommand:
 
     def test_sweep_checks_every_range_against_the_cap_first(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_experiment", _refuse)
+        monkeypatch.setattr(cli, "run_sweep", _refuse)
         code, out, err = run_cli(
             capsys, "montecarlo", "--size", "4", "--draws", "3", "--range", "10",
             "--seed", "1", "--sweep-range", f"10,{2**63}",
         )
         assert (code, out) == (2, "")
         assert err == f"error: range must be at most {2**63 - 1}, got {2**63}\n"
+
+    def _runs(self, capsys, fmt):
+        """Output of the sweep 2,3,5,10 and of the four single runs, in `fmt`."""
+        common = ["montecarlo", "--size", "5", "--draws", "60", "--seed", "3", "--format", fmt]
+        code, sweep, _ = run_cli(capsys, *common, "--range", "10", "--sweep-range", "2,3,5,10")
+        assert code == 0
+        singles = []
+        for r in ("2", "3", "5", "10"):
+            code, out, _ = run_cli(capsys, *common, "--range", r)
+            assert code == 0
+            singles.append(out)
+        return sweep, singles
+
+    def test_sweep_table_rows_are_the_single_runs(self, capsys):
+        sweep, singles = self._runs(capsys, "table")
+        header, *rows = [line.split() for line in sweep.splitlines()]
+        assert header == [*singles[0].splitlines()[0].split(), "ratio"]
+        for cells, single in zip(rows, singles, strict=True):
+            (one,) = single.splitlines()[1:]
+            assert cells[:-1] == one.split()
+            result = run_experiment(ExperimentConfig(
+                size=5, draws=60, range_r=int(cells[2]), seed=3))
+            assert cells[-1] == str(result.ratio_to_bound)
+
+    def test_sweep_json_rows_are_the_single_runs(self, capsys):
+        sweep, singles = self._runs(capsys, "json")
+        objs = json.loads(sweep)
+        ratios = [obj.pop("ratio") for obj in objs]
+        assert objs == [json.loads(single) for single in singles]
+        assert sweep == dumps_canonical(
+            [{**json.loads(single), "ratio": r} for single, r in zip(singles, ratios)]
+        )
+        for obj, ratio in zip(objs, ratios):
+            result = ExperimentResult.from_json_obj(obj)
+            assert ratio == str(result.estimate / result.bound)
+
+    def test_sweep_csv_rows_are_the_single_runs(self, capsys):
+        sweep, singles = self._runs(capsys, "csv")
+        header, *rows = sweep.splitlines()
+        assert [header, *rows] == [
+            singles[0].splitlines()[0], *(s.splitlines()[1] for s in singles)
+        ]
+        assert all(len(s.splitlines()) == 2 for s in singles)
 
     def test_sweep_range_parts_may_have_spaces(self, capsys):
         spaced = run_cli(
@@ -673,6 +718,7 @@ class TestUnprintableBoundRejectedEarly:
     def test_exit_2_before_any_work(self, capsys, monkeypatch, argv, exponent):
         monkeypatch.setattr(cli, "probability_bound", _refuse)
         monkeypatch.setattr(cli, "run_experiment", _refuse)
+        monkeypatch.setattr(cli, "run_sweep", _refuse)
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert f"^{exponent} has more than 4300 digits" in err
@@ -735,6 +781,7 @@ class TestUnprintableBoundRejectedEarly:
 
     def test_sweep_checks_every_range_first(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_experiment", _refuse)
+        monkeypatch.setattr(cli, "run_sweep", _refuse)
         code, out, err = run_cli(
             capsys, "montecarlo", "--size", "12", "--draws", "200000", "--range", "10",
             "--seed", "1", "--sweep-range", "10,0",

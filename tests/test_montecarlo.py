@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from concurrent.futures import Future
 from dataclasses import fields
 from fractions import Fraction
 from math import isqrt
@@ -23,11 +25,12 @@ from bosonstirling import (
     probability_bound,
     random_unipotent,
     run_experiment,
+    run_sweep,
     trial_stream,
     wilson_interval_95,
 )
 from bosonstirling import batch, montecarlo
-from bosonstirling.batch import batch_draws, batch_verdicts, fits_int64
+from bosonstirling.batch import batch_verdicts, fits_int64, scaled_draws, trial_words
 from bosonstirling.cli import main as cli_main
 from bosonstirling.montecarlo import MAX_RANGE, MAX_SIZE, _sqrt_above, worker_count
 from bosonstirling.substitution import recurrence_failure
@@ -290,7 +293,7 @@ class TestBatchAgreesWithPerTrialPath:
         compared = rejected_total = 0
         for size in range(2, 9):
             count = size * (size - 1) // 2
-            values, rejected = batch_draws(seed, 0, 40, count, range_r)
+            values, rejected = scaled_draws(trial_words(seed, 0, 40, count), range_r)
             assert values.shape == (40, count)
             for trial in range(40):
                 if rejected[trial]:
@@ -307,14 +310,14 @@ class TestBatchAgreesWithPerTrialPath:
 
     def test_rejected_trials_really_redraw(self):
         # A flagged trial is one numpy's own draw differs on.
-        values, rejected = batch_draws(0, 0, 40, 10, 3 * 2**30)
+        values, rejected = scaled_draws(trial_words(0, 0, 40, 10), 3 * 2**30)
         for trial in np.flatnonzero(rejected).tolist():
             rng = trial_stream(0, trial)
             expected = rng.integers(1, 3 * 2**30, size=10, endpoint=True)
             assert values[trial].tolist() != expected.tolist()
 
     def test_draws_away_from_trial_zero(self):
-        values, _ = batch_draws(2**64 - 1, 10**6, 10**6 + 5, 28, 10)
+        values, _ = scaled_draws(trial_words(2**64 - 1, 10**6, 10**6 + 5, 28), 10)
         for t in range(5):
             expected = trial_stream(2**64 - 1, 10**6 + t).integers(
                 1, 10, size=28, endpoint=True
@@ -326,34 +329,34 @@ class TestBatchAgreesWithPerTrialPath:
     def test_successes(self, seed, range_r, fresh_self_check):
         for size in range(2, 9):
             scalar = montecarlo._scalar_successes(seed, size, range_r, range(120))
-            assert montecarlo._count_successes(seed, size, range_r, 0, 120) == scalar
+            assert montecarlo._count_successes(seed, size, [range_r], 0, 120) == [scalar]
         assert montecarlo._batch_ok is True
 
     @pytest.mark.parametrize("size", [50, 51, 57, MAX_SIZE])
     @pytest.mark.parametrize("range_r", [1, 3, 10])
     def test_successes_at_the_largest_sizes(self, size, range_r, fresh_self_check):
         scalar = montecarlo._scalar_successes(5, size, range_r, range(6))
-        assert montecarlo._count_successes(5, size, range_r, 0, 6) == scalar
+        assert montecarlo._count_successes(5, size, [range_r], 0, 6) == [scalar]
         assert montecarlo._batch_ok is True
 
     @pytest.mark.parametrize("size,range_r", [(4, 3), (5, 3), (4, 2), (6, 2)])
     def test_successes_where_matrices_pass(self, size, range_r, fresh_self_check):
         scalar = montecarlo._scalar_successes(7, size, range_r, range(2000))
-        batched = montecarlo._count_successes(7, size, range_r, 0, 2000)
+        (batched,) = montecarlo._count_successes(7, size, [range_r], 0, 2000)
         assert batched == scalar and montecarlo._batch_ok is True
         if (size, range_r) in ((4, 3), (5, 3)):
             assert scalar > 0
 
     def test_blocks_split_the_trials(self, monkeypatch):
-        expected = montecarlo._count_successes(3, 4, 3, 5, 1005)
+        expected = montecarlo._count_successes(3, 4, [3], 5, 1005)
         monkeypatch.setattr(batch, "_BLOCK_ELEMENTS", 64)
         calls = []
-        draws = batch.batch_draws
+        words = batch.trial_words
         monkeypatch.setattr(
-            batch, "batch_draws",
-            lambda *args: calls.append(args) or draws(*args),
+            batch, "trial_words",
+            lambda *args: calls.append(args) or words(*args),
         )
-        assert montecarlo._count_successes(3, 4, 3, 5, 1005) == expected
+        assert montecarlo._count_successes(3, 4, [3], 5, 1005) == expected
         assert len(calls) == 1000 // 4 and all(c[2] - c[1] == 4 for c in calls)
 
     @pytest.mark.parametrize(
@@ -365,9 +368,10 @@ class TestBatchAgreesWithPerTrialPath:
         def fail(*args):
             raise AssertionError("batch draw used outside the int64 bound")
 
-        monkeypatch.setattr(batch, "batch_draws", fail)
+        monkeypatch.setattr(batch, "trial_words", fail)
+        monkeypatch.setattr(batch, "scaled_draws", fail)
         expected = montecarlo._scalar_successes(1, size, range_r, range(5))
-        assert montecarlo._count_successes(1, size, range_r, 0, 5) == expected
+        assert montecarlo._count_successes(1, size, [range_r], 0, 5) == [expected]
 
     def test_rejected_trials_are_redrawn_per_trial(self, monkeypatch, fresh_self_check):
         # No seed is known to reject at a range inside the int64 bound, so
@@ -375,14 +379,20 @@ class TestBatchAgreesWithPerTrialPath:
         # range 3, so counting its batch verdict as well as its redraw
         # would show; flagging it also moves the check to trial 1.
         expected = montecarlo._scalar_successes(2, 4, 3, range(500))
-        draws = batch.batch_draws
+        words, draws = batch.trial_words, batch.scaled_draws
+        starts = []
         redone = []
         scalar = montecarlo._scalar_successes
 
-        def flag(seed, start, stop, count, range_r):
-            values, rejected = draws(seed, start, stop, count, range_r)
+        def record_start(seed, start, stop, count):
+            starts.append(start)
+            return words(seed, start, stop, count)
+
+        def flag(block, range_r):
+            values, rejected = draws(block, range_r)
+            start = starts[-1]
             for t in (0, 7, 300):
-                if start <= t < stop:
+                if start <= t < start + len(block):
                     rejected[t - start] = True
             return values, rejected
 
@@ -390,9 +400,10 @@ class TestBatchAgreesWithPerTrialPath:
             redone.extend(trials)
             return scalar(seed, size, range_r, trials)
 
-        monkeypatch.setattr(batch, "batch_draws", flag)
+        monkeypatch.setattr(batch, "trial_words", record_start)
+        monkeypatch.setattr(batch, "scaled_draws", flag)
         monkeypatch.setattr(montecarlo, "_scalar_successes", record)
-        assert montecarlo._count_successes(2, 4, 3, 0, 500) == expected
+        assert montecarlo._count_successes(2, 4, [3], 0, 500) == [expected]
         assert sorted(redone) == [0, 7, 300] and montecarlo._batch_ok is True
 
     def test_jobs_do_not_change_batched_counts(self):
@@ -406,17 +417,17 @@ class TestBatchAgreesWithPerTrialPath:
         # Trial 0 of seed 2 passes at size 4, range 3; the corruption bumps
         # its determined entry M[3,2], so it would fail if used.
         expected = montecarlo._scalar_successes(2, 4, 3, range(500))
-        draws = batch.batch_draws
+        draws = batch.scaled_draws
 
         def corrupt(*args):
             values, rejected = draws(*args)
             values[0, -1] += 1
             return values, rejected
 
-        monkeypatch.setattr(batch, "batch_draws", corrupt)
-        assert montecarlo._count_successes(2, 4, 3, 0, 500) == expected
+        monkeypatch.setattr(batch, "scaled_draws", corrupt)
+        assert montecarlo._count_successes(2, 4, [3], 0, 500) == [expected]
         assert montecarlo._batch_ok is False
-        values, _ = corrupt(2, 0, 500, 6, 3)
+        values, _ = corrupt(trial_words(2, 0, 500, 6), 3)
         assert int(batch_verdicts(4, values).sum()) == expected - 1
 
     def test_first_trial_of_each_call_is_checked(self, monkeypatch):
@@ -432,8 +443,165 @@ class TestBatchAgreesWithPerTrialPath:
             return passed
 
         monkeypatch.setattr(batch, "batch_verdicts", flip_first)
-        assert montecarlo._count_successes(2, 4, 3, 0, 500) == expected
+        assert montecarlo._count_successes(2, 4, [3], 0, 500) == [expected]
         assert montecarlo._batch_ok is False
+
+
+def _per_range(seed, size, ranges, trials):
+    return [montecarlo._scalar_successes(seed, size, r, trials) for r in ranges]
+
+
+class TestSweepAgreesWithPerRangePath:
+    """A sweep draws each block's words once; its counts are each range's own."""
+
+    @pytest.mark.parametrize("seed", BATCH_SEEDS)
+    @pytest.mark.parametrize("size", range(2, 9))
+    def test_every_size(self, seed, size, fresh_self_check):
+        ranges = [1, 2, 3, 10]
+        expected = _per_range(seed, size, ranges, range(120))
+        assert montecarlo._count_successes(seed, size, ranges, 0, 120) == expected
+        assert montecarlo._batch_ok is True
+
+    def test_across_the_int64_bound(self, fresh_self_check):
+        ranges = [10, 2**31, 2**32]
+        assert [fits_int64(8, r) for r in ranges] == [True, False, False]
+        expected = _per_range(4, 8, ranges, range(60))
+        assert montecarlo._count_successes(4, 8, ranges, 0, 60) == expected
+        assert montecarlo._batch_ok is True
+
+    def test_rejecting_range(self, fresh_self_check):
+        ranges = [3, 3 * 2**30, 10]
+        expected = _per_range(2, 4, ranges, range(300))
+        assert montecarlo._count_successes(2, 4, ranges, 0, 300) == expected
+        assert expected[0] > 0
+
+    def test_duplicate_ranges(self, fresh_self_check):
+        (once,) = montecarlo._count_successes(7, 4, [10], 0, 500)
+        assert montecarlo._count_successes(7, 4, [10, 10], 0, 500) == [once, once]
+        assert once == montecarlo._scalar_successes(7, 4, 10, range(500))
+
+    def test_many_blocks_away_from_trial_zero(self, monkeypatch, fresh_self_check):
+        monkeypatch.setattr(batch, "_BLOCK_ELEMENTS", 64)
+        words = batch.trial_words
+        calls = []
+        monkeypatch.setattr(
+            batch, "trial_words", lambda *args: calls.append(args) or words(*args)
+        )
+        ranges = [2, 3, 10]
+        expected = _per_range(3, 4, ranges, range(5, 1005))
+        assert montecarlo._count_successes(3, 4, ranges, 5, 1005) == expected
+        assert len(calls) == 1000 // 4 and montecarlo._batch_ok is True
+
+    def test_jobs_do_not_change_the_counts(self):
+        cfg = dict(size=5, draws=301, range_r=10, seed=2**64 - 1)
+        ranges = [2, 3, 3 * 2**30, 10, 10]
+        serial = run_sweep(ExperimentConfig(**cfg, jobs=1), ranges)
+        parallel = run_sweep(ExperimentConfig(**cfg, jobs=2), ranges)
+        counts = [r.successes for r in serial]
+        assert [r.successes for r in parallel] == counts
+        assert [r.config.range_r for r in parallel] == ranges
+        assert counts == [
+            run_experiment(ExperimentConfig(**cfg | {"range_r": r})).successes
+            for r in ranges
+        ]
+
+    def test_every_range_is_checked_before_any_trial(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_count_successes", _no_trials)
+        cfg = ExperimentConfig(size=4, draws=10, range_r=10, seed=1)
+        with pytest.raises(ValidationError, match="at least 1"):
+            run_sweep(cfg, [10, 0])
+
+
+def _no_trials(*args):
+    raise AssertionError("a trial was drawn")
+
+
+class _InlinePool:
+    """A stand-in for ProcessPoolExecutor that runs each task at once."""
+
+    made = 0
+
+    def __init__(self, max_workers):
+        type(self).made += 1
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class TestSweepSelfCheck:
+    def test_one_check_per_batch_range_per_call(self, monkeypatch, fresh_self_check):
+        checked = Counter()
+        trial = montecarlo._scalar_trial
+
+        def spy(seed, size, range_r, t):
+            checked[range_r] += 1
+            return trial(seed, size, range_r, t)
+
+        monkeypatch.setattr(montecarlo, "_scalar_trial", spy)
+        ranges = [2, 3, 10, 2**32]
+        montecarlo._count_successes(1, 5, ranges, 0, 40)
+        assert checked == {2: 1, 3: 1, 10: 1, 2**32: 40}
+        montecarlo._count_successes(1, 5, ranges, 40, 80)
+        assert checked == {2: 2, 3: 2, 10: 2, 2**32: 80}
+        assert montecarlo._batch_ok is True
+
+    def test_one_corrupt_range_sends_every_range_per_trial(
+        self, monkeypatch, fresh_self_check
+    ):
+        # Trial 0 of seed 2 passes at size 4, range 3; only that range's
+        # values are bumped, after range 10 has been counted by the batch.
+        ranges = [10, 3, 2]
+        expected = _per_range(2, 4, ranges, range(500))
+        draws = batch.scaled_draws
+
+        def corrupt(words, range_r):
+            values, rejected = draws(words, range_r)
+            if range_r == 3:
+                values[0, -1] += 1
+            return values, rejected
+
+        monkeypatch.setattr(batch, "scaled_draws", corrupt)
+        assert montecarlo._count_successes(2, 4, ranges, 0, 500) == expected
+        assert montecarlo._batch_ok is False
+
+    def test_one_flipped_verdict_sends_every_range_per_trial(
+        self, monkeypatch, fresh_self_check
+    ):
+        ranges = [10, 3, 2]
+        expected = _per_range(2, 4, ranges, range(500))
+        verdicts = batch.batch_verdicts
+        calls = []
+
+        def flip_second_range(size, values):
+            passed = verdicts(size, values)
+            calls.append(None)
+            if len(calls) == 2:
+                passed[0] = not passed[0]
+            return passed
+
+        monkeypatch.setattr(batch, "batch_verdicts", flip_second_range)
+        assert montecarlo._count_successes(2, 4, ranges, 0, 500) == expected
+        assert montecarlo._batch_ok is False
+
+    def test_sweep_with_jobs_starts_one_pool(self, monkeypatch, capsys):
+        argv = ["montecarlo", "--size", "5", "--draws", "40", "--range", "10",
+                "--seed", "3", "--sweep-range", "2,3,5,10", "--format", "csv"]
+        assert cli_main(argv) == 0
+        serial = capsys.readouterr().out
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        monkeypatch.setattr(_InlinePool, "made", 0)
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _InlinePool)
+        assert cli_main([*argv, "--jobs", "2"]) == 0
+        assert _InlinePool.made == 1
+        assert capsys.readouterr().out == serial
 
 
 class TestTrialsPerBlock:

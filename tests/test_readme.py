@@ -76,4 +76,4 @@ def test_library_example():
             expected = True
         assert value == expected, code
         checked += 1
-    assert checked == 4
+    assert checked == 6

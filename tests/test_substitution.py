@@ -30,7 +30,7 @@ from bosonstirling import (
 
 from bosonstirling.cli import main as cli_main
 from bosonstirling.series import parse_integer, parse_rational
-from bosonstirling.substitution import recurrence_failure
+from bosonstirling.substitution import _ratio_text, recurrence_failure
 
 from oracles import (
     closed_form_pair,
@@ -169,6 +169,17 @@ class TestFiniteMatrix:
         obj = m.to_json_obj()
         assert obj == {"size": 2, "entries": [["1", "0"], ["1/3", "1"]]}
         assert FiniteMatrix.from_json_obj(obj) == m
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-(2**80), 2**80), st.integers(1, 2**70))
+    def test_entry_text_is_the_fractions_text(self, v, d):
+        assert _ratio_text(v, d) == str(Fraction(v, d))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.fractions(max_denominator=60), min_size=9, max_size=9))
+    def test_entry_texts_are_the_entries_text(self, values):
+        m = FiniteMatrix.from_rows([values[0:3], values[3:6], values[6:9]])
+        assert m.entry_texts() == [[str(v) for v in row] for row in m.entries]
 
     def test_json_size_mismatch_rejected(self):
         with pytest.raises(ValidationError):
