@@ -15,20 +15,22 @@ Randomness is counter-based (Philox) and keyed per trial by
 (seed, trial index), so results are bitwise reproducible for a fixed
 configuration no matter how trials are scheduled across workers.
 
-Trials run in blocks: :mod:`bosonstirling.batch` computes numpy's draws
-for a whole block of trials at once and decides them in ``int64``.  That
-gives exactly what the per-trial path — :func:`trial_stream`,
-:func:`random_unipotent` and :func:`is_approximate_substitution` — gives,
-and that path still decides every trial the batch cannot.  A sweep over
-several ranges (:func:`run_sweep`) draws each block's Philox words once
-and scales them for every range, since only that scaling depends on r.
+Trials run in blocks, and one loop (:func:`_count_successes`) decides
+every range of an experiment or sweep block by block.  Where the ``int64``
+bound holds, :mod:`bosonstirling.batch` computes numpy's draws for the
+whole block at once and decides them in ``int64``.  That gives exactly
+what the per-trial path — :func:`trial_stream`, :func:`random_unipotent`
+and :func:`is_approximate_substitution` — gives, and that path decides,
+inside the same block, every trial the batch cannot.  A block's Philox
+words are drawn once and scaled for every range of a sweep
+(:func:`run_sweep`), since only that scaling depends on r.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt
@@ -66,6 +68,10 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if type(value) is not int:
+                raise ValidationError(f"{field.name} must be an int, got {value!r}")
         if self.size < 2:
             raise ValidationError(f"size must be at least 2, got {self.size}")
         if self.size > MAX_SIZE:
@@ -233,49 +239,34 @@ def _scalar_successes(seed: int, size: int, range_r: int, trials) -> int:
 def _count_successes(seed: int, size: int, ranges, start: int, stop: int) -> list[int]:
     """Passes among trials start..stop−1, one count per range of `ranges`.
 
-    Ranges where :func:`.batch.fits_int64` holds are counted together by
-    :func:`_batch_counts`.  If its self-check disagrees, every range of
-    this call and of every later call in the process goes through the
-    per-trial path, as do the ranges outside the ``int64`` bound (which
-    excludes every range of 2³² or more).
+    One loop decides every range, blocks of trials outer and ranges inner.
+    A range where :func:`.batch.fits_int64` holds takes the block's Philox
+    words, computed once and scaled for each such range, and
+    :func:`.batch.batch_verdicts`; its trials with a rejected draw are
+    redrawn by the per-trial path.  Every other range, which includes every
+    range of 2³² or more, is counted by the per-trial path over the same
+    block.  NEP 19 lets numpy change the stream of a Generator method
+    between releases, so for every batch range the first trial of the call
+    that the batch draws without a reject is also drawn and decided by the
+    per-trial path.  A disagreement turns the batch path off for good in
+    this process and returns every range's per-trial count.
     """
     global _batch_ok
     # Imported on first use: the commands that run no experiment never load it.
     from . import batch
 
-    batched = [r for r in ranges if _batch_ok and batch.fits_int64(size, r)]
-    counts = _batch_counts(seed, size, batched, start, stop)
-    if counts is None:
-        _batch_ok = False
-        batched, counts = [], []
-    counts = iter(counts)
-    trials = range(start, stop)
-    return [
-        next(counts) if r in batched else _scalar_successes(seed, size, r, trials)
-        for r in ranges
-    ]
-
-
-def _batch_counts(seed: int, size: int, ranges, start: int, stop: int) -> list[int] | None:
-    """Passes among trials start..stop−1 per range, by the batch kernels.
-
-    Blocks are the outer loop and ranges the inner one, so each block's
-    Philox words are computed once and scaled for every range.  NEP 19
-    lets numpy change the stream of a Generator method between releases,
-    so for every range the first trial of the call that the batch draws
-    without a reject is also drawn and decided by the per-trial path; any
-    disagreement returns None.  Trials with a rejected draw are redrawn by
-    the per-trial path.
-    """
-    from . import batch
-
     count = size * (size - 1) // 2
     step = batch.trials_per_block(size)
+    batched = [_batch_ok and batch.fits_int64(size, r) for r in ranges]
+    unchecked = list(batched)
     counts = [0] * len(ranges)
-    unchecked = [True] * len(ranges)
-    for lo in range(start, stop, step) if ranges else ():
-        words = batch.trial_words(seed, lo, min(lo + step, stop), count)
+    for lo in range(start, stop, step):
+        hi = min(lo + step, stop)
+        words = batch.trial_words(seed, lo, hi, count) if any(batched) else None
         for i, range_r in enumerate(ranges):
+            if not batched[i]:
+                counts[i] += _scalar_successes(seed, size, range_r, range(lo, hi))
+                continue
             values, rejected = batch.scaled_draws(words, range_r)
             passed = batch.batch_verdicts(size, values) & ~rejected
             kept = np.flatnonzero(~rejected)
@@ -285,7 +276,8 @@ def _batch_counts(seed: int, size: int, ranges, start: int, stop: int) -> list[i
                 if _scalar_trial(seed, size, range_r, lo + t) != (
                     values[t].tolist(), bool(passed[t])
                 ):
-                    return None
+                    _batch_ok = False
+                    return [_scalar_successes(seed, size, r, range(start, stop)) for r in ranges]
             redo = (lo + np.flatnonzero(rejected)).tolist()
             counts[i] += int(np.count_nonzero(passed))
             counts[i] += _scalar_successes(seed, size, range_r, redo)

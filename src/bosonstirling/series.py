@@ -14,9 +14,9 @@ the substitution condition.  :meth:`TruncatedSeries.from_egf_entries` and
 Every number the package reads from outside text (matrix files,
 command-line values, the JSON readers and the exponents in word text)
 follows one grammar, declared here; :func:`parse_integer` and
-:func:`parse_rational` are its two readers.  The library constructors read
-text through the same grammar: a ``str`` series coefficient, matrix entry or
-Bell polynomial point goes through :func:`parse_rational`.
+:func:`parse_rational` are its two readers.  The library constructors take
+a series coefficient, matrix entry or Bell polynomial point by one rule,
+:func:`exact_number`, which reads text through the same grammar.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, isfinite
 
 from .errors import ValidationError, json_list, json_value
 
@@ -65,6 +65,22 @@ def parse_rational(value: str | int) -> int | Fraction:
     raise ValidationError(f"not a rational (integer, p/q or decimal; no exponent): {value!r}")
 
 
+def exact_number(value) -> int | Fraction:
+    """A matrix entry, series coefficient or Bell point as ``int`` or ``Fraction``.
+
+    Text is read by :func:`parse_rational`, and a ``bool`` or finite ``float``
+    becomes its exact ``Fraction``.  Anything else, ``Decimal`` and numpy
+    scalars included, raises ValidationError.
+    """
+    if type(value) in (int, Fraction):
+        return value
+    if type(value) is str:
+        return parse_rational(value)
+    if type(value) in (bool, float) and isfinite(value):
+        return Fraction(value)
+    raise ValidationError(f"not an exact number: {value!r}")
+
+
 @dataclass(frozen=True)
 class TruncatedSeries:
     """Σ coeffs[i]·x^i for i = 0..order, with exact rational coefficients.
@@ -75,9 +91,7 @@ class TruncatedSeries:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        coeffs = tuple(
-            Fraction(parse_rational(c) if type(c) is str else c) for c in self.coeffs
-        )
+        coeffs = tuple(Fraction(exact_number(c)) for c in self.coeffs)
         if not coeffs:
             raise ValidationError("a series needs at least one coefficient")
         object.__setattr__(self, "coeffs", coeffs)

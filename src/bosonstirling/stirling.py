@@ -26,7 +26,7 @@ from operator import add
 
 from .boson import BosonWord, excess, normal_order
 from .errors import RangeError, ValidationError, json_list, json_value
-from .series import TruncatedSeries, parse_integer, parse_rational
+from .series import TruncatedSeries, exact_number, parse_integer
 
 NOT_SINGLE_ANNIHILATOR = "not-single-annihilator"
 PURE_SUBSTITUTION = "pure-substitution"
@@ -167,7 +167,7 @@ def bell_polynomial(m: GeneralizedStirlingMatrix, n: int, x) -> Fraction:
     """
     if not 0 <= n <= m.n_max:
         raise RangeError(f"row {n} not materialized (have 0..{m.n_max})")
-    x = Fraction(parse_rational(x) if type(x) is str else x)
+    x = Fraction(exact_number(x))
     p, q = x.numerator, x.denominator
     row = m.rows[n]
     value, q_power = row[-1], 1

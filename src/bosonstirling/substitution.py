@@ -36,11 +36,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, islice
-from math import comb, gcd, isfinite, lcm
+from math import comb, gcd, lcm
 from operator import itemgetter, mul
 
 from .errors import RangeError, ValidationError, json_list, json_value
-from .series import TruncatedSeries, parse_rational
+from .series import TruncatedSeries, exact_number, parse_rational
 from .stirling import column_egf
 
 
@@ -87,22 +87,11 @@ class FiniteMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> FiniteMatrix:
-        """The matrix of `rows`, whose entries are ``int``, ``Fraction``, ``bool``,
-        finite ``float`` or text read by :func:`parse_rational`; any other
-        entry raises ValidationError."""
+        """The matrix of `rows`, each entry read by :func:`exact_number`."""
         rows = [tuple(row) for row in rows]
         if all({int}.issuperset(map(type, row)) for row in rows):
             return cls(rows)
-        values = []
-        for v in chain.from_iterable(rows):
-            if type(v) is str:
-                v = parse_rational(v)
-            elif type(v) not in (int, Fraction):
-                if type(v) not in (bool, float) or not isfinite(v):
-                    raise ValidationError(f"matrix entry is not an exact number: {v!r}")
-                v = Fraction(v)
-            values.append(v)
-        values, d = _over_common_denominator(values)
+        values, d = _over_common_denominator(list(map(exact_number, chain.from_iterable(rows))))
         values = iter(values)
         return cls([list(islice(values, len(row))) for row in rows], d)
 

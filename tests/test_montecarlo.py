@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from concurrent.futures import Future
 from dataclasses import fields
@@ -57,6 +58,19 @@ class TestConfig:
             ExperimentConfig(size=3, draws=10, range_r=5, seed=2**64)
         with pytest.raises(ValidationError):
             ExperimentConfig(size=3, draws=10, range_r=5, seed=1, jobs=0)
+
+    @pytest.mark.parametrize("value", [True, 4.0], ids=repr)
+    @pytest.mark.parametrize("field", ["size", "draws", "range_r", "seed", "jobs"])
+    def test_fields_must_be_exactly_int(self, field, value):
+        # A bool would serialise as true, which from_json_obj rejects, and a
+        # float would fail later with TypeError.
+        cfg = dict(size=4, draws=10, range_r=3, seed=1, jobs=1)
+        with pytest.raises(ValidationError, match=f"^{field} must be an int"):
+            ExperimentConfig(**cfg | {field: value})
+        result = run_experiment(ExperimentConfig(**cfg))
+        assert ExperimentResult.from_json_obj(
+            json.loads(json.dumps(result.to_json_obj()))
+        ) == result
 
     def test_range_cap_is_what_numpy_draws(self):
         # numpy draws entries as int64; one more would fail at the first draw.
@@ -451,6 +465,14 @@ def _per_range(seed, size, ranges, trials):
     return [montecarlo._scalar_successes(seed, size, r, trials) for r in ranges]
 
 
+def _check_across_the_int64_bound():
+    ranges = [10, 2**31, 2**32]
+    assert [fits_int64(8, r) for r in ranges] == [True, False, False]
+    expected = _per_range(4, 8, ranges, range(60))
+    assert montecarlo._count_successes(4, 8, ranges, 0, 60) == expected
+    assert montecarlo._batch_ok is True
+
+
 class TestSweepAgreesWithPerRangePath:
     """A sweep draws each block's words once; its counts are each range's own."""
 
@@ -463,11 +485,14 @@ class TestSweepAgreesWithPerRangePath:
         assert montecarlo._batch_ok is True
 
     def test_across_the_int64_bound(self, fresh_self_check):
-        ranges = [10, 2**31, 2**32]
-        assert [fits_int64(8, r) for r in ranges] == [True, False, False]
-        expected = _per_range(4, 8, ranges, range(60))
-        assert montecarlo._count_successes(4, 8, ranges, 0, 60) == expected
-        assert montecarlo._batch_ok is True
+        _check_across_the_int64_bound()
+
+    def test_across_the_int64_bound_in_small_blocks(self, monkeypatch, fresh_self_check):
+        # One trial per block at size 8: batch and per-trial ranges take
+        # turns over 60 blocks.
+        monkeypatch.setattr(batch, "_BLOCK_ELEMENTS", 64)
+        assert batch.trials_per_block(8) == 1
+        _check_across_the_int64_bound()
 
     def test_rejecting_range(self, fresh_self_check):
         ranges = [3, 3 * 2**30, 10]
@@ -602,6 +627,84 @@ class TestSweepSelfCheck:
         assert cli_main([*argv, "--jobs", "2"]) == 0
         assert _InlinePool.made == 1
         assert capsys.readouterr().out == serial
+
+
+class TestOneCountingLoop:
+    """Every range is decided inside one block loop over the trials."""
+
+    @pytest.mark.parametrize("size,ranges", [(5, []), (8, [2**31, 2**32, 2**31])])
+    def test_no_batch_range_draws_no_words(self, size, ranges, monkeypatch):
+        monkeypatch.setattr(batch, "trial_words", _no_trials)
+        expected = _per_range(1, size, ranges, range(3, 8))
+        assert montecarlo._count_successes(1, size, ranges, 3, 8) == expected
+
+    def test_rejected_trials_are_redrawn_in_later_blocks(
+        self, monkeypatch, fresh_self_check
+    ):
+        # Four trials per block at size 4, from trial 5 on: each flagged
+        # trial must be redrawn under its own index, not its block offset.
+        monkeypatch.setattr(batch, "_BLOCK_ELEMENTS", 64)
+        flagged = [6, 50, 101]
+        expected = _per_range(2, 4, [3, 2**32], range(5, 105))
+        words, draws = batch.trial_words, batch.scaled_draws
+        starts = []
+        redone = []
+        scalar = montecarlo._scalar_successes
+
+        def record_start(seed, start, stop, count):
+            starts.append(start)
+            return words(seed, start, stop, count)
+
+        def flag(block, range_r):
+            values, rejected = draws(block, range_r)
+            for t in flagged:
+                if starts[-1] <= t < starts[-1] + len(block):
+                    rejected[t - starts[-1]] = True
+            return values, rejected
+
+        def record(seed, size, range_r, trials):
+            if range_r == 3:
+                redone.extend(trials)
+            return scalar(seed, size, range_r, trials)
+
+        monkeypatch.setattr(batch, "trial_words", record_start)
+        monkeypatch.setattr(batch, "scaled_draws", flag)
+        monkeypatch.setattr(montecarlo, "_scalar_successes", record)
+        assert montecarlo._count_successes(2, 4, [3, 2**32], 5, 105) == expected
+        assert redone == flagged and montecarlo._batch_ok is True
+
+    def test_failed_check_in_a_later_block_recounts_every_range(
+        self, monkeypatch, fresh_self_check
+    ):
+        # Range 3 rejects every trial of the first block, so its check falls
+        # on trial 9, the first of the second block, whose value is bumped.
+        # By then range 2³² has been counted per trial and range 10 by the
+        # batch over trials 5..8; every count must still cover all of 5..504.
+        monkeypatch.setattr(batch, "_BLOCK_ELEMENTS", 64)
+        ranges = [2**32, 10, 3]
+        expected = _per_range(2, 4, ranges, range(5, 505))
+        draws = batch.scaled_draws
+        calls = []
+
+        def corrupt(words, range_r):
+            values, rejected = draws(words, range_r)
+            if range_r == 3:
+                calls.append(None)
+                if len(calls) == 1:
+                    rejected[:] = True
+                else:
+                    values[0, -1] += 1
+            return values, rejected
+
+        monkeypatch.setattr(batch, "scaled_draws", corrupt)
+        assert montecarlo._count_successes(2, 4, ranges, 5, 505) == expected
+        assert len(calls) == 2 and montecarlo._batch_ok is False
+
+    def test_after_a_failed_check_no_words_are_drawn(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_batch_ok", False)
+        monkeypatch.setattr(batch, "trial_words", _no_trials)
+        expected = _per_range(2, 4, [3, 10], range(50))
+        assert montecarlo._count_successes(2, 4, [3, 10], 0, 50) == expected
 
 
 class TestTrialsPerBlock:

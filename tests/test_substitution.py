@@ -5,9 +5,11 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from bosonstirling import (
     SubstitutionReport,
     TruncatedSeries,
     ValidationError,
+    bell_polynomial,
     build_substitution_matrix,
     is_approximate_substitution,
     parse_word,
@@ -581,12 +584,24 @@ class TestEntryTypes:
             FiniteMatrix(nums, d)
 
     @pytest.mark.parametrize(
-        "x", [float("nan"), float("inf"), None, [1], 1 + 0j], ids=repr
+        "x",
+        [float("nan"), float("inf"), float("-inf"), None, [1], 1 + 0j,
+         Decimal("0.1"), np.int64(3)],
+        ids=repr,
     )
     def test_non_exact_entry_is_a_validation_error(self, x):
-        for construct in (FiniteMatrix.from_rows, FiniteMatrix):
+        # Matrices, series coefficients and Bell points take exact values by
+        # one rule, series.exact_number.
+        da = stirling_matrix(parse_word("d a"), 3)
+        constructors = [
+            lambda v: FiniteMatrix.from_rows([[1, 0], [v, 1]]),
+            lambda v: FiniteMatrix([[1, 0], [v, 1]]),
+            lambda v: TruncatedSeries((1, v)),
+            lambda v: bell_polynomial(da, 3, v),
+        ]
+        for construct in constructors:
             with pytest.raises(ValidationError):
-                construct([[1, 0], [x, 1]])
+                construct(x)
 
 
 @st.composite
