@@ -45,17 +45,22 @@ class BosonWord:
     The word ``(a†)^{r_1} a^{s_1} ··· (a†)^{r_M} a^{s_M}`` is stored as its
     maximal runs ``((r_1, s_1), ..., (r_M, s_M))``: no pair is (0, 0), only
     the first may have r = 0 and only the last s = 0.  The constructor merges
-    any sequence of non-negative (r, s) pairs into that form, so equal words
-    compare equal however their runs were given.  The empty word (no runs)
-    is valid and denotes the identity operator.  ``text``, the letters
-    ``"a"`` (annihilator) and ``"d"`` (creator, a†), is derived from the runs.
+    any sequence of (r, s) tuples of non-negative ``int`` into that form, so
+    equal words compare equal however their runs were given; anything else
+    raises ValidationError.  The empty word (no runs) is valid and denotes
+    the identity operator.  ``text``, the letters ``"a"`` (annihilator) and
+    ``"d"`` (creator, a†), is derived from the runs.
     """
 
     runs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
         runs: list[tuple[int, int]] = []
-        for r, s in self.runs:
+        for run in self.runs:
+            if not (type(run) is tuple and len(run) == 2
+                    and type(run[0]) is int and type(run[1]) is int):
+                raise ValidationError(f"run {run!r} is not a pair (r, s) of integers")
+            r, s = run
             if r < 0 or s < 0:
                 raise ValidationError(f"negative exponent in (r, s) pair ({r}, {s})")
             if runs and (runs[-1][1] == 0 or r == 0):

@@ -18,7 +18,6 @@ import argparse
 import json
 import sys
 from functools import cache
-from itertools import zip_longest
 
 from . import __version__
 from .boson import double_dot, normal_order, parse_word
@@ -64,44 +63,41 @@ def load_matrix_file(path: str) -> FiniteMatrix:
 
 
 def format_columns(rows: list[list[str]]) -> str:
-    """Right-justified fixed-width columns, two spaces apart, no trailing blanks."""
-    widths = [max(map(len, col)) for col in zip_longest(*rows, fillvalue="")]
-    lines = []
-    for row in rows:
-        cells = [cell.rjust(widths[i]) for i, cell in enumerate(row)]
-        lines.append("  ".join(cells).rstrip())
-    return "\n".join(lines)
+    """Right-justified columns, two spaces apart; each row has a non-empty cell per column."""
+    widths = [max(map(len, col)) for col in zip(*rows)]
+    return "\n".join(["  ".join(map(str.rjust, row, widths)) for row in rows])
+
+
+def format_csv(rows) -> str:
+    """One line per row: its values as text, ``;`` between them."""
+    return "\n".join([";".join(map(str, row)) for row in rows])
 
 
 def _emit(args, text: str) -> None:
-    out_path = getattr(args, "out", None)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+    """Write `text` to ``--out`` or stdout, with a final newline if it has none."""
+    end = "" if text.endswith("\n") else "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            print(text, end=end, file=fh)
     else:
-        print(text, end="" if text.endswith("\n") else "\n")
+        print(text, end=end)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _render_normal_form(nf, fmt: str) -> str:
-    if fmt == "json":
-        return dumps_canonical(nf.to_json_obj())
-    if fmt == "csv":
-        return "\n".join(f"{j};{l};{c}" for (j, l), c in nf.sorted_terms())
-    return str(nf)
-
-
-def cmd_no(args) -> int:
-    nf = normal_order(parse_word(args.word))
-    _emit(args, _render_normal_form(nf, args.format))
-    return EXIT_OK
-
-
-def cmd_dd(args) -> int:
-    nf = double_dot(parse_word(args.word))
-    _emit(args, _render_normal_form(nf, args.format))
+def cmd_normal_form(args) -> int:
+    # Looked up on each call, not bound when the parser is built, so that a
+    # wrapper patched over the module global (as a tracer does) is called.
+    order = normal_order if args.command == "no" else double_dot
+    nf = order(parse_word(args.word))
+    if args.format == "json":
+        text = dumps_canonical(nf.to_json_obj())
+    elif args.format == "csv":
+        text = format_csv((j, l, c) for (j, l), c in nf.sorted_terms())
+    else:
+        text = str(nf)
+    _emit(args, text)
     return EXIT_OK
 
 
@@ -111,13 +107,12 @@ def cmd_stirling(args) -> int:
     if args.format == "json":
         text = dumps_canonical(m.to_json_obj())
     elif args.format == "csv":
-        text = "\n".join(";".join(str(v) for v in row) for row in m.rows)
+        text = format_csv(m.rows)
     else:
         width = m.n_max * m.s_tot + 1
-        padded = [
-            [str(v) for v in row] + ["0"] * (width - len(row)) for row in m.rows
-        ]
-        text = format_columns(padded)
+        text = format_columns(
+            [[str(v) for v in row] + ["0"] * (width - len(row)) for row in m.rows]
+        )
     _emit(args, text)
     if not args.check_subst:
         return EXIT_OK
@@ -155,7 +150,7 @@ def cmd_bell(args) -> int:
     if args.format == "json":
         text = dumps_canonical([str(v) for v in values])
     elif args.format == "csv":
-        text = "\n".join(f"{n};{v}" for n, v in enumerate(values))
+        text = format_csv(enumerate(values))
     else:
         text = format_columns([[str(n), str(v)] for n, v in enumerate(values)])
     _emit(args, text)
@@ -167,37 +162,29 @@ def cmd_classify(args) -> int:
     if args.format == "json":
         text = dumps_canonical(c.to_json_obj())
     else:
-        lines = [f"kind: {c.kind}"]
-        if c.r is not None:
-            lines.append(f"r: {c.r}")
-            lines.append(f"p: {c.p}")
-        ends_with_a = "true" if c.ends_with_a else "false"
-        lines.append(f"ends_with_a: {ends_with_a}")
-        lines.append(f"first_column_unit: {ends_with_a}")
-        text = "\n".join(lines)
+        text = "\n".join(
+            f"{key}: {json.dumps(value) if type(value) is bool else value}"
+            for key, value in c.to_json_obj().items()
+            if value is not None
+        )
     _emit(args, text)
     return EXIT_OK
 
 
-def _render_report(report, fmt: str) -> str:
-    if fmt == "json":
-        return dumps_canonical(report.to_json_obj())
-    lines = [f"verdict: {'true' if report.verdict else 'false'}"]
-    if report.failing_columns:
-        lines.append(f"failing columns: {', '.join(str(f.k) for f in report.failing_columns)}")
-        for f in report.failing_columns:
-            lines.append(f"  k={f.k}")
-            lines.append(f"    expected: {f.expected}")
-            lines.append(f"    actual:   {f.actual}")
-    lines.append(f"g: {report.extracted_g}")
-    lines.append(f"phi: {report.extracted_phi}")
-    return "\n".join(lines)
-
-
 def cmd_check_subst(args) -> int:
-    matrix = load_matrix_file(args.matrix_file)
-    report = is_approximate_substitution(matrix)
-    _emit(args, _render_report(report, args.format))
+    report = is_approximate_substitution(load_matrix_file(args.matrix_file))
+    if args.format == "json":
+        text = dumps_canonical(report.to_json_obj())
+    else:
+        failing = report.failing_columns
+        lines = [f"verdict: {'true' if report.verdict else 'false'}"]
+        if failing:
+            lines.append(f"failing columns: {', '.join(str(f.k) for f in failing)}")
+        for f in failing:
+            lines += [f"  k={f.k}", f"    expected: {f.expected}", f"    actual:   {f.actual}"]
+        lines += [f"g: {report.extracted_g}", f"phi: {report.extracted_phi}"]
+        text = "\n".join(lines)
+    _emit(args, text)
     return EXIT_OK if report.verdict else EXIT_FALSE
 
 
@@ -238,11 +225,14 @@ def _mc_fields(result) -> list:
     ]
 
 
-def _mc_table_row(result) -> list[str]:
-    """The CSV values, with the estimate and Wilson interval as decimals."""
+def _mc_table_row(result, sweep: bool) -> list[str]:
+    """The table's cells: the exact values with the estimate and Wilson interval
+    as decimals, and for a sweep the estimate/bound ratio."""
     fields = _mc_fields(result)
     cells = list(map(str, fields))
     cells[5:8] = (format(float(v), ".6g") for v in fields[5:8])
+    if sweep:
+        cells.append(str(result.ratio_to_bound))
     return cells
 
 
@@ -312,14 +302,10 @@ def cmd_montecarlo(args) -> int:
                 obj["ratio"] = str(r.ratio_to_bound)
         text = dumps_canonical(objs if sweep else objs[0])
     elif args.format == "csv":
-        rows = [_MC_HEADER, *map(_mc_fields, results)]
-        text = "\n".join(";".join(map(str, row)) for row in rows)
-    elif sweep:
-        table = [_MC_HEADER + ["ratio"]]
-        table += [_mc_table_row(r) + [str(r.ratio_to_bound)] for r in results]
-        text = format_columns(table)
+        text = format_csv([_MC_HEADER, *map(_mc_fields, results)])
     else:
-        text = format_columns([_MC_HEADER, *map(_mc_table_row, results)])
+        header = _MC_HEADER + ["ratio"] if sweep else _MC_HEADER
+        text = format_columns([header, *(_mc_table_row(r, sweep) for r in results)])
     _emit(args, text)
     return EXIT_OK
 
@@ -328,15 +314,12 @@ def cmd_bound(args) -> int:
     _require_printable_bound(args.size, args.range)
     value = probability_bound(args.size, args.range)
     if args.format == "json":
-        determined, total = count_free_parameters(args.size)
-        obj = {
+        text = dumps_canonical({
             "size": args.size,
             "range": args.range,
-            "determined": determined,
-            "total": total,
+            **count_free_parameters(args.size)._asdict(),
             "bound": str(value),
-        }
-        text = dumps_canonical(obj)
+        })
     else:
         text = str(value)
     _emit(args, text)
@@ -369,10 +352,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     integer = {"type": _integer_flag, "required": True}
 
-    sp = _add_command(sub, "no", cmd_no, "normally order a word")
+    sp = _add_command(sub, "no", cmd_normal_form, "normally order a word")
     sp.add_argument("word", help="word text, e.g. \"a a+ a\" or \"rs:[1,1]\"")
 
-    sp = _add_command(sub, "dd", cmd_dd, "double-dot form of a word")
+    sp = _add_command(sub, "dd", cmd_normal_form, "double-dot form of a word")
     sp.add_argument("word")
 
     sp = _add_command(sub, "stirling", cmd_stirling, "generalized Stirling matrix of a word")

@@ -100,6 +100,8 @@ class ExperimentResult:
     successes: int
 
     def __post_init__(self):
+        if type(self.successes) is not int:
+            raise ValidationError(f"successes must be an int, got {self.successes!r}")
         if not 0 <= self.successes <= self.config.draws:
             raise ValidationError(
                 f"successes {self.successes} outside 0..{self.config.draws}"

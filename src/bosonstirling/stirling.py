@@ -199,6 +199,11 @@ class WordClassification:
     ends_with_a: bool
 
     def __post_init__(self):
+        for name, value in (("r", self.r), ("p", self.p)):
+            if value is not None and type(value) is not int:
+                raise ValidationError(f"{name} must be an int or None, got {value!r}")
+        if type(self.ends_with_a) is not bool:
+            raise ValidationError(f"ends_with_a must be a bool, got {self.ends_with_a!r}")
         if (self.r is None) != (self.p is None):
             raise ValidationError("r and p must both be set or both be null")
         if self.r is not None and not (

@@ -124,6 +124,18 @@ class TestRuns:
         with pytest.raises(ValidationError):
             BosonWord(((1, 1), (2, -1)))
 
+    @pytest.mark.parametrize(
+        "runs",
+        [((1.5, 1),), ((2, 1.0),), (("2", 1),), "da", ((True, 1),), ((1, 2, 3),),
+         ((1,),), ([1, 1],)],
+        ids=repr,
+    )
+    def test_runs_must_be_pairs_of_ints(self, runs):
+        # Unchecked, these construct and then break .text and normal_order,
+        # or fail with TypeError or ValueError.
+        with pytest.raises(ValidationError, match="is not a pair"):
+            BosonWord(runs)
+
     def test_invalid_letter_rejected(self):
         with pytest.raises(ValidationError):
             BosonWord.from_letters("dxa")

@@ -696,6 +696,55 @@ class TestBoundCommand:
         assert (obj["determined"], obj["total"]) == (5, 6)
 
 
+_MC = ["montecarlo", "--size", "4", "--draws", "50", "--range", "3", "--seed", "5"]
+
+
+class TestOutputLayer:
+    """Every column table is rectangular, and `no`/`dd` call their function by name."""
+
+    @pytest.mark.parametrize(
+        "argv,lines,columns",
+        [
+            (["stirling", "d d", "--rows", "5"], 6, 1),
+            (["stirling", "a+ a a+", "--rows", "6"], 7, 7),
+            (["stirling", "d a a d", "--rows", "5"], 6, 11),
+            (["bell", "d a d", "--rows", "7"], 8, 2),
+            (["bell", "d a d", "--rows", "7", "--x=-3/2"], 8, 2),
+            (["build-subst", "--g", "1,1", "--phi", "0,1,1", "--size", "6"], 6, 6),
+            (["build-subst", "--g", "1,3/4", "--phi", "0,1,-1/3", "--size", "6"], 6, 6),
+            (_MC, 2, 9),
+            ([*_MC, "--sweep-range", "2,3,10"], 4, 10),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+    )
+    def test_tables_are_rectangular(self, capsys, argv, lines, columns):
+        # format_columns expects rectangular rows without empty cells: a
+        # ragged row would lose cells and an empty one leave trailing blanks.
+        code, out, _ = run_cli(capsys, *argv)
+        table = out.splitlines()
+        assert code == 0
+        assert [len(line.split()) for line in table] == [columns] * lines
+        assert len({len(line) for line in table}) == 1
+        assert not any(line.endswith(" ") for line in table)
+
+    @pytest.mark.parametrize("command", ["no", "dd"])
+    def test_patched_functions_are_called(self, capsys, monkeypatch, command):
+        # A tracer wraps normal_order and double_dot in the cli module after
+        # the parser may have been built, so the command must look them up
+        # on each call.
+        cli._arg_parser()
+        calls = []
+        for name in ("normal_order", "double_dot"):
+            def wrapper(word, _name=name, _fn=getattr(cli, name)):
+                calls.append(_name)
+                return _fn(word)
+            monkeypatch.setattr(cli, name, wrapper)
+        code, out, _ = run_cli(capsys, command, "a a+ a")
+        assert calls == ["normal_order" if command == "no" else "double_dot"]
+        expected = {"no": "1 (a†)^0 a^1 + 1 (a†)^1 a^2\n", "dd": "1 (a†)^1 a^2\n"}
+        assert (code, out) == (0, expected[command])
+
+
 def _refuse(*args):
     raise AssertionError("work done before the input was checked")
 

@@ -245,6 +245,18 @@ class TestRunExperiment:
         with pytest.raises(ValidationError):
             ExperimentResult(config=cfg, successes=11)
 
+    @pytest.mark.parametrize("value", [True, 2.0], ids=repr)
+    def test_successes_must_be_exactly_int(self, value):
+        # A bool would serialise as true, which from_json_obj rejects, and a
+        # float would fail later with TypeError in estimate.
+        cfg = ExperimentConfig(size=4, draws=10, range_r=3, seed=1)
+        with pytest.raises(ValidationError, match="^successes must be an int"):
+            ExperimentResult(config=cfg, successes=value)
+        result = ExperimentResult(config=cfg, successes=2)
+        assert ExperimentResult.from_json_obj(
+            json.loads(json.dumps(result.to_json_obj()))
+        ) == result
+
     def test_result_stores_only_measured_values(self):
         result = run_experiment(ExperimentConfig(size=4, draws=30, range_r=3, seed=2))
         assert [f.name for f in fields(ExperimentResult)] == ["config", "successes"]

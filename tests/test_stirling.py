@@ -317,6 +317,16 @@ class TestClassifyWord:
         with pytest.raises(ValidationError):
             WordClassification(r=r, p=p, ends_with_a=ends_with_a)
 
+    @pytest.mark.parametrize(
+        "r,p,ends_with_a,name",
+        [(1.5, 0, True, "r"), (True, False, True, "r"), (1, 1.0, False, "p"),
+         (2, 1, 0, "ends_with_a"), (None, None, 1, "ends_with_a")],
+    )
+    def test_field_types_rejected(self, r, p, ends_with_a, name):
+        # Each of these would write JSON that from_json_obj rejects.
+        with pytest.raises(ValidationError, match=f"^{name} must be"):
+            WordClassification(r=r, p=p, ends_with_a=ends_with_a)
+
     def test_first_column_unit_is_derived(self):
         assert "first_column_unit" not in [f.name for f in fields(WordClassification)]
         obj = classify_word(parse_word("d a")).to_json_obj()
