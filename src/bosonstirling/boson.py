@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from itertools import groupby
 from math import comb, perm
@@ -55,6 +55,8 @@ class BosonWord:
     runs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.runs, Iterable):
+            raise ValidationError(f"runs {self.runs!r} is not a sequence of (r, s) pairs")
         runs: list[tuple[int, int]] = []
         for run in self.runs:
             if not (type(run) is tuple and len(run) == 2
@@ -103,15 +105,21 @@ class NormalForm:
     """A finite integer combination of basis monomials (a†)^j a^l.
 
     ``terms`` is a read-only mapping from pairs ``(j, l)`` of non-negative
-    ``int`` to nonzero ``int``; a float or a boolean raises ValidationError.
+    ``int`` to nonzero ``int``; a float or a boolean, a key that is not a
+    pair, or ``terms`` that is not a mapping raises ValidationError.
     Zero coefficients are never stored.
     """
 
     terms: Mapping[tuple[int, int], int]
 
     def __post_init__(self):
+        if not isinstance(self.terms, Mapping):
+            raise ValidationError(f"terms {self.terms!r} is not a mapping of (j, l) pairs")
         cleaned: dict[tuple[int, int], int] = {}
-        for (j, l), c in dict(self.terms).items():
+        for key, c in self.terms.items():
+            if not (type(key) is tuple and len(key) == 2):
+                raise ValidationError(f"key {key!r} is not a pair (j, l) of exponents")
+            j, l = key
             if type(j) is not int or type(l) is not int or j < 0 or l < 0:
                 raise ValidationError(f"exponents ({j!r}, {l!r}) are not non-negative integers")
             if type(c) is not int:

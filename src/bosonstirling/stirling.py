@@ -18,11 +18,11 @@ and the Bell numbers their values at x = 1.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from operator import add
+from math import comb, perm
+from operator import add, mul
 
 from .boson import BosonWord, excess, normal_order
 from .errors import RangeError, ValidationError, json_list, json_value
@@ -103,28 +103,44 @@ class GeneralizedStirlingMatrix:
 def stirling_matrix(w: BosonWord, n_max: int) -> GeneralizedStirlingMatrix:
     """Materialize rows 0..n_max of S_w by a row-step kernel on ``int`` lists.
 
-    Write d⁺ = max(d, 0), d⁻ = max(−d, 0) and the normal form of w once as
-    N(w) = Σ_t c_t (a†)^{j_t} a^{l_t}.  Row n is read off N(w^n) =
-    N(w^{n−1})·N(w), whose column-k1 term in row n−1 is
+    Write s for the annihilator count, d⁺ = max(d, 0), d⁻ = max(−d, 0) and
+    the normal form of w once as N(w) = Σ_t c_t (a†)^{j_t} a^{l_t}.  Row n
+    is read off N(w^n) = N(w^{n−1})·N(w), whose column-k1 term in row n−1 is
 
         S(n−1,k1) (a†)^{k1+(n−1)d⁺} a^{L},    L = k1 + (n−1)d⁻.
 
     The Weyl identity a^L (a†)^j = Σ_κ C(L,κ)C(j,κ)κ! (a†)^{j−κ} a^{L−κ},
     with C(L,κ)·κ! = perm(L,κ), turns that term times c_t (a†)^{j_t} a^{l_t}
     into Σ_κ S(n−1,k1)·c_t·C(j_t,κ)·perm(L,κ) times a monomial with
-    annihilator exponent L − κ + l_t = k + n·d⁻, that is column
-    k = k1 + (l_t − κ − d⁻).  So, with the step list
-    (shift = l_t − κ − d⁻, mult = c_t·C(j_t,κ), κ) for κ = 0..j_t,
+    annihilator exponent L − κ + l_t = k + n·d⁻, that is column k = k1 + σ
+    for the shift σ = l_t − κ − d⁻.  The steps (t, κ) that share a shift
+    add into the same column and differ only in their factor
+    c_t·C(j_t,κ)·perm(L,κ), so by distributivity they sum to one weight
 
-        row_n[k1 + shift] += row_{n−1}[k1] · mult · perm(k1 + (n−1)·d⁻, κ).
+        T_σ(L) = Σ_κ mult_{σ,κ}·perm(L,κ),
+        mult_{σ,κ} = Σ_{t : l_t − κ − d⁻ = σ} c_t·C(j_t,κ),
+        row_n[k1 + σ] += row_{n−1}[k1] · T_σ(k1 + (n−1)·d⁻),
 
-    Every nonzero contribution is a term of N(w^n), so it lands in columns
-    0..n·s; a contribution aimed left of column 0 has perm(L,κ) = 0, so the
-    columns k1 < −shift are skipped.  Steps with equal (κ, shift) share one
-    summed mult, and the factors perm(L,κ) are built for κ = 0, 1, ... by
-    multiplying by L − κ + 1, which is zero once κ passes L.  Row n−1 ends
-    at column (n−1)·s, so L ≤ (n_max−1)·(s + d⁻) on every row built, and
-    steps with a larger κ, which could only add zeros, are never made.
+    one pass over row n−1 per distinct shift.  A shift whose only step is
+    κ = 0 with mult 1 has T_σ(L) = perm(L,0) = 1 at every L, so row n−1 is
+    added as it stands, with no table and no product.
+
+    Every contribution is non-negative and every nonzero one is a term of
+    N(w^n), so it lands in columns 0..n·s; those aimed left of column 0 are
+    zero, and the columns k1 < lo = −σ are skipped.  Row n−1 ends at column
+    (n−1)·s, so a shift with lo past that column has nothing left to add;
+    shifts are taken in decreasing order, so lo only grows and the first
+    such shift ends the passes of row n.  The largest shift lies in 0..s
+    (the term (r, s) of N(w) gives σ = s − d⁻ at κ = 0, and σ ≤ l_t ≤ s),
+    so its pass has lo = 0 and writes the row, zeros on both sides,
+    instead of adding into zeros.
+
+    Row n reads T_σ only at L = k1 + (n−1)·d⁻ ≤ (n−1)·(s + d⁻), and those
+    values do not depend on n, so each table is grown by s + d⁻ entries per
+    row and holds exactly L = 0..(n−1)·(s + d⁻) while row n is built: the
+    kernel's memory follows the rows built, not n_max.  perm(L,κ) vanishes
+    for κ > L, so steps with κ > (n_max−1)·(s + d⁻), which could only add
+    zeros, are never made.
     """
     if len(w) == 0:
         raise ValidationError("the empty word has no Stirling matrix")
@@ -132,25 +148,38 @@ def stirling_matrix(w: BosonWord, n_max: int) -> GeneralizedStirlingMatrix:
         raise ValidationError(f"row count must be non-negative, got {n_max}")
     s_tot = w.annihilator_count
     d_minus = max(-excess(w), 0)
-    # steps[κ] maps shift to mult; the term (r_tot, s_tot) of N(w) makes
-    # every κ = 0..kappa_max occur.
     kappa_max = min(w.creator_count, max((n_max - 1) * (s_tot + d_minus), 0))
-    steps = [Counter() for _ in range(kappa_max + 1)]
+    # steps[shift] maps κ to mult.
+    steps: defaultdict[int, Counter] = defaultdict(Counter)
     for (j, l), c in normal_order(w).terms.items():
         for kappa in range(min(j, kappa_max) + 1):
-            steps[kappa][l - kappa - d_minus] += c * comb(j, kappa)
+            steps[l - kappa - d_minus][kappa] += c * comb(j, kappa)
+    shifts = sorted(steps, reverse=True)
+    # tables[shift] lists T_shift(L) for L = 0, 1, ...; unit shifts have none.
+    tables = {shift: [] for shift in shifts if steps[shift] != {0: 1}}
     rows = [[1]]
     for n in range(1, n_max + 1):
-        out = [0] * (n * s_tot + 1)
-        base = (n - 1) * d_minus + 1
-        weighted = rows[-1]
-        for kappa, shifts in enumerate(steps):
-            if kappa:
-                weighted = [v * (k1 + base - kappa) for k1, v in enumerate(weighted)]
-            for shift, mult in shifts.items():
-                lo = max(-shift, 0)
-                src = weighted[lo:] if mult == 1 else [mult * v for v in weighted[lo:]]
-                start, stop = lo + shift, lo + shift + len(src)
+        prev = rows[-1]
+        base = (n - 1) * d_minus
+        end = base + len(prev)
+        for shift, table in tables.items():
+            mults = steps[shift].items()
+            table.extend(sum(mult * perm(big_l, kappa) for kappa, mult in mults)
+                         for big_l in range(len(table), end))
+        out = None
+        for shift in shifts:
+            lo = max(-shift, 0)
+            if lo >= len(prev):
+                break
+            table = tables.get(shift)
+            part = prev[lo:] if lo else prev
+            src = part if table is None else map(mul, part, table[base + lo:end])
+            if out is None:
+                out = [0] * shift
+                out.extend(src)
+                out.extend([0] * (s_tot - shift))
+            else:
+                start, stop = lo + shift, shift + len(prev)
                 out[start:stop] = map(add, out[start:stop], src)
         rows.append(out)
     return GeneralizedStirlingMatrix(word=w, rows=tuple(map(tuple, rows)))

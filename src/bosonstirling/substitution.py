@@ -43,6 +43,12 @@ from .errors import RangeError, ValidationError, json_list, json_value
 from .series import TruncatedSeries, exact_number, parse_rational
 from .stirling import column_egf
 
+#: Largest ``g`` order that :meth:`SubstitutionReport.from_json_obj` reads.
+#: The reader rebuilds and re-verifies a matrix of size order + 1, work
+#: cubic in the order from a file of linear size; the largest matrices in
+#: the tests, README and benchmark have size 61.
+MAX_REPORT_ORDER = 256
+
 
 @dataclass(frozen=True)
 class FiniteMatrix:
@@ -288,7 +294,10 @@ class SubstitutionReport:
         and the failing columns' actual series then fix the matrix, since
         every other column k is g·φ^k/k!: it is rebuilt, and the file is
         read as its report only if that report has the same verdict, g, φ
-        and failing columns.
+        and failing columns.  A g of order above :data:`MAX_REPORT_ORDER`,
+        or a φ, expected or actual series of another order than g's, is
+        rejected before any matrix is built; every series of a matrix's
+        report has g's order, so no report is lost.
         """
         failing = tuple(
             ColumnMismatch(
@@ -299,7 +308,20 @@ class SubstitutionReport:
             for f in json_list(json_value(obj, "failing_columns"), "failing_columns", of=dict)
         )
         g = TruncatedSeries.from_json_obj(json_value(obj, "g"))
+        if g.order > MAX_REPORT_ORDER:
+            raise ValidationError(
+                f"g has order {g.order}; reports are read up to order {MAX_REPORT_ORDER}"
+            )
         phi = TruncatedSeries.from_json_obj(json_value(obj, "phi"))
+        series = [("phi", phi)]
+        for f in failing:
+            series += [(f"failing column {f.k}'s expected", f.expected),
+                       (f"failing column {f.k}'s actual", f.actual)]
+        for name, s in series:
+            if s.order != g.order:
+                raise ValidationError(
+                    f"{name} has order {s.order}; need series through order {g.order}, as g"
+                )
         previous = 1
         for f in failing:
             if not previous < f.k <= g.order:

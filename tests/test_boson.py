@@ -136,6 +136,12 @@ class TestRuns:
         with pytest.raises(ValidationError, match="is not a pair"):
             BosonWord(runs)
 
+    @pytest.mark.parametrize("runs", [5, None, 1.5], ids=repr)
+    def test_runs_must_be_a_sequence(self, runs):
+        # Unchecked, these fail with TypeError: the object is not iterable.
+        with pytest.raises(ValidationError, match="is not a sequence"):
+            BosonWord(runs)
+
     def test_invalid_letter_rejected(self):
         with pytest.raises(ValidationError):
             BosonWord.from_letters("dxa")
@@ -332,6 +338,17 @@ class TestNormalFormValue:
     def test_rejects_boolean_coefficients(self):
         with pytest.raises(ValidationError, match="coefficient"):
             NormalForm({(0, 0): True})
+
+    @pytest.mark.parametrize(
+        "terms,message",
+        [(5, "is not a mapping"), (None, "is not a mapping"), ([(1, 2)], "is not a mapping"),
+         ({1: 2}, "is not a pair"), ({(1, 2, 3): 1}, "is not a pair")],
+        ids=repr,
+    )
+    def test_rejects_unreadable_terms(self, terms, message):
+        # Unchecked, these fail with TypeError or ValueError.
+        with pytest.raises(ValidationError, match=message):
+            NormalForm(terms)
 
     def test_drops_zero_coefficients(self):
         assert NormalForm({(0, 0): 1, (1, 1): 0}).terms == {(0, 0): 1}

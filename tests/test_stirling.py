@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+import sys
+from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 
 import pytest
 from hypothesis import example, given, settings
@@ -182,6 +184,12 @@ class TestAgainstActionOracle:
     @example(tuple("adaddd"), 7)
     @example(tuple("daaadd"), 7)
     @example(tuple("ddddda"), 7)
+    # Shifts −1 and −2 run past the end of rows 1 and 2 of "dadd", and
+    # "adaa" (d⁻ = 2) sums κ = 0 and κ = 1 into its shift 0.
+    @example(tuple("dadd"), 1)
+    @example(tuple("dadd"), 2)
+    @example(tuple("dadd"), 3)
+    @example(tuple("adaa"), 7)
     def test_rows_match_oracle(self, letters, n_max):
         m = stirling_matrix(BosonWord.from_letters(letters), n_max)
         assert [list(row) for row in m.rows] == stirling_rows_by_action(letters, n_max)
@@ -225,6 +233,48 @@ class TestStepsStopWherePermVanishes:
         terms = normal_order(w).terms
         assert max(calls) == min(kappa_max, max(j for j, _ in terms))
         assert len(calls) == sum(min(j, kappa_max) + 1 for j, _ in terms)
+
+
+class TestWeightsGrowWithRows:
+    """Row n evaluates weights T_σ(L) only for L ≤ (n−1)·(s + d⁻), every L equally often.
+
+    ``perm`` is patched as ``comb`` is above.  Each call also records how
+    many rows the kernel has built, read from its ``rows`` list, so a table
+    filled ahead of the rows is caught without asking for a huge matrix.
+    """
+
+    def _perm_calls(self, monkeypatch, text, n_max):
+        calls = []
+
+        def counting_perm(n, k):
+            frame = sys._getframe(1)
+            while frame.f_code is not stirling_matrix.__code__:
+                frame = frame.f_back
+            calls.append((n, len(frame.f_locals["rows"])))
+            return perm(n, k)
+
+        monkeypatch.setattr(stirling_module, "perm", counting_perm)
+        return stirling_matrix(parse_word(text), n_max), calls
+
+    @pytest.mark.parametrize("text", ["a", "d", "rs:[2000,1]", "aa"])
+    def test_unit_weights_evaluate_nothing(self, monkeypatch, text):
+        assert self._perm_calls(monkeypatch, text, 1)[1] == []
+
+    @pytest.mark.parametrize(
+        "text", ["d a", "d a d d", "a d a a", "rs:[2,3;4,1]", "rs:[0,2;5,0]", "a a d a"]
+    )
+    @pytest.mark.parametrize("n_max", range(2, 7))
+    def test_each_weight_once_when_its_row_needs_it(self, monkeypatch, text, n_max):
+        m, calls = self._perm_calls(monkeypatch, text, n_max)
+        assert [list(row) for row in m.rows] == stirling_rows_by_action(m.word.text, n_max)
+        step = m.s_tot + max(-m.d, 0)
+        # While row n is built, rows 0..n−1 exist and row n reads L ≤ (n−1)·step.
+        assert all(big_l <= (built - 1) * step for big_l, built in calls)
+        # Row n_max reads every L up to its bound, and every L is evaluated
+        # as often as every other: no table is rebuilt for a later row.
+        per_l = Counter(big_l for big_l, _ in calls)
+        assert sorted(per_l) == list(range((n_max - 1) * step + 1))
+        assert len(set(per_l.values())) == 1
 
 
 class TestBell:

@@ -33,7 +33,8 @@ from bosonstirling import (
 
 from bosonstirling.cli import main as cli_main
 from bosonstirling.series import parse_integer, parse_rational
-from bosonstirling.substitution import _ratio_text, recurrence_failure
+from bosonstirling import substitution as substitution_module
+from bosonstirling.substitution import MAX_REPORT_ORDER, _ratio_text, recurrence_failure
 
 from oracles import (
     closed_form_pair,
@@ -483,7 +484,7 @@ class TestReportIsItsMatrix:
     def test_actual_of_wrong_order_rejected(self):
         obj = counterexample_json()
         obj["failing_columns"][0]["actual"] = {"order": 2, "coeffs": ["0", "0", "1/2"]}
-        with pytest.raises(ValidationError, match="does not match the matrix"):
+        with pytest.raises(ValidationError, match="actual has order 2; need series through order 3"):
             SubstitutionReport.from_json_obj(obj)
 
     def test_actual_that_breaks_unipotence_rejected(self):
@@ -491,6 +492,51 @@ class TestReportIsItsMatrix:
         obj["failing_columns"][0]["actual"]["coeffs"][0] = "1"
         with pytest.raises(ValidationError, match="unipotent"):
             SubstitutionReport.from_json_obj(obj)
+
+    @staticmethod
+    def _identity_report(order):
+        zeros = ["0"] * (order - 1)
+        return {
+            "verdict": True,
+            "failing_columns": [],
+            "g": {"order": order, "coeffs": ["1", "0", *zeros]},
+            "phi": {"order": order, "coeffs": ["0", "1", *zeros]},
+        }
+
+    def test_order_past_the_cap_rejected_before_any_matrix(self, monkeypatch):
+        def no_matrix(*args):
+            raise AssertionError("a matrix was built")
+
+        monkeypatch.setattr(substitution_module, "build_substitution_matrix", no_matrix)
+        obj = self._identity_report(MAX_REPORT_ORDER + 1)
+        assert len(json.dumps(obj)) < 4096
+        with pytest.raises(ValidationError, match=f"up to order {MAX_REPORT_ORDER}"):
+            SubstitutionReport.from_json_obj(obj)
+
+    @pytest.mark.parametrize("field", ["phi", "expected", "actual"])
+    def test_series_past_the_cap_beside_a_small_g_rejected_before_any_matrix(
+        self, monkeypatch, field
+    ):
+        def no_matrix(*args):
+            raise AssertionError("a matrix was built")
+
+        monkeypatch.setattr(substitution_module, "build_substitution_matrix", no_matrix)
+        obj = counterexample_json()
+        long = {"order": MAX_REPORT_ORDER + 1, "coeffs": ["0"] * (MAX_REPORT_ORDER + 2)}
+        if field == "phi":
+            obj["phi"] = long
+        else:
+            obj["failing_columns"][0][field] = long
+        assert len(json.dumps(obj)) < 4096
+        with pytest.raises(ValidationError, match="need series through order 3"):
+            SubstitutionReport.from_json_obj(obj)
+
+    def test_order_at_the_cap_is_read(self, monkeypatch):
+        monkeypatch.setattr(substitution_module, "MAX_REPORT_ORDER", 4)
+        report = SubstitutionReport.from_json_obj(self._identity_report(4))
+        assert report == is_approximate_substitution(FiniteMatrix.identity(5))
+        with pytest.raises(ValidationError, match="up to order 4"):
+            SubstitutionReport.from_json_obj(self._identity_report(5))
 
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(
