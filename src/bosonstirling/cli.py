@@ -17,7 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from functools import cache
+from itertools import chain, repeat, zip_longest
 
 from . import __version__
 from .boson import double_dot, normal_order, parse_word
@@ -62,25 +64,58 @@ def load_matrix_file(path: str) -> FiniteMatrix:
     return FiniteMatrix.from_json_obj(obj)
 
 
-def format_columns(rows: list[list[str]]) -> str:
-    """Right-justified columns, two spaces apart; each row has a non-empty cell per column."""
-    widths = [max(map(len, col)) for col in zip(*rows)]
-    return "\n".join(["  ".join(map(str.rjust, row, widths)) for row in rows])
+def format_columns(rows, widths=None):
+    """Right-justified columns, two spaces apart, one line at a time.
+
+    Each row has a non-empty cell per column.  Without `widths`, `rows` is a
+    list of rows of ``str`` cells and each column is as wide as its widest
+    cell; a caller that knows the widths may give any iterable of rows.
+    """
+    if widths is None:
+        widths = [max(map(len, col)) for col in zip(*rows)]
+    for row in rows:
+        yield "  ".join(map(str.rjust, row, widths))
 
 
-def format_csv(rows) -> str:
-    """One line per row: its values as text, ``;`` between them."""
-    return "\n".join([";".join(map(str, row)) for row in rows])
+def format_csv(rows):
+    """One line per row: its values as text, ``;`` between them.
+
+    Each line is made as it is read, so a value too long for ``str`` fails
+    after the lines before it were written; commands with few rows make the
+    list of lines in full first.
+    """
+    for row in rows:
+        yield ";".join(map(str, row))
 
 
-def _emit(args, text: str) -> None:
-    """Write `text` to ``--out`` or stdout, with a final newline if it has none."""
-    end = "" if text.endswith("\n") else "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            print(text, end=end, file=fh)
-    else:
-        print(text, end=end)
+def _stirling_table(rows):
+    """The table of a Stirling matrix's rows, zero-padded to the last row.
+
+    Entries are non-negative, so a column's widest cell is its largest
+    entry, and no padding zero is wider: one ``str`` per column gives the
+    widths, and the cells are made a line at a time.
+    """
+    maxima = list(map(max, zip_longest(*rows, fillvalue=0)))
+    width = len(maxima)
+    return format_columns(
+        (chain(map(str, row), repeat("0", width - len(row))) for row in rows),
+        [len(str(v)) for v in maxima],
+    )
+
+
+def _emit(args, lines) -> None:
+    """Write each of `lines`, with a newline if it has none, to ``--out`` or stdout.
+
+    The first line is made before ``--out`` is opened, so a writer that
+    fails its checks before its first line leaves no file behind.
+    """
+    lines = iter(lines)
+    first = next(lines, "")
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+        for line in chain((first,), lines):
+            fh.write(line)
+            if not line.endswith("\n"):
+                fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -92,12 +127,12 @@ def cmd_normal_form(args) -> int:
     order = normal_order if args.command == "no" else double_dot
     nf = order(parse_word(args.word))
     if args.format == "json":
-        text = dumps_canonical(nf.to_json_obj())
+        lines = [dumps_canonical(nf.to_json_obj())]
     elif args.format == "csv":
-        text = format_csv((j, l, c) for (j, l), c in nf.sorted_terms())
+        lines = list(format_csv((j, l, c) for (j, l), c in nf.sorted_terms()))
     else:
-        text = str(nf)
-    _emit(args, text)
+        lines = [str(nf)]
+    _emit(args, lines)
     return EXIT_OK
 
 
@@ -105,15 +140,16 @@ def cmd_stirling(args) -> int:
     w = parse_word(args.word)
     m = stirling_matrix(w, args.rows)
     if args.format == "json":
-        text = dumps_canonical(m.to_json_obj())
+        lines = [dumps_canonical(m.to_json_obj())]
     elif args.format == "csv":
-        text = format_csv(m.rows)
+        # An entry too long for str fails here, before the first line, as
+        # the whole text did: the last row holds the largest entry (see
+        # stirling_matrix), and str's error names no value.
+        str(max(m.rows[-1]))
+        lines = format_csv(m.rows)
     else:
-        width = m.n_max * m.s_tot + 1
-        text = format_columns(
-            [[str(v) for v in row] + ["0"] * (width - len(row)) for row in m.rows]
-        )
-    _emit(args, text)
+        lines = _stirling_table(m.rows)
+    _emit(args, lines)
     if not args.check_subst:
         return EXIT_OK
     if m.s_tot != 1:
@@ -148,33 +184,32 @@ def cmd_bell(args) -> int:
         x = parse_rational(args.x)
         values = [bell_polynomial(m, n, x) for n in range(m.n_max + 1)]
     if args.format == "json":
-        text = dumps_canonical([str(v) for v in values])
-    elif args.format == "csv":
-        text = format_csv(enumerate(values))
+        lines = [dumps_canonical([str(v) for v in values])]
     else:
-        text = format_columns([[str(n), str(v)] for n, v in enumerate(values)])
-    _emit(args, text)
+        cells = [[str(n), str(v)] for n, v in enumerate(values)]
+        lines = format_csv(cells) if args.format == "csv" else format_columns(cells)
+    _emit(args, lines)
     return EXIT_OK
 
 
 def cmd_classify(args) -> int:
     c = classify_word(parse_word(args.word))
     if args.format == "json":
-        text = dumps_canonical(c.to_json_obj())
+        lines = [dumps_canonical(c.to_json_obj())]
     else:
-        text = "\n".join(
+        lines = [
             f"{key}: {json.dumps(value) if type(value) is bool else value}"
             for key, value in c.to_json_obj().items()
             if value is not None
-        )
-    _emit(args, text)
+        ]
+    _emit(args, lines)
     return EXIT_OK
 
 
 def cmd_check_subst(args) -> int:
     report = is_approximate_substitution(load_matrix_file(args.matrix_file))
     if args.format == "json":
-        text = dumps_canonical(report.to_json_obj())
+        lines = [dumps_canonical(report.to_json_obj())]
     else:
         failing = report.failing_columns
         lines = [f"verdict: {'true' if report.verdict else 'false'}"]
@@ -183,8 +218,7 @@ def cmd_check_subst(args) -> int:
         for f in failing:
             lines += [f"  k={f.k}", f"    expected: {f.expected}", f"    actual:   {f.actual}"]
         lines += [f"g: {report.extracted_g}", f"phi: {report.extracted_phi}"]
-        text = "\n".join(lines)
-    _emit(args, text)
+    _emit(args, lines)
     return EXIT_OK if report.verdict else EXIT_FALSE
 
 
@@ -203,10 +237,10 @@ def cmd_build_subst(args) -> int:
     matrix = build_substitution_matrix(g, phi, args.size)
     # A matrix file is always JSON, whatever --format says.
     if args.format == "json" or args.out:
-        text = dumps_canonical(matrix.to_json_obj())
+        lines = [dumps_canonical(matrix.to_json_obj())]
     else:
-        text = format_columns(matrix.entry_texts())
-    _emit(args, text)
+        lines = format_columns(matrix.entry_texts())
+    _emit(args, lines)
     return EXIT_OK
 
 
@@ -300,13 +334,13 @@ def cmd_montecarlo(args) -> int:
         if sweep:
             for obj, r in zip(objs, results):
                 obj["ratio"] = str(r.ratio_to_bound)
-        text = dumps_canonical(objs if sweep else objs[0])
+        lines = [dumps_canonical(objs if sweep else objs[0])]
     elif args.format == "csv":
-        text = format_csv([_MC_HEADER, *map(_mc_fields, results)])
+        lines = list(format_csv([_MC_HEADER, *map(_mc_fields, results)]))
     else:
         header = _MC_HEADER + ["ratio"] if sweep else _MC_HEADER
-        text = format_columns([header, *(_mc_table_row(r, sweep) for r in results)])
-    _emit(args, text)
+        lines = format_columns([header, *(_mc_table_row(r, sweep) for r in results)])
+    _emit(args, lines)
     return EXIT_OK
 
 
@@ -322,7 +356,7 @@ def cmd_bound(args) -> int:
         })
     else:
         text = str(value)
-    _emit(args, text)
+    _emit(args, [text])
     return EXIT_OK
 
 

@@ -7,7 +7,9 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -166,16 +168,21 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_cli_process(*argv):
-    """Run the CLI in a fresh interpreter that imports this package."""
+def _process_env() -> dict:
+    """The environment of a fresh interpreter that imports this package."""
     src = str(Path(bosonstirling.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_cli_process(*argv):
+    """Run the CLI in a fresh interpreter that imports this package."""
     return subprocess.run(
         [sys.executable, "-m", "bosonstirling", *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=_process_env(),
     )
 
 
@@ -743,6 +750,95 @@ class TestOutputLayer:
         assert calls == ["normal_order" if command == "no" else "double_dot"]
         expected = {"no": "1 (a†)^0 a^1 + 1 (a†)^1 a^2\n", "dd": "1 (a†)^1 a^2\n"}
         assert (code, out) == (0, expected[command])
+
+
+class _ByteCounter:
+    """A stdout that keeps only the number of bytes written to it."""
+
+    def __init__(self):
+        self.bytes = 0
+
+    def write(self, text: str) -> int:
+        self.bytes += len(text.encode("utf-8"))
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+@cache
+def _traced_size_of_rows(text: str, rows: int) -> int:
+    """Bytes that tracemalloc counts for a Stirling matrix's rows and word."""
+    tracemalloc.start()
+    try:
+        m = stirling_matrix(parse_word(text), rows)
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedOutput:
+    """Stirling and Bell text is written a line at a time."""
+
+    # The byte counts are those of the whole texts: lines change no byte.
+    @pytest.mark.parametrize(
+        "argv,size",
+        [
+            (["stirling", "a+ a", "--rows", "400"], 70_876_750),
+            (["stirling", "a+ a", "--rows", "400", "--format", "csv"], 22_082_636),
+            (["bell", "a+ a", "--rows", "400"], 261_051),
+            (["bell", "a+ a", "--rows", "400", "--x", "13/19"], 666_061),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+    )
+    def test_peak_memory_is_the_rows(self, monkeypatch, argv, size):
+        # The table's text is 5.5 times the size of the rows; written a line
+        # at a time, the peak is the rows and one line.
+        rows = _traced_size_of_rows("a+ a", 400)
+        sink = _ByteCounter()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, sink.bytes) == (0, size)
+        assert peak < 3 * rows
+
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    def test_entry_too_long_to_print_writes_nothing(self, capsys, tmp_path, fmt):
+        # Rows 81 to 90 of rs:[5,5] have entries of more than 640 digits, the
+        # least limit Python allows; the error comes before any line.
+        target = tmp_path / "out.txt"
+        argv = ["stirling", "rs:[5,5]", "--rows", "90", "--format", fmt]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            for extra in ([], ["--out", str(target)]):
+                code, out, err = run_cli(capsys, *argv, *extra)
+                assert (code, out) == (2, "")
+                assert err.startswith("error: Exceeds the limit (640 digits)")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert not target.exists()
+
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    def test_closed_pipe_exit_2(self, fmt):
+        # The reader takes one line and closes the pipe, as `| head -n 1`
+        # does, while megabytes are still to be written.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bosonstirling",
+             "stirling", "a+ a", "--rows", "200", "--format", fmt],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_process_env(),
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert first.split()[0] == b"1"
+        assert err == b"error: [Errno 32] Broken pipe\n"
 
 
 def _refuse(*args):

@@ -35,7 +35,10 @@ from bosonstirling import stirling as stirling_module
 from oracles import stirling_rows_by_action
 from tables import PREFUNCTION_ROWS, STIRLING2_ROWS, WIDE_STAIRCASE_ROWS
 
-BELL_POINTS = (Fraction(0), Fraction(1), Fraction(-3, 2), Fraction(5, 7), Fraction(4))
+BELL_POINTS = (
+    Fraction(0), Fraction(1), Fraction(-3, 2), Fraction(5, 7), Fraction(4),
+    Fraction(-(10**39 + 3), 2**131),
+)
 
 words_up_to_6 = st.lists(st.sampled_from("ad"), min_size=1, max_size=6).map(tuple)
 
@@ -167,6 +170,27 @@ class TestStirlingMatrix:
         with pytest.raises(ValidationError):
             GeneralizedStirlingMatrix.from_json_obj(obj)
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            # 1,000 empty rows: a 4 KB file that would rebuild 999 rows.
+            {"rows": [[]] * 1000},
+            {"rows": [["1"], ["0", "1"], ["0", "1", "1", "9"]]},
+            {"s_tot": 2},
+            {"d": 1},
+        ],
+        ids=["empty-rows", "long-row", "s_tot", "d"],
+    )
+    def test_json_rejects_before_rebuilding(self, monkeypatch, change):
+        calls = []
+        monkeypatch.setattr(
+            stirling_module, "stirling_matrix", lambda *args: calls.append(args)
+        )
+        obj = {"word": "da", "s_tot": 1, "d": 0, "rows": [["1"], ["0", "1"]], **change}
+        with pytest.raises(ValidationError):
+            GeneralizedStirlingMatrix.from_json_obj(obj)
+        assert calls == []
+
 
 class TestAgainstActionOracle:
     """Rows and Bell values against x^m action with forward differences."""
@@ -194,10 +218,16 @@ class TestAgainstActionOracle:
         m = stirling_matrix(BosonWord.from_letters(letters), n_max)
         assert [list(row) for row in m.rows] == stirling_rows_by_action(letters, n_max)
 
+    # bell_polynomial sums blocks of 8 coefficients; rows of 1, 8, 9, 16 and
+    # 17 entries put a row's end at each edge of a block.
     @settings(max_examples=40, deadline=None)
     @given(words_up_to_6, st.integers(0, 7))
     @example(tuple("aad"), 7)
     @example(tuple("daaadd"), 7)
+    @example(tuple("da"), 16)
+    @example(tuple("d" + "a" * 7), 2)
+    @example(tuple("d" + "a" * 8), 2)
+    @example(tuple("a" * 15 + "d"), 1)
     def test_bell_polynomial_matches_fraction_horner(self, letters, n_max):
         m = stirling_matrix(BosonWord.from_letters(letters), n_max)
         for n, row in enumerate(stirling_rows_by_action(letters, n_max)):
