@@ -39,6 +39,7 @@ from .stirling import (
     stirling_matrix,
 )
 from .substitution import (
+    MAX_REPORT_ORDER,
     FiniteMatrix,
     build_substitution_matrix,
     is_approximate_substitution,
@@ -228,9 +229,11 @@ def _parse_series_arg(text: str, order: int) -> TruncatedSeries:
 
 
 def cmd_build_subst(args) -> int:
-    if args.size < 2:
-        # Checked before the series are read: their order comes from the size.
-        raise ValidationError(f"matrix size must be at least 2, got {args.size}")
+    # Checked before the series are read: they are padded to the size.  The
+    # cap is the largest matrix whose report SubstitutionReport reads back.
+    if not 2 <= args.size <= MAX_REPORT_ORDER + 1:
+        limit = "at least 2" if args.size < 2 else f"at most {MAX_REPORT_ORDER + 1}"
+        raise ValidationError(f"matrix size must be {limit}, got {args.size}")
     order = args.size - 1
     g = _parse_series_arg(args.g, order)
     phi = _parse_series_arg(args.phi, order)

@@ -1,4 +1,4 @@
-"""Exceptions shared across the package, and the checks of JSON value types."""
+"""Exceptions shared across the package, and the checks of JSON values and derived keys."""
 
 
 class ParseError(ValueError):
@@ -38,6 +38,18 @@ def json_value(obj, key: str, kind: type | None = None):
     if kind is not None and type(value) is not kind:
         raise ValidationError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
     return value
+
+
+def json_derived(obj, key: str, derived, kind=None) -> None:
+    """Check a key that the object's other keys fix: ``obj[key]`` must equal `derived`.
+
+    It is read as :func:`json_value` reads it if `kind` is a type, else through
+    the reader `kind`, such as ``parse_rational``.  ValidationError names `key`
+    and quotes the file's value."""
+    typed = kind is None or isinstance(kind, type)
+    value = json_value(obj, key, kind if typed else None)
+    if (value if typed else kind(value)) != derived:
+        raise ValidationError(f"serialized {key} {value!r} does not match the other keys")
 
 
 def json_list(value, name: str, *, of: type | None = None, length: int | None = None) -> list:

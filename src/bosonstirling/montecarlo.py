@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError, json_list, json_value
+from .errors import ValidationError, json_derived, json_list, json_value
 from .series import parse_rational
 from .substitution import (
     FiniteMatrix,
@@ -138,7 +138,8 @@ class ExperimentResult:
 
     @classmethod
     def from_json_obj(cls, obj) -> ExperimentResult:
-        """Read :meth:`to_json_obj` output; ValidationError if a derived value disagrees."""
+        """Read :meth:`to_json_obj` output, or a sweep row, which adds ``ratio``
+        (estimate/bound); ValidationError if a derived value disagrees."""
         cfg = ExperimentConfig(
             size=json_value(obj, "size", int),
             draws=json_value(obj, "draws", int),
@@ -147,19 +148,12 @@ class ExperimentResult:
             jobs=json_value(obj, "jobs", int),
         )
         result = cls(config=cfg, successes=json_value(obj, "successes", int))
-        texts = {key: json_value(obj, key) for key in ("estimate", "wilson_95", "bound")}
-        wilson = json_list(texts["wilson_95"], "wilson_95", length=2)
-        serialized = {
-            "estimate": parse_rational(texts["estimate"]),
-            "wilson_95": tuple(map(parse_rational, wilson)),
-            "bound": parse_rational(texts["bound"]),
-        }
-        for key, value in serialized.items():
-            if value != getattr(result, key):
-                raise ValidationError(
-                    f"serialized {key} {texts[key]!r} does not match the derived "
-                    f"{result.to_json_obj()[key]!r}"
-                )
+        json_derived(obj, "estimate", result.estimate, parse_rational)
+        json_derived(obj, "wilson_95", result.wilson_95, lambda pair: tuple(
+            map(parse_rational, json_list(pair, "wilson_95", length=2))))
+        json_derived(obj, "bound", result.bound, parse_rational)
+        if "ratio" in obj:
+            json_derived(obj, "ratio", result.ratio_to_bound, parse_rational)
         return result
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isfinite
 
-from .errors import ValidationError, json_list, json_value
+from .errors import ValidationError, json_derived, json_list, json_value
 
 
 # The number grammar, in ASCII digits only.  An integer is INTEGER_PATTERN; a
@@ -180,9 +180,5 @@ class TruncatedSeries:
         """Read :meth:`to_json_obj` output; ValidationError if ``order`` disagrees."""
         coeffs = json_list(json_value(obj, "coeffs"), "coeffs")
         s = cls(tuple(map(parse_rational, coeffs)))
-        order = json_value(obj, "order", int)
-        if s.order != order:
-            raise ValidationError(
-                f"serialized order {order!r} does not match {len(s.coeffs)} coefficients"
-            )
+        json_derived(obj, "order", s.order, int)
         return s

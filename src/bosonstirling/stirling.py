@@ -25,7 +25,7 @@ from math import comb, perm
 from operator import add, mul
 
 from .boson import BosonWord, excess, normal_order
-from .errors import RangeError, ValidationError, json_list, json_value
+from .errors import RangeError, ValidationError, json_derived, json_list, json_value
 from .series import TruncatedSeries, exact_number, parse_integer
 
 NOT_SINGLE_ANNIHILATOR = "not-single-annihilator"
@@ -94,8 +94,8 @@ class GeneralizedStirlingMatrix:
         texts = json_list(json_value(obj, "rows"), "rows", of=list)
         word = BosonWord.from_letters(json_value(obj, "word", str))
         s_tot = word.annihilator_count
-        if s_tot != json_value(obj, "s_tot", int) or excess(word) != json_value(obj, "d", int):
-            raise ValidationError("serialized s_tot/d do not match the word")
+        json_derived(obj, "s_tot", s_tot, int)
+        json_derived(obj, "d", excess(word), int)
         for n, row in enumerate(texts):
             if len(row) != n * s_tot + 1:
                 raise ValidationError(
@@ -299,13 +299,8 @@ class WordClassification:
             p=None if json_value(obj, "p") is None else json_value(obj, "p", int),
             ends_with_a=json_value(obj, "ends_with_a", bool),
         )
-        kind = json_value(obj, "kind")
-        if c.kind != kind:
-            raise ValidationError(
-                f"serialized kind {kind!r} does not match r and p ({c.kind})"
-            )
-        if c.ends_with_a != json_value(obj, "first_column_unit", bool):
-            raise ValidationError("serialized first_column_unit does not match ends_with_a")
+        json_derived(obj, "kind", c.kind)
+        json_derived(obj, "first_column_unit", c.ends_with_a, bool)
         return c
 
 

@@ -39,7 +39,7 @@ from itertools import chain, islice
 from math import comb, gcd, lcm
 from operator import itemgetter, mul
 
-from .errors import RangeError, ValidationError, json_list, json_value
+from .errors import RangeError, ValidationError, json_derived, json_list, json_value
 from .series import TruncatedSeries, exact_number, parse_rational
 from .stirling import column_egf
 
@@ -148,11 +148,10 @@ class FiniteMatrix:
         Every entry is read by :func:`parse_rational`, so anything else, a
         JSON float or boolean entry included, raises ValidationError.
         """
-        size = json_value(obj, "size", int)
+        json_value(obj, "size", int)  # a mistyped size is reported before any entry
         rows = json_list(json_value(obj, "entries"), "entries", of=list)
         m = cls.from_rows([list(map(parse_rational, row)) for row in rows])
-        if m.size != size:
-            raise ValidationError(f"declared size {size} does not match {m.size} rows")
+        json_derived(obj, "size", m.size, int)
         return m
 
 
@@ -331,19 +330,14 @@ class SubstitutionReport:
             if f.expected == f.actual:
                 raise ValidationError(f"failing column {f.k} equals its expectation")
             previous = f.k
-        verdict, serialized = not failing, json_value(obj, "verdict", bool)
-        if verdict != serialized:
-            raise ValidationError(
-                f"serialized verdict {serialized!r} does not match "
-                f"{len(failing)} failing columns"
-            )
+        json_derived(obj, "verdict", not failing, bool)
         rows = [list(row) for row in build_substitution_matrix(g, phi, g.order + 1).entries]
         for f in failing:
             for row, v in zip(rows, f.actual.egf_entries()):
                 row[f.k] = v
         report = cls(FiniteMatrix.from_rows(rows))
         if (report.verdict, report.extracted_g, report.extracted_phi,
-                report.failing_columns) != (verdict, g, phi, failing):
+                report.failing_columns) != (not failing, g, phi, failing):
             raise ValidationError(
                 "the report does not match the matrix that its g, phi and "
                 "failing columns fix"

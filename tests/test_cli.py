@@ -517,6 +517,23 @@ class TestBuildSubstCommand:
         )
         assert code == 2 and "constant term 1" in err
 
+    @pytest.mark.parametrize("size", ["258", "1000000000"])
+    def test_size_above_cap_exit_2_before_any_series(self, capsys, monkeypatch, size):
+        monkeypatch.setattr(cli, "_parse_series_arg", _refuse)
+        monkeypatch.setattr(cli, "build_substitution_matrix", _refuse)
+        code, out, err = run_cli(
+            capsys, "build-subst", "--g", "1,1", "--phi", "0,1,1", "--size", size
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: matrix size must be at most 257, got {size}\n"
+
+    def test_size_at_cap_builds(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "build-subst", "--g", "1,1", "--phi", "0,1,1",
+            "--size", "257", "--format", "json",
+        )
+        assert code == 0 and FiniteMatrix.from_json_obj(json.loads(out)).size == 257
+
 
 class TestMonteCarloCommand:
     def test_size3_golden_row(self, capsys):
@@ -1077,7 +1094,7 @@ class TestJsonReadersRejectExponent:
         with pytest.raises(ValidationError, match="exponent"):
             SubstitutionReport.from_json_obj(obj)
 
-    @pytest.mark.parametrize("field", ["estimate", "wilson_95", "bound"])
+    @pytest.mark.parametrize("field", ["estimate", "wilson_95", "bound", "ratio"])
     def test_experiment_result(self, capsys, field):
         code, out, _ = run_cli(
             capsys, "montecarlo", "--size", "3", "--draws", "4",
@@ -1205,7 +1222,7 @@ class TestJsonReaders:
         for key in path[:-1]:
             parent = parent[key]
         parent[path[-1]] = _perturbed(parent[path[-1]])
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=f"serialized {path[0]}"):
             reader.from_json_obj(obj)
 
     @pytest.mark.parametrize(
@@ -1234,7 +1251,10 @@ class TestJsonReaders:
         with pytest.raises(ValidationError, match=f"{path[-1]} must be an? (integer|boolean)"):
             reader.from_json_obj(obj)
 
-    @pytest.mark.parametrize("key,text", [("estimate", "9/10"), ("bound", "5")])
+    # A sweep row adds ``ratio``; a single run's object has none.
+    @pytest.mark.parametrize(
+        "key,text", [("estimate", "9/10"), ("bound", "5"), ("ratio", "12345")]
+    )
     def test_experiment_result_pins(self, key, text):
         cfg = ExperimentConfig(size=4, draws=10, range_r=10, seed=1)
         obj = ExperimentResult(config=cfg, successes=2).to_json_obj()
