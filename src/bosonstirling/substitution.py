@@ -20,9 +20,9 @@ recurrence c_0·(k+1)·c_{k+1} ≡ c_k·c_1 on those rows, as it is homogeneous,
 and stops at the first failing step.  The diagnostics of a report — g, φ
 and every failing column with its expected and actual series — are
 computed from the matrix when first read: φ by forward substitution in
-c_1 = c_0⊛Φ, and the expected columns as integer convolutions of L·M.  The
-builder convolves integer entry vectors too.  Equality is exact
-throughout: no tolerances and no floats.
+c_1 = c_0⊛Φ, and the expected columns by one chain of integer
+convolutions, the one the builder takes its columns from.  Equality is
+exact throughout: no tolerances and no floats.
 
 The module also provides the two truncation operators on larger matrices:
 r_n (principal submatrix, defined for all row-finite matrices, not
@@ -242,30 +242,19 @@ class SubstitutionReport:
     def failing_columns(self) -> tuple[ColumnMismatch, ...]:
         """Scanned from the first failing column k+1: columns 0..k hold.
 
-        The expected columns follow c_{j+1} = c_j⊛Φ/(j+1) from the actual
-        column k, in integers.  With R = L·M the stored integer rows and
-        D the LCM of the denominators of Φ, set N_k = R[:,k] and
-        N_{j+1} = N_j⊛(D·Φ); then N_j = L·D^{j−k}·(j!/k!)·E_j, E_j the
-        expected entries of column j.  Φ is of degree 0 in L and the
-        expected columns of degree 1, so column j fails exactly when
-        N_j ≠ D^{j−k}·(j!/k!)·R[:,j], an integer comparison.  Only a failing
-        column is divided out, by L·D^{j−k}·(j!/k!)·i! at x^i, into a series.
+        So :func:`_column_chain` from column k of R = L·M, the stored rows,
+        gives N_j = L·s_j·E_j, E_j the expected column j, and column j fails
+        exactly when N_j ≠ s_j·R[:,j]; only a failing column is divided out.
         """
         if self.verdict:
             return ()
-        k = self._first_failure
-        m, rows = self.matrix, self.matrix.numerators
-        n = m.n_max
-        step, d = _over_common_denominator(self._phi_entries)
-        column = [row[k] for row in rows]
-        scale = 1
+        m, rows, k = self.matrix, self.matrix.numerators, self._first_failure
+        columns = _column_chain([row[k] for row in rows], k, self._phi_entries)
         failing = []
-        for j in range(k + 1, n + 1):
-            column = _egf_product(column, step, j - 1)
-            scale *= d * j
-            if any(column[i] != scale * rows[i][j] for i in range(j, n + 1)):
+        for j, column, scale in islice(columns, 1, None):
+            if any(column[i] != scale * rows[i][j] for i in range(j, len(rows))):
                 expected = TruncatedSeries.from_egf_entries(column, m.denominator * scale)
-                failing.append(ColumnMismatch(j, expected, column_egf(m, j, n)))
+                failing.append(ColumnMismatch(j, expected, column_egf(m, j, m.n_max)))
         return tuple(failing)
 
     def to_json_obj(self) -> dict:
@@ -374,6 +363,27 @@ def _egf_product(a, b, lo: int) -> list:
     return out
 
 
+def _column_chain(start, k: int, phi):
+    """Yield (j, N_j, s_j) for j = k..n: integer columns with N_j/s_j = E_j.
+
+    `start` holds n+1 exact EGF entries E_k, zero below index k, and `phi`
+    those of a φ with φ(0) = 0.  With s_k and D the LCMs of the denominators
+    of E_k and Φ, N_k = s_k·E_k, N_{j+1} = N_j⊛(D·Φ) and s_{j+1} = s_j·D·(j+1),
+    so E_{j+1} = E_j⊛Φ/(j+1), zero below j+1 as Φ[0] = 0.  Column j of the
+    matrix of f ↦ g·(f∘φ) holds the EGF entries of g·φ^j/j!, and
+    g·φ^{j+1}/(j+1)! = (g·φ^j/j!)·φ/(j+1); ⊛ is the EGF product, and its
+    entry i reads entries 0..i alone.  So by induction, if E_k is c times
+    column k truncated at n, E_j is c times column j for every j ≥ k.
+    """
+    column, scale = _over_common_denominator(start)
+    step, d = _over_common_denominator(phi)
+    yield k, column, scale
+    for j in range(k + 1, len(column)):
+        column = _egf_product(column, step, j - 1)
+        scale *= d * j
+        yield j, column, scale
+
+
 def recurrence_failure(rows) -> int | None:
     """First step k at which the column recurrence fails, or None if none does.
 
@@ -476,13 +486,10 @@ def build_substitution_matrix(
     g = 1 + O(x) and φ = x + O(x²), which make the result unipotent and
     guarantee it passes the substitution test at order size−1.
 
-    Columns are EGF-entry vectors: column 0 is G[i] = i!·g_i, and column
-    k+1 is column k ⊛ P/(k+1) with P[i] = i!·φ_i.  The work is in integers:
-    with D_g and D_φ the LCMs of the denominators of G and P, the vectors
-    N_0 = D_g·G and N_{k+1} = N_k⊛(D_φ·P) satisfy
-    N_k = D_g·D_φ^k·k!·M[:,k].  Column k's reduced denominator is that
-    factor divided by its gcd with N_k; the matrix's denominator L is the
-    LCM of those, and its numerators are N_k·L divided by the factor.
+    Column 0 holds g's EGF entries i!·g_i, and :func:`_column_chain` gives
+    each column k as an integer vector N_k = s_k·M[:,k].  Column k's reduced
+    denominator is s_k/gcd(s_k, N_k); the matrix's denominator L is the LCM
+    of those, and its numerators are N_k·L/s_k.
     """
     if size < 2:
         raise ValidationError(f"matrix size must be at least 2, got {size}")
@@ -495,18 +502,10 @@ def build_substitution_matrix(
         raise ValidationError("g must have constant term 1")
     if phi.coeffs[0] != 0 or phi.coeffs[1] != 1:
         raise ValidationError("phi must have constant term 0 and linear coefficient 1")
-    column, d_g = _over_common_denominator(g.egf_entries()[:size])
-    step, d_phi = _over_common_denominator(phi.egf_entries()[:size])
-    columns = [column]
-    denominators = [d_g]
-    for k in range(1, size):
-        column = _egf_product(column, step, k - 1)
-        columns.append(column)
-        denominators.append(denominators[-1] * d_phi * k)
-    scale = lcm(*[d // gcd(d, *column) for column, d in zip(columns, denominators)])
+    columns = list(_column_chain(g.egf_entries()[:size], 0, phi.egf_entries()[:size]))
+    scale = lcm(*[s // gcd(s, *column) for _, column, s in columns])
     return FiniteMatrix(
-        tuple(zip(*[[v * scale // d for v in column]
-                    for column, d in zip(columns, denominators)])),
+        tuple(zip(*[[v * scale // s for v in column] for _, column, s in columns])),
         scale,
     )
 

@@ -5,9 +5,12 @@ temporary directory outside the repository.  The row's source text, which
 must occur exactly once in its file, is replaced there, and the row's
 pytest selector runs with the copy as working directory, so that
 ``pyproject.toml`` puts the copy's ``src/`` on the path.  A row expected to
-be "killed" holds when those tests fail; one expected to be "survives"
-holds when they pass.  First the selectors all run on an unmutated copy
-and must pass, so a kill is never a test that fails anyway.
+be "killed" holds when those tests fail; one expected to be "survives",
+an equivalent mutant, holds when they pass and gives the reason it is
+equivalent.  First the selectors all run on an unmutated copy and must
+pass, so a kill is never a test that fails anyway.  A pytest run still
+going after ``TIMEOUT_S`` seconds is killed and counts as a broken run,
+which fails its row.
 
 The script uses the standard library only and runs pytest in a
 subprocess.  Run it from any directory::
@@ -20,7 +23,9 @@ not match exactly once, and leaves the working tree as it was.
 
 from __future__ import annotations
 
+import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -28,11 +33,30 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = "src/bosonstirling/"
+BATCH = PACKAGE + "batch.py"
+MONTECARLO = PACKAGE + "montecarlo.py"
+STIRLING = PACKAGE + "stirling.py"
+SUBSTITUTION = PACKAGE + "substitution.py"
 READERS = "tests/test_cli.py::TestJsonReaders::"
 DERIVED = READERS + "test_derived_value_contradiction_rejected"
 SIZE_CAP = "tests/test_cli.py::TestBuildSubstCommand::"
+PRINTABLE = "tests/test_cli.py::TestUnprintableBoundRejectedEarly"
+PER_TRIAL = "tests/test_montecarlo.py::TestBatchAgreesWithPerTrialPath"
+BATCH_VERDICTS = "tests/test_montecarlo.py::TestBatchVerdicts"
+WILSON = "tests/test_montecarlo.py::TestWilson"
+ACTION = "tests/test_stirling.py::TestAgainstActionOracle"
+ORACLE = "tests/test_substitution.py::TestAgainstOracle"
+FIRST_STEP = "tests/test_substitution.py::TestFirstFailingStep"
+PAIR_MATRIX = ("tests/test_substitution.py::TestBuilder::"
+               "test_failing_columns_are_where_the_pair_matrix_differs")
 
-# (file, exact source text, replacement, pytest selector, expectation)
+#: Seconds a pytest run may take before it is killed and counted as broken,
+#: so that a mutant that loops or grows a table without end fails the gate.
+TIMEOUT_S = 120
+
+# (file, exact source text, replacement, pytest selector, expectation).  The
+# expectation is "killed", or "survives: " and the reason the mutant is
+# equivalent to the source.
 ROWS = [
     (PACKAGE + "errors.py", "kind(value)) != derived:", "kind(value)) == derived:",
      READERS + "test_round_trip", "killed"),
@@ -66,6 +90,95 @@ ROWS = [
      SIZE_CAP + "test_size_above_cap_exit_2_before_any_series[258]", "killed"),
     (PACKAGE + "cli.py", "<= MAX_REPORT_ORDER + 1:", "<= MAX_REPORT_ORDER:",
      SIZE_CAP + "test_size_at_cap_builds", "killed"),
+    # recurrence_failure: weights, scan bounds.
+    (SUBSTITUTION, "if (k + 1) * sum(map(mul, u[k + 1:], column))",
+     "if k * sum(map(mul, u[k + 1:], column))", FIRST_STEP + "::test_least_step_of_two_bumps",
+     "killed"),
+    (SUBSTITUTION, "    for k in range(1, n - 1):\n", "    for k in range(1, n - 2):\n",
+     FIRST_STEP, "killed"),
+    (SUBSTITUTION, "for i in range(k + 2, n + 1):\n            column.append",
+     "for i in range(k + 2, n):\n            column.append", FIRST_STEP, "killed"),
+    # batch._philox4x64_10: rounds, carries.
+    (BATCH, "for rnd in range(10):", "for rnd in range(9):", PER_TRIAL, "killed"),
+    (BATCH, "        hi += v >> _SHIFT32\n", "", PER_TRIAL, "killed"),
+    # batch.scaled_draws: Lemire's reject test and offset.
+    (BATCH, "< (2**32 - range_r) % range_r", "<= (2**32 - range_r) % range_r", PER_TRIAL,
+     "killed"),
+    (BATCH, "astype(np.int64) + 1", "astype(np.int64) + 2", PER_TRIAL, "killed"),
+    # batch.fits_int64.
+    (BATCH, "range_r**2 < 2**63", "range_r**2 < 2**64", BATCH_VERDICTS, "killed"),
+    (BATCH, "range_r**2 < 2**63", "range_r < 2**63", BATCH_VERDICTS, "killed"),
+    # batch._verdict_plan: the last step, a weight.
+    (BATCH, "for ks in ([1], range(2, n - 1)):", "for ks in ([1], range(2, n - 2)):",
+     BATCH_VERDICTS, "killed"),
+    (BATCH, "coef.append((k + 1) * comb(i, j))", "coef.append(k * comb(i, j))",
+     BATCH_VERDICTS, "killed"),
+    # batch.batch_verdicts: stage 2 unevaluated, the unit diagonal.
+    (BATCH, "passed[rest] = stages[1].holds(m[rest])", "pass", BATCH_VERDICTS, "killed"),
+    (BATCH, "m[:, ::size + 1] = 1", "m[:, ::size + 1] = 2", BATCH_VERDICTS, "killed"),
+    # montecarlo._count_successes: self-check, redraw offsets, routing.
+    (MONTECARLO, "if unchecked[i] and kept.size:", "if False:",
+     "tests/test_montecarlo.py::TestSweepSelfCheck", "killed"),
+    (MONTECARLO, "redo = (lo + np.flatnonzero(rejected)).tolist()",
+     "redo = np.flatnonzero(rejected).tolist()",
+     "tests/test_montecarlo.py::TestOneCountingLoop", "killed"),
+    (MONTECARLO, "batched = [_batch_ok and batch.fits_int64(size, r) for r in ranges]",
+     "batched = [_batch_ok for r in ranges]", PER_TRIAL, "killed"),
+    # stirling.stirling_matrix: the lazy tables, the unit shortcut, the
+    # past-the-end skip.
+    (STIRLING, "for big_l in range(len(table), end))", "for big_l in range(len(table), end - 1))",
+     ACTION, "killed"),
+    (STIRLING, "src = part if table is None else map(mul, part, table[base + lo:end])",
+     "src = part", ACTION, "killed"),
+    (STIRLING, "            if lo >= len(prev):\n                break",
+     "            if lo >= len(prev):\n                continue", ACTION,
+     "survives: later shifts have a larger lo, so each of them is skipped too"),
+    # stirling.bell_polynomial: Horner's powers of q, the weights, the block.
+    (STIRLING, "value = value * p_b + block * q_power", "value = value * p_b + block",
+     ACTION, "killed"),
+    (STIRLING, "q ** (b - 1 - r) for r in range(b)]", "q ** (b - r) for r in range(b)]",
+     ACTION, "killed"),
+    (STIRLING, "_BELL_BLOCK = 8", "_BELL_BLOCK = 1", ACTION,
+     "survives: every block size gives the same value; 8 is only the fastest"),
+    # SubstitutionReport._phi_entries.
+    (SUBSTITUTION, "phi.append(v if d == 1 else Fraction(v, d))", "phi.append(v)", ORACLE,
+     "killed"),
+    (SUBSTITUTION, "v = rows[i][1] - sum(", "v = rows[i][1] + sum(", ORACLE, "killed"),
+    (SUBSTITUTION, "for j, c in col0 if j < i])", "for j, c in col0 if j <= i])", ORACLE,
+     "survives: the term j = i is C(i,i)·R[i,0]·Φ[0], and Φ[0] = 0"),
+    # SubstitutionReport.failing_columns.
+    (SUBSTITUTION, "islice(columns, 1, None)", "islice(columns, 2, None)", ORACLE, "killed"),
+    (SUBSTITUTION, "TruncatedSeries.from_egf_entries(column, m.denominator * scale)",
+     "TruncatedSeries.from_egf_entries(column, scale)",
+     "tests/test_substitution.py::TestDiagnosticsAtWorkloadSizes", "killed"),
+    (SUBSTITUTION, "for i in range(j, len(rows))):", "for i in range(j + 1, len(rows))):",
+     ORACLE, "survives: entry j of column j is L·s_j on both sides, as M[j,j] = 1"),
+    # substitution._column_chain: the scale step, the first column.
+    (SUBSTITUTION, "scale *= d * j", "scale *= d * (j + 1)", PAIR_MATRIX, "killed"),
+    (SUBSTITUTION, "    yield k, column, scale\n", "", PAIR_MATRIX, "killed"),
+    # series.parse_rational's fast path and its integral result.
+    (PACKAGE + "series.py", "if digits.isdigit() and digits.isascii():",
+     "if digits.isdigit():", "tests/test_substitution.py::TestEntryParsing", "killed"),
+    (PACKAGE + "series.py", "return q.numerator if q.denominator == 1 else q", "return q",
+     "tests/test_substitution.py::TestEntryParsing", "killed"),
+    # substitution._ratio_text.
+    (SUBSTITUTION, "if g == d else", "if d == 1 else",
+     "tests/test_substitution.py::TestFiniteMatrix", "killed"),
+    (SUBSTITUTION, 'f"{v // g}/{d // g}"', 'f"{v}/{d}"',
+     "tests/test_substitution.py::TestFiniteMatrix", "killed"),
+    # montecarlo._sqrt_above and wilson_interval_95.
+    (MONTECARLO, "isqrt(a * b * scale * scale) + 1", "isqrt(a * b * scale * scale)",
+     "tests/test_montecarlo.py::TestSqrtAbove::test_perfect_square_meets_the_lower_side",
+     "killed"),
+    (MONTECARLO, "_SQRT_DIGITS = 30", "_SQRT_DIGITS = 3", WILSON, "killed"),
+    (MONTECARLO, "z2 / (4 * n * n)", "z2 / (2 * n * n)", WILSON, "killed"),
+    (MONTECARLO, "return max(Fraction(0), lo), min(Fraction(1), hi)", "return lo, hi", WILSON,
+     "killed"),
+    # cli._require_printable_bound's exact comparison and its early reject.
+    (PACKAGE + "cli.py", "power < 10**budget", "power < 10**(budget + 1)", PRINTABLE,
+     "killed"),
+    (PACKAGE + "cli.py", "(range_r.bit_length() - 1) * exponent < 4 * budget",
+     "(range_r.bit_length() - 1) * exponent < 3 * budget", PRINTABLE, "killed"),
 ]
 
 
@@ -75,12 +188,23 @@ def copy_tree(target: Path) -> Path:
     return tree
 
 
-def run_tests(tree: Path, *selectors: str) -> int:
-    """pytest's exit code: 0 all passed, 1 some failed, other codes a broken run."""
-    return subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *selectors],
+def run_tests(tree: Path, *selectors: str) -> int | None:
+    """pytest's exit code: 0 all passed, 1 some failed, other codes a broken run.
+
+    None when the run outlives :data:`TIMEOUT_S`; its whole process group,
+    workers included, is killed.
+    """
+    with subprocess.Popen(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *selectors],
         cwd=tree, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    ).returncode
+        start_new_session=True,
+    ) as proc:
+        try:
+            return proc.wait(timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            return None
 
 
 def main() -> int:
@@ -88,7 +212,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="mutation-") as scratch:
         code = run_tests(copy_tree(Path(scratch)), *sorted({row[3] for row in ROWS}))
         if code != 0:
-            print(f"FAIL  the selectors exit {code} on the unmutated tree")
+            print(f"FAIL  the selectors exit {code} on the unmutated tree"
+                  + (f" (over {TIMEOUT_S} s)" if code is None else ""))
             return 1
     for path, text, replacement, selector, expected in ROWS:
         label = f"{path}: {text.splitlines()[0]!r} -> {replacement!r}"
@@ -97,15 +222,21 @@ def main() -> int:
             print(f"FAIL  {label}: the text occurs {source.count(text)} times, not once")
             problems += 1
             continue
+        if expected != "killed" and not expected.startswith("survives: "):
+            print(f"FAIL  {label}: expectation {expected!r} is not 'killed' or 'survives: <reason>'")
+            problems += 1
+            continue
         with tempfile.TemporaryDirectory(prefix="mutation-") as scratch:
             tree = copy_tree(Path(scratch))
             (tree / path).write_text(source.replace(text, replacement), encoding="utf-8")
             code = run_tests(tree, selector)
         # Exit 1 means the mutant ran and a test failed; any other nonzero
         # code is a broken run (a collection error, say), which kills nothing.
-        outcome = {0: "survives", 1: "killed"}.get(code, f"broken run (exit {code})")
-        ok = outcome == expected
-        print(f"{'ok  ' if ok else 'FAIL'}  {label}: {outcome}")
+        outcome = {0: "survives", 1: "killed", None: f"broken run (over {TIMEOUT_S} s)"}.get(
+            code, f"broken run (exit {code})")
+        ok = outcome == expected.partition(":")[0]
+        print(f"{'ok  ' if ok else 'FAIL'}  {label}: {outcome}"
+              + (f" ({expected.partition(': ')[2]})" if outcome == "survives" else ""))
         problems += not ok
     print(f"{problems} problem(s) in {len(ROWS)} rows")
     return 1 if problems else 0

@@ -359,6 +359,7 @@ class TestNormalFormValue:
 
     def test_str_forms(self):
         assert str(NormalForm.identity()) == "1"
+        assert str(NormalForm({})) == "0"
         nf = normal_order(parse_word(EXAMPLE_WORD))
         assert str(nf) == "2 (a†)^0 a^2 + 4 (a†)^1 a^3 + 1 (a†)^2 a^4"
 
@@ -385,6 +386,8 @@ class TestNormalFormValue:
         obj = nf.to_json_obj()
         assert all(isinstance(t["coeff"], str) for t in obj)
         assert NormalForm.from_json_obj(obj) == nf
+        with pytest.raises(ValidationError, match=r"duplicate \(j, l\) pair"):
+            NormalForm.from_json_obj(obj + obj[:1])
 
 
 @settings(max_examples=60)

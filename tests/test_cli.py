@@ -719,6 +719,19 @@ class TestBoundCommand:
         assert Fraction(obj["bound"]) == Fraction(1, 10)
         assert (obj["determined"], obj["total"]) == (5, 6)
 
+    # A range of 1 returns from the printable-bound check before any power.
+    @pytest.mark.parametrize(
+        "size,range_r,want",
+        [("1", "10", (2, "", "error: size must be at least 2, got 1\n")),
+         ("0", "10", (2, "", "error: size must be at least 2, got 0\n")),
+         ("-3", "10", (2, "", "error: size must be at least 2, got -3\n")),
+         ("5", "0", (2, "", "error: range must be at least 1, got 0\n")),
+         ("5", "-5", (2, "", "error: range must be at least 1, got -5\n")),
+         ("4", "1", (0, "1\n", ""))],
+    )
+    def test_size_and_range_edges(self, capsys, size, range_r, want):
+        assert run_cli(capsys, "bound", "--size", size, "--range", range_r) == want
+
 
 _MC = ["montecarlo", "--size", "4", "--draws", "50", "--range", "3", "--seed", "5"]
 

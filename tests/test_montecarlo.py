@@ -103,6 +103,14 @@ class TestRandomUnipotent:
                     else:
                         assert 1 <= v <= 7 and v.denominator == 1
 
+    @pytest.mark.parametrize(
+        "size,range_r,message",
+        [(0, 2, "size must be at least 1, got 0"), (3, 0, "range must be at least 1, got 0")],
+    )
+    def test_rejects_size_and_range_below_one(self, size, range_r, message):
+        with pytest.raises(ValidationError, match=message):
+            random_unipotent(size, range_r, trial_stream(1, 0))
+
     def test_size3_always_passes(self):
         for trial in range(200):
             m = random_unipotent(3, 10_000, trial_stream(5, trial))
@@ -115,11 +123,15 @@ class TestBoundAndCounts:
         assert probability_bound(4, 10) == Fraction(1, 10)
         assert probability_bound(4, 100) == Fraction(1, 100)
         assert probability_bound(10, 10) == Fraction(10**17, 10**45)
+        with pytest.raises(ValidationError, match="range must be at least 1, got 0"):
+            probability_bound(4, 0)
 
     def test_free_parameter_counts(self):
         assert tuple(count_free_parameters(3)) == (3, 3)
         assert tuple(count_free_parameters(4)) == (5, 6)
         assert tuple(count_free_parameters(2)) == (1, 1)
+        with pytest.raises(ValidationError, match="size must be at least 2, got 1"):
+            count_free_parameters(1)
 
     def test_bound_is_one_up_to_size3(self):
         for r in (2, 3, 10, 10**6):

@@ -22,6 +22,7 @@ from bosonstirling import (
     ValidationError,
     bell_polynomial,
     build_substitution_matrix,
+    column_egf,
     is_approximate_substitution,
     parse_word,
     random_unipotent,
@@ -143,6 +144,23 @@ def built_matrices(draw):
         [0, 1] + [draw(SMALL_FRACTIONS) for _ in range(size - 2)], size - 1
     )
     return build_substitution_matrix(g, phi, size)
+
+
+@st.composite
+def perturbed_built_matrices(draw):
+    """A built matrix of size 4–14, integer or rational, with 1–3 entries
+    below the diagonal changed in columns ≥ 2, which leave g and φ as built."""
+    size = draw(st.integers(4, 14))
+    coeffs = draw(st.sampled_from([st.integers(-3, 3), SMALL_FRACTIONS]))
+    g = TruncatedSeries.from_coeffs([1] + [draw(coeffs) for _ in range(size - 1)], size - 1)
+    phi = TruncatedSeries.from_coeffs(
+        [0, 1] + [draw(coeffs) for _ in range(size - 2)], size - 1
+    )
+    rows = [list(row) for row in build_substitution_matrix(g, phi, size).entries]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(3, size - 1))
+        rows[i][draw(st.integers(2, i - 1))] += draw(coeffs.filter(bool))
+    return FiniteMatrix.from_rows(rows)
 
 
 class TestFiniteMatrix:
@@ -801,6 +819,8 @@ class TestBuilder:
             build_substitution_matrix(
                 TruncatedSeries.from_coeffs([1], 2), TruncatedSeries.from_coeffs([0, 1], 2), 5
             )
+        with pytest.raises(ValidationError, match="size must be at least 2, got 1"):
+            build_substitution_matrix(one, x, 1)
 
     def test_determined_by_first_two_columns(self):
         # Two passing matrices of equal size with equal columns 0 and 1 are
@@ -815,6 +835,23 @@ class TestBuilder:
                 report.extracted_g, report.extracted_phi, size
             )
             assert rebuilt == built
+
+    @settings(max_examples=60, deadline=None)
+    @given(perturbed_built_matrices())
+    def test_failing_columns_are_where_the_pair_matrix_differs(self, m):
+        # A matrix is an approximate substitution exactly when it is the
+        # matrix of its own pair (g, φ); a failing column's expected series
+        # is that matrix's column.
+        report = is_approximate_substitution(m)
+        rebuilt = build_substitution_matrix(report.extracted_g, report.extracted_phi, m.size)
+        differing = [
+            k for k in range(m.size)
+            if [row[k] for row in m.entries] != [row[k] for row in rebuilt.entries]
+        ]
+        assert [f.k for f in report.failing_columns] == differing
+        assert report.verdict == (not differing)
+        for f in report.failing_columns:
+            assert f.expected == column_egf(rebuilt, f.k, m.n_max)
 
 
 class TestShefferCheck:
@@ -897,6 +934,8 @@ class TestTruncations:
             truncate_rn(FiniteMatrix.identity(3), 3)
         with pytest.raises(RangeError):
             truncate_rn(stirling_matrix(parse_word("d a"), 2), 3)
+        with pytest.raises(ValidationError, match="must be non-negative, got -1"):
+            truncate_rn(FiniteMatrix.identity(3), -1)
 
     def test_taun_is_a_morphism_on_lower_triangular(self):
         rng = random.Random(41)
