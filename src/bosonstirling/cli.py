@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
+from dataclasses import replace
 from functools import cache
 from itertools import chain, repeat, zip_longest
 
@@ -321,15 +322,13 @@ def _require_printable_bound(size: int, range_r: int) -> None:
 def cmd_montecarlo(args) -> int:
     sweep = args.sweep_range is not None
     ranges = _parse_sweep_range(args.sweep_range) if sweep else [args.range]
-    configs = [
-        ExperimentConfig(
-            size=args.size, draws=args.draws, range_r=r, seed=args.seed, jobs=args.jobs
-        )
-        for r in ranges
-    ]
+    base = ExperimentConfig(
+        size=args.size, draws=args.draws, range_r=args.range, seed=args.seed, jobs=args.jobs
+    )
+    configs = [replace(base, range_r=r) for r in ranges]
     for cfg in configs:
         _require_printable_bound(cfg.size, cfg.range_r)
-    results = run_sweep(configs[0], ranges) if sweep else [run_experiment(configs[0])]
+    results = run_sweep(base, ranges) if sweep else [run_experiment(base)]
     # A sweep is a list with each estimate/bound ratio (none in CSV); a
     # single run is one JSON object.
     if args.format == "json":

@@ -87,30 +87,29 @@ class GeneralizedStirlingMatrix:
         """Read :meth:`to_json_obj` output; ValidationError if a derived value disagrees.
 
         The rows follow from the word and the row count, so they are
-        recomputed and compared.  ``s_tot`` and ``d`` are compared with the
-        word's, and each row n must have n·s_tot + 1 entries, before any row
-        is recomputed: the rows rebuilt are then no more than the file holds.
+        rebuilt and compared one by one; the first row that differs ends
+        the read, and the rows rebuilt are then the rows read correctly
+        and one more.  ``s_tot`` and ``d`` are compared with the word's.
         """
         texts = json_list(json_value(obj, "rows"), "rows", of=list)
         word = BosonWord.from_letters(json_value(obj, "word", str))
-        s_tot = word.annihilator_count
-        json_derived(obj, "s_tot", s_tot, int)
+        json_derived(obj, "s_tot", word.annihilator_count, int)
         json_derived(obj, "d", excess(word), int)
-        for n, row in enumerate(texts):
-            if len(row) != n * s_tot + 1:
-                raise ValidationError(
-                    f"serialized rows are not the rows of {word.text!r}: "
-                    f"row {n} has {len(row)} entries, not {n * s_tot + 1}"
-                )
-        rows = tuple(tuple(map(parse_integer, row)) for row in texts)
-        m = stirling_matrix(word, len(rows) - 1)
-        if m.rows != rows:
-            raise ValidationError(f"serialized rows are not the rows of {m.word.text!r}")
-        return m
+        rows = []
+        for row, text in zip(_stirling_rows(word, len(texts) - 1), texts):
+            if row != tuple(map(parse_integer, text)):
+                raise ValidationError(f"serialized rows are not the rows of {word.text!r}")
+            rows.append(row)
+        return cls(word=word, rows=tuple(rows))
 
 
 def stirling_matrix(w: BosonWord, n_max: int) -> GeneralizedStirlingMatrix:
-    """Materialize rows 0..n_max of S_w by a row-step kernel on ``int`` lists.
+    """Materialize rows 0..n_max of S_w, as :func:`_stirling_rows` yields them."""
+    return GeneralizedStirlingMatrix(word=w, rows=tuple(_stirling_rows(w, n_max)))
+
+
+def _stirling_rows(w: BosonWord, n_max: int):
+    """Yield rows 0..n_max of S_w, built by a row-step kernel on ``int`` lists.
 
     Write s for the annihilator count, d⁺ = max(d, 0), d⁻ = max(−d, 0) and
     the normal form of w once as N(w) = Σ_t c_t (a†)^{j_t} a^{l_t}.  Row n
@@ -156,6 +155,8 @@ def stirling_matrix(w: BosonWord, n_max: int) -> GeneralizedStirlingMatrix:
     """
     if len(w) == 0:
         raise ValidationError("the empty word has no Stirling matrix")
+    if type(n_max) is not int:
+        raise ValidationError(f"row count must be an int, got {n_max!r}")
     if n_max < 0:
         raise ValidationError(f"row count must be non-negative, got {n_max}")
     s_tot = w.annihilator_count
@@ -169,9 +170,9 @@ def stirling_matrix(w: BosonWord, n_max: int) -> GeneralizedStirlingMatrix:
     shifts = sorted(steps, reverse=True)
     # tables[shift] lists T_shift(L) for L = 0, 1, ...; unit shifts have none.
     tables = {shift: [] for shift in shifts if steps[shift] != {0: 1}}
-    rows = [[1]]
+    prev = (1,)
+    yield prev
     for n in range(1, n_max + 1):
-        prev = rows[-1]
         base = (n - 1) * d_minus
         end = base + len(prev)
         for shift, table in tables.items():
@@ -193,8 +194,8 @@ def stirling_matrix(w: BosonWord, n_max: int) -> GeneralizedStirlingMatrix:
             else:
                 start, stop = lo + shift, shift + len(prev)
                 out[start:stop] = map(add, out[start:stop], src)
-        rows.append(out)
-    return GeneralizedStirlingMatrix(word=w, rows=tuple(map(tuple, rows)))
+        prev = tuple(out)
+        yield prev
 
 
 #: Coefficients per block of :func:`bell_polynomial`.  On the 200 rows of

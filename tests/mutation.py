@@ -44,7 +44,8 @@ PRINTABLE = "tests/test_cli.py::TestUnprintableBoundRejectedEarly"
 PER_TRIAL = "tests/test_montecarlo.py::TestBatchAgreesWithPerTrialPath"
 BATCH_VERDICTS = "tests/test_montecarlo.py::TestBatchVerdicts"
 WILSON = "tests/test_montecarlo.py::TestWilson"
-ACTION = "tests/test_stirling.py::TestAgainstActionOracle"
+STIRLING_TESTS = "tests/test_stirling.py::"
+ACTION = STIRLING_TESTS + "TestAgainstActionOracle"
 ORACLE = "tests/test_substitution.py::TestAgainstOracle"
 FIRST_STEP = "tests/test_substitution.py::TestFirstFailingStep"
 PAIR_MATRIX = ("tests/test_substitution.py::TestBuilder::"
@@ -64,7 +65,7 @@ ROWS = [
      DERIVED + "[TruncatedSeries-order]", "killed"),
     (PACKAGE + "substitution.py", 'json_derived(obj, "size", m.size, int)', "pass",
      DERIVED + "[FiniteMatrix-size]", "killed"),
-    (PACKAGE + "stirling.py", 'json_derived(obj, "s_tot", s_tot, int)', "pass",
+    (PACKAGE + "stirling.py", 'json_derived(obj, "s_tot", word.annihilator_count, int)', "pass",
      DERIVED + "[GeneralizedStirlingMatrix-s_tot]", "killed"),
     (PACKAGE + "stirling.py", 'json_derived(obj, "d", excess(word), int)', "pass",
      DERIVED + "[GeneralizedStirlingMatrix-d]", "killed"),
@@ -124,8 +125,10 @@ ROWS = [
      "tests/test_montecarlo.py::TestOneCountingLoop", "killed"),
     (MONTECARLO, "batched = [_batch_ok and batch.fits_int64(size, r) for r in ranges]",
      "batched = [_batch_ok for r in ranges]", PER_TRIAL, "killed"),
-    # stirling.stirling_matrix: the lazy tables, the unit shortcut, the
-    # past-the-end skip.
+    # stirling._stirling_rows: the row-count type check, the lazy tables,
+    # the unit shortcut, the past-the-end skip.
+    (STIRLING, "    if type(n_max) is not int:\n", "    if False:\n",
+     STIRLING_TESTS + "TestStirlingMatrix::test_negative_rows_rejected", "killed"),
     (STIRLING, "for big_l in range(len(table), end))", "for big_l in range(len(table), end - 1))",
      ACTION, "killed"),
     (STIRLING, "src = part if table is None else map(mul, part, table[base + lo:end])",
@@ -133,6 +136,14 @@ ROWS = [
     (STIRLING, "            if lo >= len(prev):\n                break",
      "            if lo >= len(prev):\n                continue", ACTION,
      "survives: later shifts have a larger lo, so each of them is skipped too"),
+    # GeneralizedStirlingMatrix.from_json_obj: the generator runs first, so
+    # that no rows reads as row count −1, and whole rows are compared.
+    (STIRLING, "zip(_stirling_rows(word, len(texts) - 1), texts)",
+     "zip(texts, _stirling_rows(word, len(texts) - 1))",
+     STIRLING_TESTS + "TestStirlingMatrix::test_json_rejects_before_rebuilding[no-rows]",
+     "killed"),
+    (STIRLING, "if row != tuple(map(parse_integer, text)):", "if len(row) != len(text):",
+     STIRLING_TESTS + "TestStirlingMatrix::test_json_rejects_before_rebuilding", "killed"),
     # stirling.bell_polynomial: Horner's powers of q, the weights, the block.
     (STIRLING, "value = value * p_b + block * q_power", "value = value * p_b + block",
      ACTION, "killed"),
@@ -174,6 +185,9 @@ ROWS = [
     (MONTECARLO, "z2 / (4 * n * n)", "z2 / (2 * n * n)", WILSON, "killed"),
     (MONTECARLO, "return max(Fraction(0), lo), min(Fraction(1), hi)", "return lo, hi", WILSON,
      "killed"),
+    # cli.cmd_montecarlo checks --range in a sweep too.
+    (PACKAGE + "cli.py", "range_r=args.range, seed", "range_r=ranges[0], seed",
+     "tests/test_cli.py::TestMonteCarloCommand::test_sweep_checks_range", "killed"),
     # cli._require_printable_bound's exact comparison and its early reject.
     (PACKAGE + "cli.py", "power < 10**budget", "power < 10**(budget + 1)", PRINTABLE,
      "killed"),

@@ -583,6 +583,27 @@ class TestMonteCarloCommand:
         assert (code, out) == (2, "") and "at most" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "range_text,message",
+        [
+            ("0", "range must be at least 1, got 0"),
+            ("9223372036854775808",
+             "range must be at most 9223372036854775807, got 9223372036854775808"),
+        ],
+        ids=["zero", "above-int64"],
+    )
+    def test_sweep_checks_range(self, capsys, monkeypatch, range_text, message):
+        # --range is required in a sweep too, and checked as in a single run.
+        def fail(*args):
+            raise AssertionError("experiment ran")
+
+        monkeypatch.setattr(cli, "run_sweep", fail)
+        code, out, err = run_cli(
+            capsys, "montecarlo", "--size", "4", "--draws", "10", "--seed", "1",
+            "--range", range_text, "--sweep-range", "2,3",
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_missing_seed_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["montecarlo", "--size", "3", "--draws", "10", "--range", "5"])

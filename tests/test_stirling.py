@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import sys
 from collections import Counter
 from dataclasses import fields
@@ -94,8 +95,14 @@ class TestStirlingMatrix:
             stirling_matrix(BosonWord(), 3)
 
     def test_negative_rows_rejected(self):
-        with pytest.raises(ValidationError):
-            stirling_matrix(parse_word("d a"), -1)
+        for n_max, message in [
+            (-1, "row count must be non-negative, got -1"),
+            (2.5, "row count must be an int, got 2.5"),
+            ("3", "row count must be an int, got '3'"),
+            (True, "row count must be an int, got True"),
+        ]:
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                stirling_matrix(parse_word("d a"), n_max)
 
     def test_row_zero_is_identity(self):
         for text in ("d a", "a d", "d a a d d", "a"):
@@ -122,6 +129,15 @@ class TestStirlingMatrix:
                 len(row) == n + 1 and row[n] == 1 for n, row in enumerate(m.rows)
             )
             assert unitriangular == (m.s_tot == 1), w
+
+    # The CSV output checks only the last row's largest entry before its
+    # first line, so no row may hold an entry above the last row's largest.
+    @settings(max_examples=80, deadline=None)
+    @given(words_up_to_6, st.integers(0, 7))
+    def test_last_row_holds_the_largest_entry(self, letters, n_max):
+        rows = stirling_matrix(BosonWord.from_letters(letters), n_max).rows
+        for n in range(1, n_max + 1):
+            assert max(rows[n]) >= max(rows[n - 1]), n
 
     def test_projective_consistency(self):
         for w in random_words(seed=8, count=10):
@@ -171,25 +187,41 @@ class TestStirlingMatrix:
             GeneralizedStirlingMatrix.from_json_obj(obj)
 
     @pytest.mark.parametrize(
-        "change",
+        "change,yielded,message",
         [
-            # 1,000 empty rows: a 4 KB file that would rebuild 999 rows.
-            {"rows": [[]] * 1000},
-            {"rows": [["1"], ["0", "1"], ["0", "1", "1", "9"]]},
-            {"s_tot": 2},
-            {"d": 1},
+            # 1,000 empty rows: a 4 KB file whose row 0 is already wrong.
+            ({"rows": [[]] * 1000}, 1, "serialized rows are not the rows of 'da'"),
+            ({"rows": [["1"], ["0", "1"], ["0", "1", "1", "9"]]}, 3,
+             "serialized rows are not the rows of 'da'"),
+            ({"s_tot": 2}, 0, "serialized s_tot 2 does not match the other keys"),
+            ({"d": 1}, 0, "serialized d 1 does not match the other keys"),
+            # 60 rows of (a†)^20 a^20, of the right lengths and every entry
+            # "0": row 0 is wrong, so no later row is built.
+            ({"word": "d" * 20 + "a" * 20, "s_tot": 20,
+              "rows": [["0"] * (20 * n + 1) for n in range(60)]}, 1,
+             f"serialized rows are not the rows of '{'d' * 20 + 'a' * 20}'"),
+            ({"rows": [["1"], ["0", "1"], ["0", "1", "1"], ["0", "1", "3", "2"]]}, 4,
+             "serialized rows are not the rows of 'da'"),
+            # No rows is row count −1, which the generator rejects before
+            # any row: it must come first in the zip.
+            ({"rows": []}, 0, "row count must be non-negative, got -1"),
         ],
-        ids=["empty-rows", "long-row", "s_tot", "d"],
+        ids=["empty-rows", "long-row", "s_tot", "d", "zero-rows", "last-row", "no-rows"],
     )
-    def test_json_rejects_before_rebuilding(self, monkeypatch, change):
-        calls = []
-        monkeypatch.setattr(
-            stirling_module, "stirling_matrix", lambda *args: calls.append(args)
-        )
+    def test_json_rejects_before_rebuilding(self, monkeypatch, change, yielded, message):
+        rows = []
+        build = stirling_module._stirling_rows
+
+        def counting_rows(w, n_max):
+            for row in build(w, n_max):
+                rows.append(row)
+                yield row
+
+        monkeypatch.setattr(stirling_module, "_stirling_rows", counting_rows)
         obj = {"word": "da", "s_tot": 1, "d": 0, "rows": [["1"], ["0", "1"]], **change}
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             GeneralizedStirlingMatrix.from_json_obj(obj)
-        assert calls == []
+        assert len(rows) == yielded
 
 
 class TestAgainstActionOracle:
@@ -269,8 +301,9 @@ class TestWeightsGrowWithRows:
     """Row n evaluates weights T_σ(L) only for L ≤ (n−1)·(s + d⁻), every L equally often.
 
     ``perm`` is patched as ``comb`` is above.  Each call also records how
-    many rows the kernel has built, read from its ``rows`` list, so a table
-    filled ahead of the rows is caught without asking for a huge matrix.
+    many rows the kernel has built, read from the index ``n`` of the row it
+    builds, so a table filled ahead of the rows is caught without asking
+    for a huge matrix.
     """
 
     def _perm_calls(self, monkeypatch, text, n_max):
@@ -278,9 +311,9 @@ class TestWeightsGrowWithRows:
 
         def counting_perm(n, k):
             frame = sys._getframe(1)
-            while frame.f_code is not stirling_matrix.__code__:
+            while frame.f_code is not stirling_module._stirling_rows.__code__:
                 frame = frame.f_back
-            calls.append((n, len(frame.f_locals["rows"])))
+            calls.append((n, frame.f_locals["n"]))
             return perm(n, k)
 
         monkeypatch.setattr(stirling_module, "perm", counting_perm)
