@@ -199,15 +199,15 @@ def batch_verdicts(size: int, values: np.ndarray) -> np.ndarray:
     and ``int64`` never wraps.
     """
     triangle, stages = _verdict_plan(size)
-    if not stages:
-        return np.ones(len(values), dtype=bool)
     m = np.zeros((len(values), size * size), dtype=np.int64)
     m[:, ::size + 1] = 1
     m[:, triangle] = values
-    passed = stages[0].holds(m)
-    if len(stages) > 1:
+    passed = np.ones(len(values), dtype=bool)
+    # The rows still passing; at first every row, as a view rather than a copy.
+    rest = slice(None)
+    for stage in stages:
+        passed[rest] = stage.holds(m[rest])
         rest = np.flatnonzero(passed)
-        passed[rest] = stages[1].holds(m[rest])
     return passed
 
 

@@ -18,7 +18,7 @@ from itertools import groupby
 from math import comb, perm
 from types import MappingProxyType
 
-from .errors import ParseError, ValidationError, json_list, json_value
+from .errors import ParseError, ValidationError, json_list, json_value, require_int
 from .series import INTEGER_PATTERN, parse_integer
 
 ANNIHILATOR = "a"
@@ -230,9 +230,7 @@ def excess(w: BosonWord) -> int:
 
 def word_power(w: BosonWord, n: int) -> BosonWord:
     """Concatenation of n copies of w; n = 0 gives the empty word."""
-    if n < 0:
-        raise ValidationError(f"word power must be non-negative, got {n}")
-    return BosonWord(w.runs * n)
+    return BosonWord(w.runs * require_int(n, "word power", 0))
 
 
 def multiply_normal_forms(p: NormalForm, q: NormalForm) -> NormalForm:

@@ -24,7 +24,7 @@ from itertools import chain, repeat, zip_longest
 
 from . import __version__
 from .boson import double_dot, normal_order, parse_word
-from .errors import ValidationError
+from .errors import ValidationError, require_int
 from .montecarlo import (
     ExperimentConfig,
     count_free_parameters,
@@ -232,10 +232,7 @@ def _parse_series_arg(text: str, order: int) -> TruncatedSeries:
 def cmd_build_subst(args) -> int:
     # Checked before the series are read: they are padded to the size.  The
     # cap is the largest matrix whose report SubstitutionReport reads back.
-    if not 2 <= args.size <= MAX_REPORT_ORDER + 1:
-        limit = "at least 2" if args.size < 2 else f"at most {MAX_REPORT_ORDER + 1}"
-        raise ValidationError(f"matrix size must be {limit}, got {args.size}")
-    order = args.size - 1
+    order = require_int(args.size, "matrix size", 2, MAX_REPORT_ORDER + 1) - 1
     g = _parse_series_arg(args.g, order)
     phi = _parse_series_arg(args.phi, order)
     matrix = build_substitution_matrix(g, phi, args.size)

@@ -1,4 +1,5 @@
-"""Exceptions shared across the package, and the checks of JSON values and derived keys."""
+"""Exceptions shared across the package, and the checks of integer arguments,
+JSON values and derived keys."""
 
 
 class ParseError(ValueError):
@@ -37,6 +38,22 @@ def json_value(obj, key: str, kind: type | None = None):
     value = obj[key]
     if kind is not None and type(value) is not kind:
         raise ValidationError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def require_int(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
+    """`value` if it is exactly an ``int`` in lo..hi, each bound optional: a
+    ``bool`` or a numpy integer is not an ``int``.
+
+    ValidationError, naming `name`, otherwise.
+    """
+    if type(value) is not int:
+        raise ValidationError(f"{name} must be an int, got {value!r}")
+    if lo is not None and value < lo:
+        least = "non-negative" if lo == 0 else f"at least {lo}"
+        raise ValidationError(f"{name} must be {least}, got {value}")
+    if hi is not None and value > hi:
+        raise ValidationError(f"{name} must be at most {hi}, got {value}")
     return value
 
 

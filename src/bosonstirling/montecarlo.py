@@ -38,12 +38,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError, json_derived, json_list, json_value
+from .errors import ValidationError, json_derived, json_list, json_value, require_int
 from .series import parse_rational
-from .substitution import (
-    FiniteMatrix,
-    is_approximate_substitution,
-)
+from .substitution import FiniteMatrix, is_approximate_substitution
 
 #: z for the 95% Wilson interval, kept rational on purpose.
 _Z95 = Fraction(196, 100)
@@ -68,24 +65,14 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        # Types first, each under its field's name.
         for field in fields(self):
-            value = getattr(self, field.name)
-            if type(value) is not int:
-                raise ValidationError(f"{field.name} must be an int, got {value!r}")
-        if self.size < 2:
-            raise ValidationError(f"size must be at least 2, got {self.size}")
-        if self.size > MAX_SIZE:
-            raise ValidationError(f"size must be at most {MAX_SIZE}, got {self.size}")
-        if self.draws < 1:
-            raise ValidationError(f"draws must be at least 1, got {self.draws}")
-        if self.range_r < 1:
-            raise ValidationError(f"range must be at least 1, got {self.range_r}")
-        if self.range_r > MAX_RANGE:
-            raise ValidationError(f"range must be at most {MAX_RANGE}, got {self.range_r}")
-        if not 0 <= self.seed < 2**64:
-            raise ValidationError("seed must fit in 64 bits")
-        if self.jobs < 1:
-            raise ValidationError(f"jobs must be at least 1, got {self.jobs}")
+            require_int(getattr(self, field.name), field.name)
+        require_int(self.size, "size", 2, MAX_SIZE)
+        require_int(self.draws, "draws", 1)
+        require_int(self.range_r, "range", 1, MAX_RANGE)
+        require_int(self.seed, "seed", 0, 2**64 - 1)
+        require_int(self.jobs, "jobs", 1)
 
 
 @dataclass(frozen=True)
@@ -100,8 +87,7 @@ class ExperimentResult:
     successes: int
 
     def __post_init__(self):
-        if type(self.successes) is not int:
-            raise ValidationError(f"successes must be an int, got {self.successes!r}")
+        require_int(self.successes, "successes")
         if not 0 <= self.successes <= self.config.draws:
             raise ValidationError(
                 f"successes {self.successes} outside 0..{self.config.draws}"
@@ -170,15 +156,13 @@ def count_free_parameters(size: int) -> FreeParameterCount:
     condition is determined by those 2n−3 values, while n(n−1)/2 entries
     are free in an unconstrained draw.
     """
-    if size < 2:
-        raise ValidationError(f"size must be at least 2, got {size}")
+    require_int(size, "size", 2)
     return FreeParameterCount(2 * size - 3, size * (size - 1) // 2)
 
 
 def probability_bound(size: int, range_r: int) -> Fraction:
     """Upper bound r^(2n−3)/r^(n(n−1)/2) = 1/r^((n−2)(n−3)/2) on the substitution probability."""
-    if range_r < 1:
-        raise ValidationError(f"range must be at least 1, got {range_r}")
+    require_int(range_r, "range", 1)
     determined, total = count_free_parameters(size)
     return Fraction(1, range_r ** (total - determined))
 
@@ -196,10 +180,8 @@ def random_unipotent(
 
     Entries are consumed from `rng` in row-major order of the triangle.
     """
-    if size < 1:
-        raise ValidationError(f"size must be at least 1, got {size}")
-    if range_r < 1:
-        raise ValidationError(f"range must be at least 1, got {range_r}")
+    require_int(size, "size", 1)
+    require_int(range_r, "range", 1)
     count = size * (size - 1) // 2
     values = rng.integers(1, range_r, size=count, endpoint=True).tolist()
     return FiniteMatrix(_unipotent_rows(values, size))
@@ -299,8 +281,8 @@ def wilson_interval_95(successes: int, draws: int) -> tuple[Fraction, Fraction]:
     side, and clipped to [0, 1].  With draws ≥ 1 the square root's argument
     is at least z²/(4·draws²) > 0.
     """
-    if draws < 1:
-        raise ValidationError(f"draws must be at least 1, got {draws}")
+    require_int(draws, "draws", 1)
+    require_int(successes, "successes")
     if not 0 <= successes <= draws:
         raise ValidationError(f"successes {successes} outside 0..{draws}")
     n = draws

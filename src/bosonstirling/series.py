@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isfinite
 
-from .errors import ValidationError, json_derived, json_list, json_value
+from .errors import ValidationError, json_derived, json_list, json_value, require_int
 
 
 # The number grammar, in ASCII digits only.  An integer is INTEGER_PATTERN; a
@@ -106,6 +106,7 @@ class TruncatedSeries:
         coeffs = tuple(coeffs)
         if order is None:
             order = max(len(coeffs) - 1, 0)
+        require_int(order, "order", 0)
         if len(coeffs) > order + 1:
             raise ValidationError(
                 f"{len(coeffs)} coefficients exceed order {order}"

@@ -25,7 +25,7 @@ from math import comb, perm
 from operator import add, mul
 
 from .boson import BosonWord, excess, normal_order
-from .errors import RangeError, ValidationError, json_derived, json_list, json_value
+from .errors import RangeError, ValidationError, json_derived, json_list, json_value, require_int
 from .series import TruncatedSeries, exact_number, parse_integer
 
 NOT_SINGLE_ANNIHILATOR = "not-single-annihilator"
@@ -155,10 +155,7 @@ def _stirling_rows(w: BosonWord, n_max: int):
     """
     if len(w) == 0:
         raise ValidationError("the empty word has no Stirling matrix")
-    if type(n_max) is not int:
-        raise ValidationError(f"row count must be an int, got {n_max!r}")
-    if n_max < 0:
-        raise ValidationError(f"row count must be non-negative, got {n_max}")
+    require_int(n_max, "row count", 0)
     s_tot = w.annihilator_count
     d_minus = max(-excess(w), 0)
     kappa_max = min(w.creator_count, max((n_max - 1) * (s_tot + d_minus), 0))

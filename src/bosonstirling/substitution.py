@@ -39,7 +39,7 @@ from itertools import chain, islice
 from math import comb, gcd, lcm
 from operator import itemgetter, mul
 
-from .errors import RangeError, ValidationError, json_derived, json_list, json_value
+from .errors import RangeError, ValidationError, json_derived, json_list, json_value, require_int
 from .series import TruncatedSeries, exact_number, parse_rational
 from .stirling import column_egf
 
@@ -103,6 +103,7 @@ class FiniteMatrix:
 
     @classmethod
     def identity(cls, size: int) -> FiniteMatrix:
+        require_int(size, "matrix size", 1)
         return cls(
             [[1 if i == k else 0 for k in range(size)] for i in range(size)]
         )
@@ -491,9 +492,7 @@ def build_substitution_matrix(
     denominator is s_k/gcd(s_k, N_k); the matrix's denominator L is the LCM
     of those, and its numerators are N_k·L/s_k.
     """
-    if size < 2:
-        raise ValidationError(f"matrix size must be at least 2, got {size}")
-    n = size - 1
+    n = require_int(size, "matrix size", 2) - 1
     if g.order < n or phi.order < n:
         raise ValidationError(
             f"need series through order {n}: got g at {g.order}, phi at {phi.order}"
@@ -517,9 +516,7 @@ def truncate_rn(m, n: int) -> FiniteMatrix:
     morphism for the product: truncation discards cross terms that feed
     back into the retained block.
     """
-    if n < 0:
-        raise ValidationError(f"truncation order must be non-negative, got {n}")
-    if n > m.n_max:
+    if require_int(n, "truncation order", 0) > m.n_max:
         raise RangeError(f"matrix materialized through row {m.n_max}, need {n}")
     return FiniteMatrix.from_rows(
         [[m.entry(i, k) for k in range(n + 1)] for i in range(n + 1)]

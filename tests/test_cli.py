@@ -604,6 +604,20 @@ class TestMonteCarloCommand:
         )
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "seed,message",
+        [
+            ("-1", "seed must be non-negative, got -1"),
+            (str(2**64), f"seed must be at most {2**64 - 1}, got {2**64}"),
+        ],
+        ids=["negative", "above-64-bits"],
+    )
+    def test_seed_outside_64_bits(self, capsys, seed, message):
+        code, out, err = run_cli(
+            capsys, "montecarlo", "--size", "4", "--draws", "10", "--range", "3", "--seed", seed,
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_missing_seed_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["montecarlo", "--size", "3", "--draws", "10", "--range", "5"])
