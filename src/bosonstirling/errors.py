@@ -17,8 +17,9 @@ class ValidationError(ValueError):
     """Input violates a documented precondition."""
 
 
-class RangeError(IndexError):
-    """Requested data lies outside what has been materialized or stored."""
+class RangeError(ValidationError, IndexError):
+    """An integer argument lies outside its bounds, such as an index past what
+    has been materialized or stored: both a ValidationError and an IndexError."""
 
 
 #: How a message names each type that :func:`json_value` checks.
@@ -45,15 +46,16 @@ def require_int(value, name: str, lo: int | None = None, hi: int | None = None) 
     """`value` if it is exactly an ``int`` in lo..hi, each bound optional: a
     ``bool`` or a numpy integer is not an ``int``.
 
-    ValidationError, naming `name`, otherwise.
+    ValidationError, naming `name`, for a value of another type, and
+    RangeError, naming `name`, for an ``int`` outside lo..hi.
     """
     if type(value) is not int:
         raise ValidationError(f"{name} must be an int, got {value!r}")
     if lo is not None and value < lo:
         least = "non-negative" if lo == 0 else f"at least {lo}"
-        raise ValidationError(f"{name} must be {least}, got {value}")
+        raise RangeError(f"{name} must be {least}, got {value}")
     if hi is not None and value > hi:
-        raise ValidationError(f"{name} must be at most {hi}, got {value}")
+        raise RangeError(f"{name} must be at most {hi}, got {value}")
     return value
 
 

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError, json_derived, json_list, json_value, require_int
+from .errors import json_derived, json_list, json_value, require_int
 from .series import parse_rational
 from .substitution import FiniteMatrix, is_approximate_substitution
 
@@ -87,11 +87,7 @@ class ExperimentResult:
     successes: int
 
     def __post_init__(self):
-        require_int(self.successes, "successes")
-        if not 0 <= self.successes <= self.config.draws:
-            raise ValidationError(
-                f"successes {self.successes} outside 0..{self.config.draws}"
-            )
+        require_int(self.successes, "successes", 0, self.config.draws)
 
     @cached_property
     def estimate(self) -> Fraction:
@@ -180,8 +176,8 @@ def random_unipotent(
 
     Entries are consumed from `rng` in row-major order of the triangle.
     """
-    require_int(size, "size", 1)
-    require_int(range_r, "range", 1)
+    require_int(size, "size", 1, MAX_SIZE)
+    require_int(range_r, "range", 1, MAX_RANGE)
     count = size * (size - 1) // 2
     values = rng.integers(1, range_r, size=count, endpoint=True).tolist()
     return FiniteMatrix(_unipotent_rows(values, size))
@@ -282,9 +278,7 @@ def wilson_interval_95(successes: int, draws: int) -> tuple[Fraction, Fraction]:
     is at least z²/(4·draws²) > 0.
     """
     require_int(draws, "draws", 1)
-    require_int(successes, "successes")
-    if not 0 <= successes <= draws:
-        raise ValidationError(f"successes {successes} outside 0..{draws}")
+    require_int(successes, "successes", 0, draws)
     n = draws
     z2 = _Z95 * _Z95
     phat = Fraction(successes, n)

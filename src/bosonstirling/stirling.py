@@ -25,7 +25,7 @@ from math import comb, perm
 from operator import add, mul
 
 from .boson import BosonWord, excess, normal_order
-from .errors import RangeError, ValidationError, json_derived, json_list, json_value, require_int
+from .errors import ValidationError, json_derived, json_list, json_value, require_int
 from .series import TruncatedSeries, exact_number, parse_integer
 
 NOT_SINGLE_ANNIHILATOR = "not-single-annihilator"
@@ -64,10 +64,8 @@ class GeneralizedStirlingMatrix:
 
     def entry(self, n: int, k: int):
         """S_w(n,k); zero beyond the staircase, RangeError beyond row n_max."""
-        if not 0 <= n <= self.n_max:
-            raise RangeError(f"row {n} not materialized (have 0..{self.n_max})")
-        if k < 0:
-            raise RangeError(f"column index {k} is negative")
+        require_int(n, "row", 0, self.n_max)
+        require_int(k, "column", 0)
         row = self.rows[n]
         return row[k] if k < len(row) else 0
 
@@ -221,8 +219,7 @@ def bell_polynomial(m: GeneralizedStirlingMatrix, n: int, x) -> Fraction:
     arithmetic: one product of two big integers per block, not per
     coefficient, and one reduction of the fraction at the end.
     """
-    if not 0 <= n <= m.n_max:
-        raise RangeError(f"row {n} not materialized (have 0..{m.n_max})")
+    require_int(n, "row", 0, m.n_max)
     x = Fraction(exact_number(x))
     p, q = x.numerator, x.denominator
     b = _BELL_BLOCK
@@ -260,8 +257,8 @@ class WordClassification:
 
     def __post_init__(self):
         for name, value in (("r", self.r), ("p", self.p)):
-            if value is not None and type(value) is not int:
-                raise ValidationError(f"{name} must be an int or None, got {value!r}")
+            if value is not None:
+                require_int(value, name)
         if type(self.ends_with_a) is not bool:
             raise ValidationError(f"ends_with_a must be a bool, got {self.ends_with_a!r}")
         if (self.r is None) != (self.p is None):
@@ -318,9 +315,10 @@ def column_egf(matrix, k: int, order: int) -> TruncatedSeries:
 
     Accepts anything with an ``entry(i, k)`` accessor (a materialized
     Stirling matrix or a finite square matrix); entries must exist through
-    row `order`, else the accessor's RangeError propagates.  A negative
-    order leaves no coefficient, and the series rejects that.
+    row `order`, else the accessor's RangeError propagates, as it does for
+    a column out of range.  A negative order is a RangeError too.
     """
+    require_int(order, "order", 0)
     return TruncatedSeries.from_egf_entries(
         [matrix.entry(i, k) for i in range(order + 1)]
     )

@@ -39,7 +39,7 @@ from itertools import chain, islice
 from math import comb, gcd, lcm
 from operator import itemgetter, mul
 
-from .errors import RangeError, ValidationError, json_derived, json_list, json_value, require_int
+from .errors import ValidationError, json_derived, json_list, json_value, require_int
 from .series import TruncatedSeries, exact_number, parse_rational
 from .stirling import column_egf
 
@@ -118,8 +118,8 @@ class FiniteMatrix:
         )
 
     def entry(self, i: int, k: int) -> int | Fraction:
-        if not (0 <= i < self.size and 0 <= k < self.size):
-            raise RangeError(f"index ({i}, {k}) outside size-{self.size} matrix")
+        require_int(i, "row", 0, self.n_max)
+        require_int(k, "column", 0, self.n_max)
         v, d = self.numerators[i][k], self.denominator
         return Fraction(v, d) if v % d else v // d
 
@@ -516,8 +516,7 @@ def truncate_rn(m, n: int) -> FiniteMatrix:
     morphism for the product: truncation discards cross terms that feed
     back into the retained block.
     """
-    if require_int(n, "truncation order", 0) > m.n_max:
-        raise RangeError(f"matrix materialized through row {m.n_max}, need {n}")
+    require_int(n, "truncation order", 0, m.n_max)
     return FiniteMatrix.from_rows(
         [[m.entry(i, k) for k in range(n + 1)] for i in range(n + 1)]
     )

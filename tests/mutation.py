@@ -94,12 +94,19 @@ ROWS = [
      SIZE_CAP + "test_size_above_cap_exit_2_before_any_series[258]", "killed"),
     (PACKAGE + "cli.py", '"matrix size", 2, MAX_REPORT_ORDER + 1)',
      '"matrix size", 2, MAX_REPORT_ORDER)', SIZE_CAP + "test_size_at_cap_builds", "killed"),
-    # errors.require_int: a bool is not an int, and each bound admits itself.
+    # errors.require_int: a bool is not an int, each bound admits itself, and
+    # a value past one is a RangeError that is also a ValidationError.
     (ERRORS, "if type(value) is not int:", "if not isinstance(value, int):",
      INTEGER_ARGS + "test_rejects_every_non_int[word_power-True]", "killed"),
     (ERRORS, "value < lo:", "value <= lo:", INTEGER_ARGS + "test_bound_admits_itself",
      "killed"),
-    (ERRORS, "value > hi:", "value >= hi:", SIZE_CAP + "test_size_at_cap_builds", "killed"),
+    (ERRORS, "value > hi:", "value >= hi:", INTEGER_ARGS + "test_bound_admits_itself",
+     "killed"),
+    (ERRORS, "class RangeError(ValidationError, IndexError):", "class RangeError(IndexError):",
+     INTEGER_ARGS + "test_one_past_the_bound_is_rejected", "killed"),
+    # FiniteMatrix.entry: the last row is n_max, not size.
+    (SUBSTITUTION, 'require_int(i, "row", 0, self.n_max)', 'require_int(i, "row", 0, self.size)',
+     "tests/test_substitution.py::TestFiniteMatrix::test_entry_bounds", "killed"),
     # montecarlo calls the verdict through a name the benchmark tracer does
     # not patch: the same verdict, so only the span test notices.
     (MONTECARLO, "from .substitution import FiniteMatrix, is_approximate_substitution",
