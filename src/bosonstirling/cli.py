@@ -282,7 +282,7 @@ def _integer_flag(text: str) -> int:
 def _parse_sweep_range(text: str) -> list[int]:
     try:
         return [parse_integer(part.strip()) for part in text.split(",")]
-    except ValueError:
+    except ValidationError:
         raise ValidationError(
             f"--sweep-range needs comma-separated integers, got {text!r}"
         ) from None
@@ -465,7 +465,7 @@ def main(argv=None) -> int:
     args = _arg_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, IndexError, KeyError, ZeroDivisionError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -2,7 +2,11 @@
 JSON values and derived keys."""
 
 
-class ParseError(ValueError):
+class ValidationError(ValueError):
+    """Input violates a documented precondition; every rejection raises one."""
+
+
+class ParseError(ValidationError):
     """Malformed word text.
 
     `offset` is the character position of the offending token in the input.
@@ -11,10 +15,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
         self.offset = offset
-
-
-class ValidationError(ValueError):
-    """Input violates a documented precondition."""
 
 
 class RangeError(ValidationError, IndexError):

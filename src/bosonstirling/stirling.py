@@ -313,12 +313,12 @@ def classify_word(w: BosonWord) -> WordClassification:
 def column_egf(matrix, k: int, order: int) -> TruncatedSeries:
     """Truncated EGF of column k: Σ_{i=0..order} M[i,k] x^i / i!.
 
-    Accepts anything with an ``entry(i, k)`` accessor (a materialized
-    Stirling matrix or a finite square matrix); entries must exist through
-    row `order`, else the accessor's RangeError propagates, as it does for
-    a column out of range.  A negative order is a RangeError too.
+    Accepts anything with an ``entry(i, k)`` accessor and an ``n_max`` (a
+    materialized Stirling matrix or a finite square matrix).  An order
+    outside 0..n_max is a RangeError naming `order`; the accessor's
+    RangeError propagates for a column out of range.
     """
-    require_int(order, "order", 0)
+    require_int(order, "order", 0, matrix.n_max)
     return TruncatedSeries.from_egf_entries(
         [matrix.entry(i, k) for i in range(order + 1)]
     )

@@ -104,6 +104,16 @@ ROWS = [
      "killed"),
     (ERRORS, "class RangeError(ValidationError, IndexError):", "class RangeError(IndexError):",
      INTEGER_ARGS + "test_one_past_the_bound_is_rejected", "killed"),
+    # One root for every rejected input; exit 2 still covers JSON text and
+    # UTF-8 decoding, which raise a plain ValueError.
+    (ERRORS, "class ParseError(ValidationError):", "class ParseError(ValueError):",
+     "tests/test_boson.py::TestParseWord::test_every_rejected_text_is_a_validation_error",
+     "killed"),
+    (PACKAGE + "cli.py", "except (ValueError, OSError) as exc:",
+     "except (ValidationError, OSError) as exc:",
+     "tests/test_cli.py::TestCheckSubstCommand::test_malformed_file_exit_2", "killed"),
+    (STIRLING, 'require_int(order, "order", 0, matrix.n_max)', 'require_int(order, "order", 0)',
+     INTEGER_ARGS + "test_one_past_the_bound_is_rejected[column_egf-order-hi]", "killed"),
     # FiniteMatrix.entry: the last row is n_max, not size.
     (SUBSTITUTION, 'require_int(i, "row", 0, self.n_max)', 'require_int(i, "row", 0, self.size)',
      "tests/test_substitution.py::TestFiniteMatrix::test_entry_bounds", "killed"),

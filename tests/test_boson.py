@@ -94,6 +94,15 @@ class TestParseWord:
             assert str(exc.value) == f"{message} (offset {offset})"
             assert exc.value.offset == offset
 
+    def test_every_rejected_text_is_a_validation_error(self):
+        """ParseError is a ValidationError, so one ``except`` catches every row
+        of the error contract, ParseError rows included."""
+        assert issubclass(ParseError, ValidationError)
+        (contract,) = self.test_error_contract.pytestmark
+        for text, error, _, _ in contract.args[1]:
+            with pytest.raises(ValidationError):
+                parse_word(text)
+
     @pytest.mark.parametrize("text", ["rs:[٣,1]", "rs:[1,１]", "rs:[+1,1]"])
     def test_rs_exponents_are_ascii_integers(self, text):
         with pytest.raises(ParseError, match="expected integer"):

@@ -451,6 +451,15 @@ class TestCheckSubstCommand:
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
 
+    def test_file_not_utf8_exit_2_without_traceback(self, tmp_path):
+        # Decoding raises UnicodeDecodeError: a ValueError, not a ValidationError.
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff")
+        proc = run_cli_process("check-subst", str(bad))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
     def test_non_unipotent_file_exit_2(self, capsys, tmp_path):
         path = write_matrix_file(tmp_path, [[1, 0], [1, 2]])
         code, _, err = run_cli(capsys, "check-subst", path)
@@ -1585,6 +1594,17 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("error", [IndexError, KeyError, ZeroDivisionError])
+    def test_a_fault_is_not_a_usage_error(self, monkeypatch, error):
+        """Exit 2 covers a ValueError, ValidationError among them, and an
+        OSError; any other exception is a fault, left for TestFuzz to see."""
+        def fault(*args):
+            raise error("fault")
+
+        monkeypatch.setattr(cli, "probability_bound", fault)
+        with pytest.raises(error):
+            main(["bound", "--size", "4", "--range", "100"])
 
     def test_console_script_runs(self):
         proc = run_cli_process("bound", "--size", "4", "--range", "10")

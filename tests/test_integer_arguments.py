@@ -95,7 +95,7 @@ _STIRLING = stirling_matrix(parse_word("a+ a"), 3)
 #: Every index a reader of a matrix takes.  A Stirling matrix's column has no
 #: upper bound: past the staircase it reads 0, so only the type check keeps
 #: ``entry(1, 2.5)`` from reading 0 too.  column_egf's order is bounded by the
-#: rows its matrix has, which its accessor checks as a row.
+#: rows its matrix has, and is checked as its own argument.
 INDICES = {
     "FiniteMatrix.entry-row": Argument(lambda v: _IDENTITY.entry(v, 0), "row", 0, 2),
     "FiniteMatrix.entry-column": Argument(lambda v: _IDENTITY.entry(0, v), "column", 0, 2),
@@ -105,7 +105,7 @@ INDICES = {
         lambda v: _STIRLING.entry(1, v), "column", 0),
     "bell_polynomial": Argument(lambda v: bell_polynomial(_STIRLING, v, 1), "row", 0, 3),
     "column_egf-column": Argument(lambda v: column_egf(_IDENTITY, v, 2), "column", 0, 2),
-    "column_egf-order": Argument(lambda v: column_egf(_IDENTITY, 0, v), "order", 0),
+    "column_egf-order": Argument(lambda v: column_egf(_IDENTITY, 0, v), "order", 0, 2),
 }
 
 NOT_INTS = {"float": 2.5, "True": True, "str": "3", "int64": np.int64(4)}
