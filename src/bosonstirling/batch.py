@@ -15,9 +15,9 @@ once, :func:`scaled_draws` turns them into numpy's values for one range,
 and :func:`batch_verdicts` decides the block's matrices in ``int64``.
 Only the scaling depends on r, so a sweep over several ranges computes
 each block's words once.
-:mod:`bosonstirling.montecarlo` imports this module at its first
-experiment, not at import, so the commands that run no experiment do not
-load it.
+:mod:`bosonstirling.montecarlo` imports this module, and numpy with it,
+at its first experiment, not at import, so the commands that run no
+experiment load neither.
 """
 
 from __future__ import annotations

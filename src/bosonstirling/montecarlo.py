@@ -24,19 +24,19 @@ and :func:`is_approximate_substitution` — gives, and that path decides,
 inside the same block, every trial the batch cannot.  A block's Philox
 words are drawn once and scaled for every range of a sweep
 (:func:`run_sweep`), since only that scaling depends on r.
+
+numpy is imported by the functions that draw, and the process pool by a
+run with more than one job, so importing this module loads neither.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import json_derived, json_list, json_value, require_int
 from .series import parse_rational
@@ -165,6 +165,8 @@ def probability_bound(size: int, range_r: int) -> Fraction:
 
 def trial_stream(seed: int, trial: int) -> np.random.Generator:
     """Independent Philox stream for one trial, keyed by (seed, trial)."""
+    import numpy as np
+
     key = np.array([seed, trial], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -226,7 +228,9 @@ def _count_successes(seed: int, size: int, ranges, start: int, stop: int) -> lis
     this process and returns every range's per-trial count.
     """
     global _batch_ok
-    # Imported on first use: the commands that run no experiment never load it.
+    # Imported on first use: the commands that run no experiment never load them.
+    import numpy as np
+
     from . import batch
 
     count = size * (size - 1) // 2
@@ -318,6 +322,8 @@ def run_sweep(cfg: ExperimentConfig, ranges) -> list[ExperimentResult]:
             (start, min(start + step, cfg.draws))
             for start in range(0, cfg.draws, step)
         ]
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
                 pool.submit(_count_successes, cfg.seed, cfg.size, ranges, start, stop)

@@ -43,6 +43,7 @@ INTEGER_ARGS = "tests/test_integer_arguments.py::"
 DERIVED = READERS + "test_derived_value_contradiction_rejected"
 SIZE_CAP = "tests/test_cli.py::TestBuildSubstCommand::"
 PRINTABLE = "tests/test_cli.py::TestUnprintableBoundRejectedEarly"
+ON_DEMAND = "tests/test_cli.py::TestImportsOnDemand"
 PER_TRIAL = "tests/test_montecarlo.py::TestBatchAgreesWithPerTrialPath"
 BATCH_VERDICTS = "tests/test_montecarlo.py::TestBatchVerdicts"
 WILSON = "tests/test_montecarlo.py::TestWilson"
@@ -216,6 +217,12 @@ ROWS = [
     (MONTECARLO, "z2 / (4 * n * n)", "z2 / (2 * n * n)", WILSON, "killed"),
     (MONTECARLO, "return max(Fraction(0), lo), min(Fraction(1), hi)", "return lo, hi", WILSON,
      "killed"),
+    # montecarlo loads numpy and the process pool where a run needs them,
+    # so that no other command pays for importing them.
+    (MONTECARLO, "from math import isqrt\n", "from math import isqrt\nimport numpy as np\n",
+     ON_DEMAND, "killed"),
+    (MONTECARLO, "import os\n", "import os\nfrom concurrent.futures import ProcessPoolExecutor\n",
+     ON_DEMAND, "killed"),
     # cli.cmd_montecarlo checks --range in a sweep too.
     (PACKAGE + "cli.py", "range_r=args.range, seed", "range_r=ranges[0], seed",
      "tests/test_cli.py::TestMonteCarloCommand::test_sweep_checks_range", "killed"),

@@ -1610,3 +1610,50 @@ class TestTopLevel:
         proc = run_cli_process("bound", "--size", "4", "--range", "10")
         assert proc.returncode == 0
         assert proc.stdout == "1/10\n"
+
+
+#: Imports the CLI, runs each command of argv[1] (a JSON list) in process,
+#: and writes to the file argv[2], after the import and after each command,
+#: its exit code and whether numpy and the process pool are loaded.
+_IMPORT_PROBE = """\
+import json, sys
+import bosonstirling, bosonstirling.cli
+loaded = lambda: [name in sys.modules for name in ("numpy", "concurrent.futures.process")]
+report = [["import", None, loaded()]]
+for argv in json.loads(sys.argv[1]):
+    report.append([argv[0], bosonstirling.cli.main(argv), loaded()])
+with open(sys.argv[2], "w", encoding="utf-8") as f:
+    json.dump(report, f)
+"""
+
+
+class TestImportsOnDemand:
+    """Only `montecarlo` loads numpy; no command here loads the process pool.
+
+    The test process has numpy loaded already, so each check runs in a
+    fresh interpreter.
+    """
+
+    def test_only_montecarlo_loads_numpy(self, tmp_path):
+        matrix = str(tmp_path / "matrix.json")
+        commands = [
+            ["no", "a a+ a"],
+            ["dd", "a a+ a"],
+            ["stirling", "a+ a", "--rows", "6"],
+            ["bell", "a+ a", "--rows", "6"],
+            ["classify", "a+ a a+"],
+            ["bound", "--size", "5", "--range", "10"],
+            ["build-subst", "--g", "1,1", "--phi", "0,1,1", "--size", "5", "--out", matrix],
+            ["check-subst", matrix],
+            [*_MC, "--jobs", "1"],
+        ]
+        report = tmp_path / "report.json"
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands), str(report)],
+            capture_output=True, text=True, env=_process_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        expected = [["import", None, [False, False]]]
+        expected += [[argv[0], 0, [False, False]] for argv in commands[:-1]]
+        expected.append(["montecarlo", 0, [True, False]])
+        assert json.loads(report.read_text(encoding="utf-8")) == expected

@@ -647,7 +647,7 @@ class TestSweepSelfCheck:
         serial = capsys.readouterr().out
         monkeypatch.setattr("os.cpu_count", lambda: 2)
         monkeypatch.setattr(_InlinePool, "made", 0)
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _InlinePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InlinePool)
         assert cli_main([*argv, "--jobs", "2"]) == 0
         assert _InlinePool.made == 1
         assert capsys.readouterr().out == serial
