@@ -1,5 +1,7 @@
 """Exceptions shared across the package, and the checks of integer arguments,
-JSON values and derived keys."""
+containers, JSON values and derived keys."""
+
+from collections.abc import Iterable
 
 
 class ValidationError(ValueError):
@@ -57,6 +59,17 @@ def require_int(value, name: str, lo: int | None = None, hi: int | None = None) 
     if hi is not None and value > hi:
         raise RangeError(f"{name} must be at most {hi}, got {value}")
     return value
+
+
+def require_items(value, name: str) -> tuple:
+    """The items of `value` as a tuple, if it is an iterable other than text.
+
+    ValidationError, naming `name`, for a ``str`` or ``bytes``, whose
+    characters are not items, and for an object that is not iterable.
+    """
+    if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
+        raise ValidationError(f"{name} must be a sequence other than text, got {value!r}")
+    return tuple(value)
 
 
 def json_derived(obj, key: str, derived, kind=None) -> None:

@@ -38,7 +38,7 @@ from functools import cached_property
 from math import isqrt
 from typing import NamedTuple
 
-from .errors import json_derived, json_list, json_value, require_int
+from .errors import json_derived, json_list, json_value, require_int, require_items
 from .series import parse_rational
 from .substitution import FiniteMatrix, is_approximate_substitution
 
@@ -311,7 +311,7 @@ def run_sweep(cfg: ExperimentConfig, ranges) -> list[ExperimentResult]:
     changes the schedule: one pool serves the sweep, and each worker counts
     every range over its span of trials.
     """
-    configs = [replace(cfg, range_r=r) for r in ranges]
+    configs = [replace(cfg, range_r=r) for r in require_items(ranges, "ranges")]
     ranges = [c.range_r for c in configs]
     jobs = worker_count(cfg.jobs, cfg.draws)
     if jobs == 1:

@@ -9,7 +9,13 @@ minimum of the operand orders.
 The package's EGF convention lives here alone: the series Σ c_i·x^i is the
 exponential generating function of the entries i!·c_i, a matrix column in
 the substitution condition.  :meth:`TruncatedSeries.from_egf_entries` and
-:meth:`TruncatedSeries.egf_entries` convert between the two.
+:meth:`TruncatedSeries.egf_entries` convert between the two.  On entries
+the EGF product is the binomial convolution (a⊛b)[i] = Σ_j C(i,j)·a[i−j]·b[j],
+and the package's one product and one quotient of EGFs are the kernels
+here, :func:`_egf_product` and :func:`_egf_quotient`, over the one binomial
+table :func:`_binomial_rows`.  :meth:`TruncatedSeries.multiply` and
+:meth:`TruncatedSeries.invert` wrap them; the substitution builder and a
+report's diagnostics call them on matrix columns.
 
 Every number the package reads from outside text (matrix files,
 command-line values, the JSON readers and the exponents in word text)
@@ -24,9 +30,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, isfinite
+from functools import lru_cache
+from math import comb, factorial, isfinite
 
-from .errors import ValidationError, json_derived, json_list, json_value, require_int
+from .errors import (ValidationError, json_derived, json_list, json_value, require_int,
+                     require_items)
 
 
 # The number grammar, in ASCII digits only.  An integer is INTEGER_PATTERN; a
@@ -81,6 +89,49 @@ def exact_number(value) -> int | Fraction:
     raise ValidationError(f"not an exact number: {value!r}")
 
 
+@lru_cache(maxsize=32)
+def _binomial_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(comb(i, j) for j in range(i + 1)) for i in range(n + 1))
+
+
+def _egf_product(a, b, lo: int) -> list:
+    """The binomial convolution (a⊛b)[i] = Σ_j C(i,j)·a[i−j]·b[j], i = 0..len(a)−1.
+
+    a⊛b holds the entries of the product of the EGFs Σ a[i]·x^i/i! and
+    Σ b[i]·x^i/i!.  `a` must vanish below index `lo`, so the result does
+    too and only i ≥ lo is summed; only the nonzero entries of the sparse
+    operand `b` are visited.
+    """
+    n = len(a) - 1
+    binomials = _binomial_rows(n)
+    terms = [(j, bj) for j, bj in enumerate(b[: n + 1 - lo]) if bj]
+    out = [0] * (n + 1)
+    for i in range(lo, n + 1):
+        binomial = binomials[i]
+        out[i] = sum([binomial[j] * bj * a[i - j] for j, bj in terms if j <= i - lo])
+    return out
+
+
+def _egf_quotient(num, den) -> list:
+    """The entries Q[0..len(num)−1] with den⊛Q = num, for den[0] ≠ 0.
+
+    Coefficient i of den⊛Q reads den[0]·Q[i] + Σ_{j=1}^{i} C(i,j)·den[j]·Q[i−j],
+    so forward substitution
+
+        Q[i] = (num[i] − Σ_{j=1}^{i} C(i,j)·den[j]·Q[i−j]) / den[0]
+
+    gives every entry, visiting only the nonzero entries of den.  Entries
+    are ``int`` or ``Fraction``, and all ``int`` when den[0] = 1 and num and
+    den are integers.
+    """
+    terms = [(j, dj) for j, dj in enumerate(den[1: len(num)], 1) if dj]
+    out = []
+    for i, binomial in enumerate(_binomial_rows(len(num) - 1)):
+        v = num[i] - sum([binomial[j] * dj * out[i - j] for j, dj in terms if j <= i])
+        out.append(v if den[0] == 1 else Fraction(v, den[0]))
+    return out
+
+
 @dataclass(frozen=True)
 class TruncatedSeries:
     """Σ coeffs[i]·x^i for i = 0..order, with exact rational coefficients.
@@ -91,7 +142,8 @@ class TruncatedSeries:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        coeffs = tuple(Fraction(exact_number(c)) for c in self.coeffs)
+        items = require_items(self.coeffs, "coefficients")
+        coeffs = tuple(Fraction(exact_number(c)) for c in items)
         if not coeffs:
             raise ValidationError("a series needs at least one coefficient")
         object.__setattr__(self, "coeffs", coeffs)
@@ -103,7 +155,7 @@ class TruncatedSeries:
     @classmethod
     def from_coeffs(cls, coeffs, order: int | None = None) -> TruncatedSeries:
         """Build from a coefficient list, zero-padding up to `order` if given."""
-        coeffs = tuple(coeffs)
+        coeffs = require_items(coeffs, "coefficients")
         if order is None:
             order = max(len(coeffs) - 1, 0)
         require_int(order, "order", 0)
@@ -129,32 +181,20 @@ class TruncatedSeries:
         return [c * factorial(i) for i, c in enumerate(self.coeffs)]
 
     def multiply(self, other: TruncatedSeries) -> TruncatedSeries:
-        """Cauchy product truncated at min(self.order, other.order)."""
-        n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if not a:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return TruncatedSeries(tuple(out))
+        """Product truncated at min(self.order, other.order): the EGF product of the entries."""
+        a = self.egf_entries()[: min(self.order, other.order) + 1]
+        return TruncatedSeries.from_egf_entries(_egf_product(a, other.egf_entries(), 0))
 
     def invert(self) -> TruncatedSeries:
         """Multiplicative inverse up to the truncation order.
 
-        Requires a nonzero constant term; the usual recursion
-        b_0 = 1/a_0, b_i = −(Σ_{u≥1} a_u b_{i−u})/a_0 stays exact.
+        Requires a nonzero constant term; the inverse is the EGF quotient of
+        1 by the series, exact throughout.
         """
-        a0 = self.coeffs[0]
-        if a0 == 0:
+        if self.coeffs[0] == 0:
             raise ZeroDivisionError("series with zero constant term is not invertible")
-        out = [Fraction(1, 1) / a0]
-        for i in range(1, self.order + 1):
-            s = sum(self.coeffs[u] * out[i - u] for u in range(1, i + 1))
-            out.append(-s / a0)
-        return TruncatedSeries(tuple(out))
+        one = [1] + [0] * self.order
+        return TruncatedSeries.from_egf_entries(_egf_quotient(one, self.egf_entries()))
 
     def __str__(self) -> str:
         parts: list[str] = []

@@ -11,18 +11,20 @@ identity holds:
 with c_k the column-k EGF polynomial.  Columns 0 and 1 satisfy this
 identically; columns 2..n are genuine constraints.
 
-Nothing here multiplies or inverts series.  Everything works on EGF
-entries, the column vectors M[:,k] themselves, where the EGF product becomes
-the binomial convolution (a⊛b)[i] = Σ_j C(i,j)·a[j]·b[i−j].  A matrix M is
-stored as the integer rows of L·M over one denominator L.  The verdict,
-:func:`recurrence_failure`, checks the equivalent division-free column
-recurrence c_0·(k+1)·c_{k+1} ≡ c_k·c_1 on those rows, as it is homogeneous,
-and stops at the first failing step.  The diagnostics of a report — g, φ
-and every failing column with its expected and actual series — are
-computed from the matrix when first read: φ by forward substitution in
-c_1 = c_0⊛Φ, and the expected columns by one chain of integer
-convolutions, the one the builder takes its columns from.  Equality is
-exact throughout: no tolerances and no floats.
+Everything works on EGF entries, the column vectors M[:,k] themselves,
+where the EGF product becomes the binomial convolution
+(a⊛b)[i] = Σ_j C(i,j)·a[j]·b[i−j]; the product and the quotient of EGFs
+are the kernels of :mod:`.series`, which this module calls on entries and
+never through series objects.  A matrix M is stored as the integer rows of
+L·M over one denominator L.  The verdict, :func:`recurrence_failure`,
+checks the equivalent division-free column recurrence
+c_0·(k+1)·c_{k+1} ≡ c_k·c_1 on those rows, as it is homogeneous, and stops
+at the first failing step.  The diagnostics of a report — g, φ and every
+failing column with its expected and actual series — are computed from the
+matrix when first read: φ as the EGF quotient of column 1 by column 0, and
+the expected columns by one chain of integer EGF products, the one the
+builder takes its columns from.  Equality is exact throughout: no
+tolerances and no floats.
 
 The module also provides the two truncation operators on larger matrices:
 r_n (principal submatrix, defined for all row-finite matrices, not
@@ -34,13 +36,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain, islice
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import itemgetter, mul
 
-from .errors import ValidationError, json_derived, json_list, json_value, require_int
-from .series import TruncatedSeries, exact_number, parse_rational
+from .errors import (ValidationError, json_derived, json_list, json_value, require_int,
+                     require_items)
+from .series import (TruncatedSeries, _binomial_rows, _egf_product, _egf_quotient, exact_number,
+                     parse_rational)
 from .stirling import column_egf
 
 #: Largest ``g`` order that :meth:`SubstitutionReport.from_json_obj` reads.
@@ -64,7 +68,8 @@ class FiniteMatrix:
     denominator: int = 1
 
     def __post_init__(self):
-        rows = tuple(map(tuple, self.numerators))
+        rows = tuple(require_items(row, "matrix row")
+                     for row in require_items(self.numerators, "matrix"))
         n = len(rows)
         if n == 0:
             raise ValidationError("matrix must have at least one row")
@@ -94,7 +99,7 @@ class FiniteMatrix:
     @classmethod
     def from_rows(cls, rows) -> FiniteMatrix:
         """The matrix of `rows`, each entry read by :func:`exact_number`."""
-        rows = [tuple(row) for row in rows]
+        rows = [require_items(row, "matrix row") for row in require_items(rows, "matrix")]
         if all({int}.issuperset(map(type, row)) for row in rows):
             return cls(rows)
         values, d = _over_common_denominator(list(map(exact_number, chain.from_iterable(rows))))
@@ -215,25 +220,11 @@ class SubstitutionReport:
     def _phi_entries(self) -> list:
         """EGF entries Φ[i] = i!·φ_i of φ = c_1/c_0, ``int`` or ``Fraction``.
 
-        With R = L·M the stored rows, coefficient i of c_1 = c_0⊛Φ reads
-        R[i,1] = Σ_j C(i,j)·R[j,0]·Φ[i−j].  The j = 0 term is L·Φ[i], since
-        R[0,0] = L, and the j = i term vanishes, since Φ[0] = M[0,1] = 0; so
-        forward substitution
-
-            Φ[i] = (R[i,1] − Σ_{j=1}^{i−1} C(i,j)·R[j,0]·Φ[i−j]) / L
-
-        gives every entry, visiting only the nonzero entries of column 0.
+        With R = L·M the stored rows, c_1 = c_0⊛Φ reads R[:,1] = R[:,0]⊛Φ,
+        so Φ is the EGF quotient of column 1 by column 0, over R[0,0] = L.
         """
-        rows, d = self.matrix.numerators, self.matrix.denominator
-        n = len(rows) - 1
-        binomials = _binomial_rows(n)
-        col0 = [(j, row[0]) for j, row in enumerate(rows) if j and row[0]]
-        phi = [0]
-        for i in range(1, n + 1):
-            binomial = binomials[i]
-            v = rows[i][1] - sum([binomial[j] * c * phi[i - j] for j, c in col0 if j < i])
-            phi.append(v if d == 1 else Fraction(v, d))
-        return phi
+        rows = self.matrix.numerators
+        return _egf_quotient([row[1] for row in rows], [row[0] for row in rows])
 
     @cached_property
     def extracted_phi(self) -> TruncatedSeries:
@@ -335,33 +326,10 @@ class SubstitutionReport:
         return report
 
 
-@lru_cache(maxsize=32)
-def _binomial_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(comb(i, j) for j in range(i + 1)) for i in range(n + 1))
-
-
 def _over_common_denominator(values) -> tuple[list[int], int]:
     """(D·values, D) with D the LCM of the denominators of the ``int`` or ``Fraction`` values."""
     d = lcm(*[v.denominator for v in values])
     return [v.numerator * (d // v.denominator) for v in values], d
-
-
-def _egf_product(a, b, lo: int) -> list:
-    """The binomial convolution (a⊛b)[i] = Σ_j C(i,j)·a[i−j]·b[j], i = 0..len(a)−1.
-
-    a⊛b holds the entries of the product of the EGFs Σ a[i]·x^i/i! and
-    Σ b[i]·x^i/i!.  `a` must vanish below index `lo`, so the result does
-    too and only i ≥ lo is summed; only the nonzero entries of the sparse
-    operand `b` are visited.
-    """
-    n = len(a) - 1
-    binomials = _binomial_rows(n)
-    terms = [(j, bj) for j, bj in enumerate(b[: n + 1 - lo]) if bj]
-    out = [0] * (n + 1)
-    for i in range(lo, n + 1):
-        binomial = binomials[i]
-        out[i] = sum([binomial[j] * bj * a[i - j] for j, bj in terms if j <= i - lo])
-    return out
 
 
 def _column_chain(start, k: int, phi):

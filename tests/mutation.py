@@ -36,6 +36,7 @@ PACKAGE = "src/bosonstirling/"
 BATCH = PACKAGE + "batch.py"
 ERRORS = PACKAGE + "errors.py"
 MONTECARLO = PACKAGE + "montecarlo.py"
+SERIES = PACKAGE + "series.py"
 STIRLING = PACKAGE + "stirling.py"
 SUBSTITUTION = PACKAGE + "substitution.py"
 READERS = "tests/test_cli.py::TestJsonReaders::"
@@ -183,12 +184,23 @@ ROWS = [
      ACTION, "killed"),
     (STIRLING, "_BELL_BLOCK = 8", "_BELL_BLOCK = 1", ACTION,
      "survives: every block size gives the same value; 8 is only the fastest"),
-    # SubstitutionReport._phi_entries.
-    (SUBSTITUTION, "phi.append(v if d == 1 else Fraction(v, d))", "phi.append(v)", ORACLE,
+    # series._egf_quotient, which gives a report's φ and TruncatedSeries.invert:
+    # the division by den[0], the sign, the term j = i, which Φ[0] = 0 makes
+    # vanish in φ but not in an inverse.
+    (SERIES, "out.append(v if den[0] == 1 else Fraction(v, den[0]))", "out.append(v)",
+     ORACLE, "killed"),
+    (SERIES, "v = num[i] - sum(", "v = num[i] + sum(", ORACLE, "killed"),
+    (SERIES, "for j, dj in terms if j <= i])", "for j, dj in terms if j < i])",
+     "tests/test_series.py::TestInvert", "killed"),
+    # series._egf_product, which gives the builder's columns and
+    # TruncatedSeries.multiply: the last term of each entry, the last of b.
+    (SERIES, "for j, bj in terms if j <= i - lo])", "for j, bj in terms if j < i - lo])",
+     "tests/test_series.py::TestMultiply", "killed"),
+    (SERIES, "enumerate(b[: n + 1 - lo])", "enumerate(b[: n - lo])", PAIR_MATRIX, "killed"),
+    # errors.require_items: text is not a sequence of coefficients or rows.
+    (ERRORS, "isinstance(value, (str, bytes)) or ", "",
+     "tests/test_series.py::TestConstruction::test_text_or_non_iterable_coefficients_rejected",
      "killed"),
-    (SUBSTITUTION, "v = rows[i][1] - sum(", "v = rows[i][1] + sum(", ORACLE, "killed"),
-    (SUBSTITUTION, "for j, c in col0 if j < i])", "for j, c in col0 if j <= i])", ORACLE,
-     "survives: the term j = i is C(i,i)·R[i,0]·Φ[0], and Φ[0] = 0"),
     # SubstitutionReport.failing_columns.
     (SUBSTITUTION, "islice(columns, 1, None)", "islice(columns, 2, None)", ORACLE, "killed"),
     (SUBSTITUTION, "TruncatedSeries.from_egf_entries(column, m.denominator * scale)",

@@ -560,6 +560,12 @@ class TestSweepAgreesWithPerRangePath:
         with pytest.raises(ValidationError, match="at least 1"):
             run_sweep(cfg, [10, 0])
 
+    @pytest.mark.parametrize("ranges", [10, None], ids=repr)
+    def test_ranges_must_be_a_sequence(self, ranges):
+        # Unchecked, these fail with TypeError: the object is not iterable.
+        with pytest.raises(ValidationError, match="^ranges must be a sequence"):
+            run_sweep(ExperimentConfig(size=4, draws=10, range_r=10, seed=1), ranges)
+
 
 def _no_trials(*args):
     raise AssertionError("a trial was drawn")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from bosonstirling import TruncatedSeries, ValidationError
 
-from oracles import geometric_inverse_coeffs
+from oracles import _series_divide, _series_multiply, geometric_inverse_coeffs
 
 
 def series(*coeffs, order=None):
@@ -60,6 +60,24 @@ class TestConstruction:
     def test_text_coefficient_read_by_number_grammar(self, text):
         with pytest.raises(ValidationError):
             TruncatedSeries(("1", text))
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: TruncatedSeries("15"), lambda: TruncatedSeries(b"15"),
+         lambda: TruncatedSeries(15), lambda: TruncatedSeries(None),
+         lambda: TruncatedSeries.from_coeffs(5), lambda: TruncatedSeries.from_coeffs("15")],
+        ids=["str", "bytes", "int", "None", "from_coeffs-int", "from_coeffs-str"],
+    )
+    def test_text_or_non_iterable_coefficients_rejected(self, build):
+        # Unchecked, text is read character by character, 1 + 5x for "15",
+        # and an int fails with TypeError: the object is not iterable.
+        with pytest.raises(ValidationError, match="coefficients must be a sequence"):
+            build()
+
+    def test_any_iterable_of_coefficients_accepted(self):
+        s = series(1, 5)
+        assert TruncatedSeries([1, 5]) == TruncatedSeries(c for c in (1, 5)) == s
+        assert TruncatedSeries.from_coeffs(c for c in (1, 5)) == s
 
     def test_other_coefficients_read_as_before(self):
         s = TruncatedSeries(("1/2", 3, Fraction(1, 3), 0.25, "-0.5"))
@@ -168,3 +186,20 @@ def test_truncation_commutes_with_product(a, b, m):
     direct = a.multiply(b).coeffs[: m + 1]
     pre = TruncatedSeries(a.coeffs[: m + 1]).multiply(TruncatedSeries(b.coeffs[: m + 1]))
     assert direct == pre.coeffs
+
+
+@settings(max_examples=80)
+@given(series_strategy(), series_strategy())
+def test_multiply_matches_oracle(a, b):
+    n = min(a.order, b.order)
+    assert list(a.multiply(b).coeffs) == _series_multiply(
+        list(a.coeffs[: n + 1]), list(b.coeffs[: n + 1])
+    )
+
+
+@settings(max_examples=80)
+@given(series_strategy(), st.sampled_from([1, -1, 3, Fraction(-2, 5)]))
+def test_invert_matches_oracle(a, constant):
+    a = TruncatedSeries((constant,) + a.coeffs[1:])
+    one = [Fraction(1)] + [Fraction(0)] * a.order
+    assert list(a.invert().coeffs) == _series_divide(one, list(a.coeffs))

@@ -582,6 +582,30 @@ class TestReportIsItsMatrix:
 
 
 class TestEntryTypes:
+    @pytest.mark.parametrize(
+        "build,name",
+        [(lambda: FiniteMatrix.from_rows(["100", "110", "111"]), "matrix row"),
+         (lambda: FiniteMatrix.from_rows([b"\x01"]), "matrix row"),
+         (lambda: FiniteMatrix.from_rows([1, 2]), "matrix row"),
+         (lambda: FiniteMatrix.from_rows(5), "matrix"),
+         (lambda: FiniteMatrix([b"\x01"]), "matrix row"),
+         (lambda: FiniteMatrix([1, 2]), "matrix row"),
+         (lambda: FiniteMatrix(5), "matrix")],
+        ids=["from_rows-str-rows", "from_rows-bytes-row", "from_rows-int-rows", "from_rows-int",
+             "bytes-row", "int-rows", "int"],
+    )
+    def test_text_or_non_iterable_rows_rejected(self, build, name):
+        # Unchecked, a text row is read character by character, so
+        # ["100", "110", "111"] is the unipotent matrix of its digits, and
+        # an int fails with TypeError: the object is not iterable.
+        with pytest.raises(ValidationError, match=f"^{name} must be a sequence"):
+            build()
+
+    def test_any_iterable_of_rows_accepted(self):
+        m = FiniteMatrix.from_rows([[1, 0], [2, 1]])
+        assert FiniteMatrix.from_rows(iter(row) for row in ((1, 0), (2, 1))) == m
+        assert FiniteMatrix(list(row) for row in ((1, 0), (2, 1))) == m
+
     def test_integral_inputs_become_int(self):
         m = FiniteMatrix.from_rows([[Fraction(4, 2), 0], ["6/3", 1.0]])
         assert m.entries == ((2, 0), (2, 1))
