@@ -53,8 +53,28 @@ EXIT_USAGE = 2
 
 
 def dumps_canonical(obj) -> str:
-    """Canonical JSON: two-space indent, insertion key order, trailing newline."""
-    return json.dumps(obj, indent=2) + "\n"
+    """Canonical JSON: two-space indent, insertion key order, trailing newline.
+
+    The text is ``json.dumps(obj, indent=2) + "\\n"``, made by joins: with an
+    indent, ``json`` writes through its pure-Python encoder, one generator
+    step per matrix entry.
+    """
+    return _dumps_indented(obj, "") + "\n"
+
+
+def _dumps_indented(obj, pad: str) -> str:
+    """``json.dumps(obj, indent=2)`` for a value nested at indent `pad`."""
+    text, inner = json.encoder.encode_basestring_ascii, pad + "  "
+    if isinstance(obj, (list, tuple)) and obj:
+        items = (map(text, obj) if {str}.issuperset(map(type, obj))
+                 else [_dumps_indented(v, inner) for v in obj])
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+    if isinstance(obj, dict) and obj and {str}.issuperset(map(type, obj)):
+        items = [f"{text(k)}: {_dumps_indented(v, inner)}" for k, v in obj.items()]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
+    # A scalar, an empty container or a dict with keys other than text.  JSON
+    # text holds no raw newline but the indent's, so each takes the pad.
+    return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
 
 
 def load_matrix_file(path: str) -> FiniteMatrix:

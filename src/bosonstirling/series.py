@@ -20,9 +20,11 @@ report's diagnostics call them on matrix columns.
 Every number the package reads from outside text (matrix files,
 command-line values, the JSON readers and the exponents in word text)
 follows one grammar, declared here; :func:`parse_integer` and
-:func:`parse_rational` are its two readers.  The library constructors take
-a series coefficient, matrix entry or Bell polynomial point by one rule,
-:func:`exact_number`, which reads text through the same grammar.
+:func:`parse_rational` are its two readers, and :func:`parse_rationals`
+reads a list of values, a matrix file's row, as :func:`parse_rational`
+reads each.  The library constructors take a series coefficient, matrix
+entry or Bell polynomial point by one rule, :func:`exact_number`, which
+reads text through the same grammar.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, isfinite
+from math import comb, factorial, gcd, isfinite, lcm
 
 from .errors import (ValidationError, json_derived, json_list, json_value, require_int,
                      require_items)
@@ -43,6 +45,13 @@ from .errors import (ValidationError, json_derived, json_list, json_value, requi
 # "1e999999999" would make Fraction build the power of ten for minutes.
 INTEGER_PATTERN = "-?[0-9]+"
 _FRACTION_OR_DECIMAL = re.compile(rf"({INTEGER_PATTERN})/([0-9]+)|-?(?:[0-9]+\.[0-9]*|\.[0-9]+)")
+# Integers and p/q with q > 0, joined by commas: the rows that parse_rationals
+# reads in one pass.  The repeats are possessive (the "+" after
+# INTEGER_PATTERN makes its last one so): no piece ends with a character that
+# the next may start with, so giving one back never helps, and a row that
+# does not match fails in one scan.
+_RATIO = rf"{INTEGER_PATTERN}+(?:/0*+[1-9][0-9]*+)?+"
+_RATIONAL_ROW = re.compile(rf"{_RATIO}(?:,{_RATIO})*+")
 
 
 def parse_integer(value: str | int) -> int:
@@ -71,6 +80,39 @@ def parse_rational(value: str | int) -> int | Fraction:
     elif type(value) is int:
         return value
     raise ValidationError(f"not a rational (integer, p/q or decimal; no exponent): {value!r}")
+
+
+def parse_rationals(values: list) -> tuple[list[int], int]:
+    """The values read by :func:`parse_rational`, as ``([D·v, ...], D)`` with
+    D the LCM of their denominators.
+
+    A list of texts, each an integer or p/q, is read in one pass over its
+    joined text, with no ``Fraction``: one LCM brings the values over a
+    common denominator and one gcd reduces it.  Any other list, one holding
+    a JSON integer, a decimal or a malformed value, goes value by value
+    through :func:`parse_rational`, with that reader's results and errors.
+    """
+    text = ",".join(values) if {str}.issuperset(map(type, values)) else ""
+    if text.count(",") != len(values) - 1 or not _RATIONAL_ROW.fullmatch(text):
+        return _over_common_denominator(list(map(parse_rational, values)))
+    if "/" not in text:
+        return list(map(int, text.split(","))), 1
+    numerators, denominators = [], []
+    for value in values:
+        p, _, q = value.partition("/")
+        # q before p, as parse_rational reads them, for the same digit-limit error.
+        denominators.append(int(q) if q else 1)
+        numerators.append(int(p))
+    d = lcm(*denominators)
+    numerators = [v * (d // q) for v, q in zip(numerators, denominators)]
+    g = gcd(d, *numerators)
+    return [v // g for v in numerators], d // g
+
+
+def _over_common_denominator(values) -> tuple[list[int], int]:
+    """(D·values, D) with D the LCM of the denominators of the ``int`` or ``Fraction`` values."""
+    d = lcm(*[v.denominator for v in values])
+    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 def exact_number(value) -> int | Fraction:
@@ -143,7 +185,7 @@ class TruncatedSeries:
 
     def __post_init__(self):
         items = require_items(self.coeffs, "coefficients")
-        coeffs = tuple(Fraction(exact_number(c)) for c in items)
+        coeffs = tuple(c if type(c) is Fraction else Fraction(exact_number(c)) for c in items)
         if not coeffs:
             raise ValidationError("a series needs at least one coefficient")
         object.__setattr__(self, "coeffs", coeffs)

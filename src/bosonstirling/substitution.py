@@ -43,8 +43,8 @@ from operator import itemgetter, mul
 
 from .errors import (ValidationError, json_derived, json_list, json_value, require_int,
                      require_items)
-from .series import (TruncatedSeries, _binomial_rows, _egf_product, _egf_quotient, exact_number,
-                     parse_rational)
+from .series import (TruncatedSeries, _binomial_rows, _egf_product, _egf_quotient,
+                     _over_common_denominator, exact_number, parse_rationals)
 from .stirling import column_egf
 
 #: Largest ``g`` order that :meth:`SubstitutionReport.from_json_obj` reads.
@@ -151,12 +151,16 @@ class FiniteMatrix:
     def from_json_obj(cls, obj) -> FiniteMatrix:
         """Read ``{"size": int, "entries": [[int or "p/q" string, ...], ...]}``.
 
-        Every entry is read by :func:`parse_rational`, so anything else, a
-        JSON float or boolean entry included, raises ValidationError.
+        Every entry is read as :func:`parse_rational` reads it, so anything
+        else, a JSON float or boolean entry included, raises ValidationError.
+        Each row is read by :func:`parse_rationals` into integers over its
+        own denominator, and one LCM brings the rows over the matrix's.
         """
         json_value(obj, "size", int)  # a mistyped size is reported before any entry
-        rows = json_list(json_value(obj, "entries"), "entries", of=list)
-        m = cls.from_rows([list(map(parse_rational, row)) for row in rows])
+        rows = [parse_rationals(row) for row in
+                json_list(json_value(obj, "entries"), "entries", of=list)]
+        d = lcm(*[q for _, q in rows])
+        m = cls([row if q == d else [v * (d // q) for v in row] for row, q in rows], d)
         json_derived(obj, "size", m.size, int)
         return m
 
@@ -324,12 +328,6 @@ class SubstitutionReport:
                 "failing columns fix"
             )
         return report
-
-
-def _over_common_denominator(values) -> tuple[list[int], int]:
-    """(D·values, D) with D the LCM of the denominators of the ``int`` or ``Fraction`` values."""
-    d = lcm(*[v.denominator for v in values])
-    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 def _column_chain(start, k: int, phi):

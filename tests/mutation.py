@@ -52,6 +52,9 @@ STIRLING_TESTS = "tests/test_stirling.py::"
 ACTION = STIRLING_TESTS + "TestAgainstActionOracle"
 ORACLE = "tests/test_substitution.py::TestAgainstOracle"
 FIRST_STEP = "tests/test_substitution.py::TestFirstFailingStep"
+ROW_READER = "tests/test_substitution.py::TestRowReader::"
+NEAR_MISS = ROW_READER + "test_near_miss_agrees_with_parse_rational"
+CANONICAL = "tests/test_cli.py::TestCanonicalJson::test_pinned"
 PAIR_MATRIX = ("tests/test_substitution.py::TestBuilder::"
                "test_failing_columns_are_where_the_pair_matrix_differs")
 
@@ -216,6 +219,37 @@ ROWS = [
      "if digits.isdigit():", "tests/test_substitution.py::TestEntryParsing", "killed"),
     (PACKAGE + "series.py", "return q.numerator if q.denominator == 1 else q", "return q",
      "tests/test_substitution.py::TestEntryParsing", "killed"),
+    # series.parse_rationals: the comma count, the grammar check and the
+    # fallback, zero denominators, the order of reading, the LCM, the gcd.
+    # The derandomized test_row_agrees_with_parse_rational also kills each
+    # of them but the order row; these selectors kill without a shrink.
+    (SERIES, 'text.count(",") != len(values) - 1 or ', "", NEAR_MISS, "killed"),
+    (SERIES, " or not _RATIONAL_ROW.fullmatch(text):", ":", NEAR_MISS, "killed"),
+    (SERIES, 'if {str}.issuperset(map(type, values)) else ""', "", NEAR_MISS, "killed"),
+    (SERIES, "(?:/0*+[1-9][0-9]*+)", "(?:/[0-9]++)", NEAR_MISS, "killed"),
+    (SERIES, "denominators.append(int(q) if q else 1)\n        numerators.append(int(p))",
+     "numerators.append(int(p))\n        denominators.append(int(q) if q else 1)",
+     ROW_READER + "test_denominator_read_before_numerator", "killed"),
+    (SERIES, "numerators = [v * (d // q) for v, q", "numerators = [v for v, q",
+     ROW_READER + "test_pinned", "killed"),
+    (SERIES, "g = gcd(d, *numerators)", "g = 1", ROW_READER + "test_pinned", "killed"),
+    # FiniteMatrix.from_json_obj brings each row over the matrix's denominator.
+    (SUBSTITUTION, "row if q == d else [v * (d // q) for v in row]", "row",
+     ROW_READER + "test_rows_over_one_denominator", "killed"),
+    # cli._dumps_indented: the item separator, empty containers, the key
+    # separator and the indent of json's own text.  The hypothesis test
+    # test_agrees_with_json_dumps kills each of them but the last, as it
+    # writes no key other than text.
+    (PACKAGE + "cli.py", 'f",\\n{inner}".join(items) + f"\\n{pad}]"',
+     'f", \\n{inner}".join(items) + f"\\n{pad}]"', CANONICAL, "killed"),
+    (PACKAGE + "cli.py", 'f",\\n{inner}".join(items) + f"\\n{pad}}}"',
+     'f"\\n{inner}".join(items) + f"\\n{pad}}}"', CANONICAL, "killed"),
+    (PACKAGE + "cli.py", "isinstance(obj, (list, tuple)) and obj:",
+     "isinstance(obj, (list, tuple)):", CANONICAL, "killed"),
+    (PACKAGE + "cli.py", "isinstance(obj, dict) and obj and", "isinstance(obj, dict) and",
+     CANONICAL, "killed"),
+    (PACKAGE + "cli.py", 'f"{text(k)}: {', 'f"{text(k)}:{', CANONICAL, "killed"),
+    (PACKAGE + "cli.py", '.replace("\\n", "\\n" + pad)', "", CANONICAL, "killed"),
     # substitution._ratio_text.
     (SUBSTITUTION, "if g == d else", "if d == 1 else",
      "tests/test_substitution.py::TestFiniteMatrix", "killed"),

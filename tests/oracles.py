@@ -6,8 +6,9 @@ a a† → a† a + 1, the x^m action applies a = d/dx and a† = x letter by
 letter to a monomial (and, through forward differences, recovers whole
 Stirling rows from it), the substitution check and the substitution
 matrix work on plain lists of Fractions with series division and powers of
-φ, the step oracle sums the verdict's column recurrence term by term, and
-the helpers below stay at that level.
+φ, the step oracle sums the verdict's column recurrence term by term, the
+matrix file reader builds a Fraction per entry, and the helpers below stay
+at that level.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 from bosonstirling import FiniteMatrix
+from bosonstirling.errors import json_derived, json_list, json_value
+from bosonstirling.series import parse_rational
 
 
 def rewrite_normal_order(letters: tuple[str, ...]) -> dict[tuple[int, int], int]:
@@ -93,6 +96,16 @@ def stirling_rows_by_action(letters: tuple[str, ...], n_max: int) -> list[list[i
 def all_words(length: int):
     """Every letter tuple of exactly the given length."""
     return itertools.product("ad", repeat=length)
+
+
+def matrix_from_json_obj(obj) -> FiniteMatrix:
+    """``FiniteMatrix.from_json_obj`` entry by entry: each entry read by
+    ``parse_rational``, the matrix built from those values by ``from_rows``."""
+    json_value(obj, "size", int)
+    rows = json_list(json_value(obj, "entries"), "entries", of=list)
+    m = FiniteMatrix.from_rows([list(map(parse_rational, row)) for row in rows])
+    json_derived(obj, "size", m.size, int)
+    return m
 
 
 def matrix_product(a: FiniteMatrix, b: FiniteMatrix) -> FiniteMatrix:

@@ -826,6 +826,43 @@ class TestOutputLayer:
         assert (code, out) == (0, expected[command])
 
 
+# Text with non-ASCII characters, quotes, backslashes and control characters.
+_json_strings = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028é€😀'),
+                                  st.characters()), max_size=6)
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-(2**70), 2**70), _json_strings),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(_json_strings, max_size=4),
+                               st.dictionaries(_json_strings, children, max_size=4)),
+    max_leaves=20,
+)
+
+
+class TestCanonicalJson:
+    """dumps_canonical writes the text of json.dumps(obj, indent=2) and a newline."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(_json_values)
+    def test_agrees_with_json_dumps(self, obj):
+        assert dumps_canonical(obj) == json.dumps(obj, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "obj",
+        [[], {}, [[], {}, [[]]], {"a": {}, "b": []}, ["x", ["y"], "z"], ("a", ("b", 1)),
+         {"b": 1, "a": 2}, {1: "int", None: "null", True: {"k": [1]}}, [{"a": {2: [3]}}],
+         {"s": "é\"\\\n"}],
+        ids=repr,
+    )
+    def test_pinned(self, obj):
+        assert dumps_canonical(obj) == json.dumps(obj, indent=2) + "\n"
+
+    def test_built_matrix(self):
+        g = TruncatedSeries.from_coeffs([1, Fraction(1, 2), Fraction(2, 3)], 20)
+        phi = TruncatedSeries.from_coeffs([0, 1, Fraction(3, 4)], 20)
+        obj = build_substitution_matrix(g, phi, 21).to_json_obj()
+        assert dumps_canonical(obj) == json.dumps(obj, indent=2) + "\n"
+
+
 class _ByteCounter:
     """A stdout that keeps only the number of bytes written to it."""
 

@@ -7,7 +7,7 @@ import json
 import random
 from decimal import Decimal
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import numpy as np
 import pytest
@@ -33,13 +33,14 @@ from bosonstirling import (
 )
 
 from bosonstirling.cli import main as cli_main
-from bosonstirling.series import parse_integer, parse_rational
+from bosonstirling.series import parse_integer, parse_rational, parse_rationals
 from bosonstirling import substitution as substitution_module
 from bosonstirling.substitution import MAX_REPORT_ORDER, _ratio_text, recurrence_failure
 
 from oracles import (
     closed_form_pair,
     first_failing_step,
+    matrix_from_json_obj,
     matrix_product,
     substitution_matrix,
     substitution_report,
@@ -802,6 +803,108 @@ class TestEntryParsing:
             with pytest.raises(ValueError, match="Exceeds the limit"):
                 parse_rational(text)
         assert FiniteMatrix.from_rows([["7" * 4300]]).numerators == ((int("7" * 4300),),)
+
+
+def _outcome(read, value):
+    """What `read` returns for `value`, or the type and message of what it raises."""
+    try:
+        return read(value)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _row_by_value(row):
+    """parse_rational on each value, over the LCM of their denominators by Fractions."""
+    values = [Fraction(parse_rational(v)) for v in row]
+    d = lcm(*[v.denominator for v in values])
+    return [int(v * d) for v in values], d
+
+
+# Values near the grammar's rows: a comma inside one value, text that int()
+# takes but the grammar does not, a zero or unreduced denominator, decimals,
+# an exponent, an integer past Python's digit limit, and JSON values that
+# are not text.
+_NEAR_MISSES = ["1,2", "", "-", "+1", " 1", "1 ", "1_0", "١٢", "1/0", "1/00", "-0/3", "2/4",
+                "0/7", "007/010", "1/-2", "-1/2", "1.5", ".5", "1e3", "7" * 4301,
+                "1/" + "7" * 4302, 3, -4, True, False, 2.5, None]
+_row_values = st.one_of(
+    st.sampled_from(_NEAR_MISSES),
+    st.integers(-(10**30), 10**30).map(str),
+    st.builds("{}/{}".format, st.integers(-(10**6), 10**6), st.integers(0, 10**6)),
+    st.builds("{}/0{}".format, st.integers(-99, 99), st.integers(1, 99)),
+)
+_grammar_values = st.one_of(
+    st.integers(-(10**30), 10**30).map(str),
+    st.builds("{}/{}".format, st.integers(-(10**6), 10**6), st.integers(1, 10**6)),
+)
+_rows = st.one_of(st.lists(_grammar_values, max_size=8), st.lists(_row_values, max_size=8))
+
+
+@st.composite
+def _matrix_objects(draw):
+    """Matrix file objects: square grammar rows with at most one value, the
+    size or a row's length changed."""
+    n = draw(st.integers(0, 5))
+    rows = draw(st.lists(st.lists(_grammar_values, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    size = n
+    change = draw(st.sampled_from(["none", "value", "size", "row"]))
+    if change == "value" and n:
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(_row_values)
+    elif change == "size":
+        size = draw(st.sampled_from([n + 1, str(n), True]))
+    elif change == "row" and n:
+        rows[draw(st.integers(0, n - 1))] = draw(_rows)
+    return {"size": size, "entries": rows}
+
+
+class TestRowReader:
+    """parse_rationals and FiniteMatrix.from_json_obj agree with reading value by value."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(_rows)
+    def test_row_agrees_with_parse_rational(self, row):
+        got = _outcome(parse_rationals, row)
+        assert got == _outcome(_row_by_value, row)
+        if type(got[0]) is list:
+            assert {int}.issuperset(map(type, got[0])) and type(got[1]) is int
+
+    @pytest.mark.parametrize("value", _NEAR_MISSES, ids=repr)
+    @pytest.mark.parametrize("where", ["alone", "in-row"])
+    def test_near_miss_agrees_with_parse_rational(self, value, where):
+        row = [value] if where == "alone" else ["1/2", value, "-3"]
+        assert _outcome(parse_rationals, row) == _outcome(_row_by_value, row)
+
+    @pytest.mark.parametrize(
+        "row,numerators,denominator",
+        [([], [], 1), (["-0/3", "0/7"], [0, 0], 1), (["2/4"], [1], 2),
+         (["1/2", "1/3", "-5"], [3, 2, -30], 6), (["4/6", "1/3"], [2, 1], 3),
+         (["007/010", 2], [7, 20], 10)],
+        ids=["empty", "zero-numerators", "unreduced", "lcm", "lcm-not-product", "json-int"],
+    )
+    def test_pinned(self, row, numerators, denominator):
+        assert parse_rationals(row) == (numerators, denominator)
+
+    def test_denominator_read_before_numerator(self):
+        # Both exceed the digit limit; parse_rational reports the denominator's.
+        row = ["1/2", "7" * 4301 + "/" + "7" * 4302]
+        with pytest.raises(ValueError, match="has 4302 digits"):
+            parse_rational(row[1])
+        with pytest.raises(ValueError, match="has 4302 digits"):
+            parse_rationals(row)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_matrix_objects())
+    def test_matrix_agrees_with_oracle(self, obj):
+        # Equal matrices have equal numerators and denominators.
+        assert _outcome(FiniteMatrix.from_json_obj, obj) == _outcome(matrix_from_json_obj, obj)
+
+    def test_rows_over_one_denominator(self):
+        obj = {"size": 3, "entries": [["1", "0", "0"], ["1/2", "1", "0"], ["2/3", "-5/4", "1"]]}
+        m = FiniteMatrix.from_json_obj(obj)
+        assert m.denominator == 12
+        assert m.numerators == ((12, 0, 0), (6, 12, 0), (8, -15, 12))
+        assert m == matrix_from_json_obj(obj)
 
 
 class TestBuilder:
