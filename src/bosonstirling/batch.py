@@ -120,7 +120,13 @@ def scaled_draws(words: np.ndarray, range_r: int) -> tuple[np.ndarray, np.ndarra
 
 
 class _Stage(NamedTuple):
-    """Gathered terms of some steps (k, i) of :func:`~bosonstirling.substitution.recurrence_failure`."""
+    """Gathered terms of some steps (k, i) of the division-free recurrence.
+
+    A step (k, i) is coefficient i of c_0·(k+1)·c_{k+1} ≡ c_k·c_1, the form
+    of :func:`~bosonstirling.substitution.recurrence_failure`'s step k
+    times the unit c_0, which reads the matrix's entries alone; a matrix
+    fails it at the same first step and row as the per-trial kernel.
+    """
 
     coef: np.ndarray
     left: np.ndarray
@@ -141,7 +147,12 @@ def _verdict_plan(size: int) -> tuple[np.ndarray, tuple[_Stage, ...]]:
 
     The segment of step (k, i) holds (k+1)·C(i,j)·M[j,0]·M[i−j,k+1] for
     j < i−k and −C(i,j)·M[j,k]·M[i−j,1] for k ≤ j < i, so the step holds
-    exactly when its segment sums to zero.  Step k = 1 is one stage and
+    exactly when its segment sums to zero.  That is coefficient i of
+    c_0·(k+1)·c_{k+1} − c_k·c_1, the division-free form of the per-trial
+    kernel's step, whose terms are products of two entries.  The kernel's
+    own form reads φ's EGF entries Φ[m] = m!·φ_m, which grow like m!·rᵐ
+    on these matrices: at r = 10, one of Φ[12..22] passes 2⁶³ in each of
+    200 draws of size 30.  The products of two entries stay below r².  Step k = 1 is one stage and
     k ≥ 2 the other: a random matrix almost always fails at k = 1, whose
     n(n−1)−2 terms are few next to the O(n³) of all steps.  Returns the
     indices of the strict lower triangle in row-major order and the
@@ -182,10 +193,16 @@ def batch_verdicts(size: int, values: np.ndarray) -> np.ndarray:
     """Substitution verdicts of the unipotent matrices whose strict lower
     triangles are the rows of `values`, entries in {1..r}.
 
-    Every step (k, i) of :func:`~bosonstirling.substitution.recurrence_failure` is one segment sum of
-    gathered terms.  Step k = 1 is evaluated for every matrix and the steps
-    k ≥ 2 for those that pass it; a matrix passes when all its segments
-    vanish, which is the verdict of
+    Every step (k, i) of the division-free recurrence
+    c_0·(k+1)·c_{k+1} ≡ c_k·c_1 is one segment sum of gathered terms, in
+    ``int64``: that form reads products of two entries, where the per-trial
+    kernel :func:`~bosonstirling.substitution.recurrence_failure` checks
+    (k+1)·c_{k+1} ≡ c_k·φ with φ's EGF entries, which outgrow ``int64``.
+    Step k of the one is step k of the other times the unit c_0 (c_1 =
+    c_0·φ), so a matrix fails both at the same first step and row, as that
+    kernel's docstring proves, and the verdicts agree.  Step k = 1 is
+    evaluated for every matrix and the steps k ≥ 2 for those that pass it;
+    a matrix passes when all its segments vanish, which is the verdict of
     :func:`~bosonstirling.substitution.is_approximate_substitution`.
 
     Exact when ``fits_int64(size, r)``, that is n·2ⁿ·r² < 2⁶³ with n = size.

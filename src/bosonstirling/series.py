@@ -14,8 +14,8 @@ the EGF product is the binomial convolution (a⊛b)[i] = Σ_j C(i,j)·a[i−j]·
 and the package's one product and one quotient of EGFs are the kernels
 here, :func:`_egf_product` and :func:`_egf_quotient`, over the one binomial
 table :func:`_binomial_rows`.  :meth:`TruncatedSeries.multiply` and
-:meth:`TruncatedSeries.invert` wrap them; the substitution builder and a
-report's diagnostics call them on matrix columns.
+:meth:`TruncatedSeries.invert` wrap them; the substitution verdict, the
+builder and a report's diagnostics call them on matrix columns.
 
 Every number the package reads from outside text (matrix files,
 command-line values, the JSON readers and the exponents in word text)
@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, isfinite, lcm
+from operator import mul
 
 from .errors import (ValidationError, json_derived, json_list, json_value, require_int,
                      require_items)
@@ -154,24 +155,52 @@ def _egf_product(a, b, lo: int) -> list:
     return out
 
 
-def _egf_quotient(num, den) -> list:
-    """The entries Q[0..len(num)−1] with den⊛Q = num, for den[0] ≠ 0.
+def _egf_quotient(pairs, n: int, known=((), 1)):
+    """Yield (N, D) after each entry Q[i] of the Q with den⊛Q = num: Q[j] = N[j]/D, j ≤ i.
+
+    `pairs` yields (num[i], den[i]), ``int`` entries, for i = 0..n, with
+    den[0] ≠ 0.  One pair is read per entry, so Q[i] reads num[0..i] and
+    den[0..i] alone, and only when it is asked for.  `known` = (N₀, D₀)
+    holds entries Q[0..m−1] = N₀/D₀ computed before; they are not computed
+    again, and the first pair yielded is the one after Q[m].
 
     Coefficient i of den⊛Q reads den[0]·Q[i] + Σ_{j=1}^{i} C(i,j)·den[j]·Q[i−j],
-    so forward substitution
+    so forward substitution over Q[0..i−1] = N/D gives
 
-        Q[i] = (num[i] − Σ_{j=1}^{i} C(i,j)·den[j]·Q[i−j]) / den[0]
+        Q[i] = (D·num[i] − Σ_{j=1}^{i} C(i,j)·den[j]·N[i−j]) / (D·den[0]),
 
-    gives every entry, visiting only the nonzero entries of den.  Entries
-    are ``int`` or ``Fraction``, and all ``int`` when den[0] = 1 and num and
-    den are integers.
+    one dot product of integers.  Reduced to p/q with q > 0, Q[i] joins N
+    over D' = D·q/gcd(D, q), the LCM of D and q, after the earlier
+    numerators are multiplied by D'/D.  So D stays the LCM of the reduced
+    denominators if D₀ was, N is rebuilt only when D grows, and D stays 1
+    when den[0] = 1 and D₀ = 1.  A yielded list only grows after the
+    yield, every entry over the same D, and a new list replaces it when D
+    grows, so a yielded pair stays consistent.
     """
-    terms = [(j, dj) for j, dj in enumerate(den[1: len(num)], 1) if dj]
-    out = []
-    for i, binomial in enumerate(_binomial_rows(len(num) - 1)):
-        v = num[i] - sum([binomial[j] * dj * out[i - j] for j, dj in terms if j <= i])
-        out.append(v if den[0] == 1 else Fraction(v, den[0]))
-    return out
+    numerators, d = known
+    numerators = list(numerators)
+    binomials = _binomial_rows(n)
+    dens = []  # den[1..i]
+    for i, (v, dj) in enumerate(pairs):
+        if i:
+            dens.append(dj)
+        else:
+            d0 = dj
+        if i < len(numerators):
+            continue
+        # C(i,j)·den[j] for j = 1..i against N[i−1], ..., N[0].
+        t = v * d - sum(map(mul, map(mul, binomials[i][1:], dens), reversed(numerators)))
+        u = d * d0
+        if u != 1:
+            g = gcd(t, u) if u > 0 else -gcd(t, u)
+            t, q = t // g, u // g
+            if d % q:
+                f = q // gcd(d, q)
+                d *= f
+                numerators = [x * f for x in numerators]
+            t *= d // q
+        numerators.append(t)
+        yield numerators, d
 
 
 @dataclass(frozen=True)
@@ -231,12 +260,15 @@ class TruncatedSeries:
         """Multiplicative inverse up to the truncation order.
 
         Requires a nonzero constant term; the inverse is the EGF quotient of
-        1 by the series, exact throughout.
+        1 by the series, exact throughout.  With the entries E/d over their
+        common denominator, (E/d)⊛Q = 1 reads E⊛Q = d·1.
         """
         if self.coeffs[0] == 0:
             raise ZeroDivisionError("series with zero constant term is not invertible")
-        one = [1] + [0] * self.order
-        return TruncatedSeries.from_egf_entries(_egf_quotient(one, self.egf_entries()))
+        entries, d = _over_common_denominator(self.egf_entries())
+        for quotient in _egf_quotient(zip([d] + [0] * self.order, entries), self.order):
+            pass
+        return TruncatedSeries.from_egf_entries(*quotient)
 
     def __str__(self) -> str:
         parts: list[str] = []

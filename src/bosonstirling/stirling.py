@@ -33,18 +33,36 @@ PURE_SUBSTITUTION = "pure-substitution"
 SUBSTITUTION_WITH_PREFUNCTION = "substitution-with-prefunction"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GeneralizedStirlingMatrix:
     """Rows 0..n_max of the row-finite staircase matrix S_w(n,k).
 
     ``rows[n]`` stores the dense staircase slice k = 0..n·s_tot; entries to
     the right of the staircase are implicitly zero.  ``s_tot``, ``r_tot``
     and ``d`` are the word's annihilator count, creator count and excess.
+    The rows follow from the word and n_max, so the constructor takes those
+    two and builds the rows by :func:`_stirling_rows`, which checks n_max.
     Immutable once built.
     """
 
     word: BosonWord
     rows: tuple[tuple[int, ...], ...]
+
+    def __init__(self, word: BosonWord, n_max: int):
+        if not isinstance(word, BosonWord):
+            raise ValidationError(f"word must be a BosonWord, got {word!r}")
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "rows", tuple(_stirling_rows(word, n_max)))
+
+    @classmethod
+    def _of_rows(cls, word: BosonWord, rows: tuple) -> GeneralizedStirlingMatrix:
+        """The matrix of `word` whose rows 0..n_max `rows` are already built,
+        unchecked: the path of :meth:`from_json_obj`, which built and
+        compared them one by one."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "word", word)
+        object.__setattr__(m, "rows", rows)
+        return m
 
     @property
     def s_tot(self) -> int:
@@ -98,12 +116,12 @@ class GeneralizedStirlingMatrix:
             if row != tuple(map(parse_integer, text)):
                 raise ValidationError(f"serialized rows are not the rows of {word.text!r}")
             rows.append(row)
-        return cls(word=word, rows=tuple(rows))
+        return cls._of_rows(word, tuple(rows))
 
 
 def stirling_matrix(w: BosonWord, n_max: int) -> GeneralizedStirlingMatrix:
     """Materialize rows 0..n_max of S_w, as :func:`_stirling_rows` yields them."""
-    return GeneralizedStirlingMatrix(word=w, rows=tuple(_stirling_rows(w, n_max)))
+    return GeneralizedStirlingMatrix(w, n_max)
 
 
 def _stirling_rows(w: BosonWord, n_max: int):

@@ -17,13 +17,16 @@ where the EGF product becomes the binomial convolution
 are the kernels of :mod:`.series`, which this module calls on entries and
 never through series objects.  A matrix M is stored as the integer rows of
 L·M over one denominator L.  The verdict, :func:`recurrence_failure`,
-checks the equivalent division-free column recurrence
-c_0·(k+1)·c_{k+1} ≡ c_k·c_1 on those rows, as it is homogeneous, and stops
-at the first failing step.  The diagnostics of a report — g, φ and every
-failing column with its expected and actual series — are computed from the
-matrix when first read: φ as the EGF quotient of column 1 by column 0, and
-the expected columns by one chain of integer EGF products, the one the
-builder takes its columns from.  Equality is exact throughout: no
+checks the equivalent column recurrence (k+1)·c_{k+1} ≡ c_k·φ, with φ the
+EGF quotient c_1/c_0 computed only as far as the scan reads it, on those
+rows and stops at the first failing step.  Since c_1 = c_0·φ, a step is
+the division-free c_0·(k+1)·c_{k+1} ≡ c_k·c_1 divided by the unit c_0, so
+the two forms fail at the same step and row; the batch Monte Carlo path
+checks the second in ``int64``.  The diagnostics of a report — g, φ and
+every failing column with its expected and actual series — are computed
+from the matrix when first read: φ by continuing the quotient the verdict
+began, and the expected columns by one chain of integer EGF products, the
+one the builder takes its columns from.  Equality is exact throughout: no
 tolerances and no floats.
 
 The module also provides the two truncation operators on larger matrices:
@@ -52,6 +55,9 @@ from .stirling import column_egf
 #: cubic in the order from a file of linear size; the largest matrices in
 #: the tests, README and benchmark have size 61.
 MAX_REPORT_ORDER = 256
+
+#: Entries [i,1] and [i,0] of a row i: the pair of the quotient column 1 / column 0.
+_PHI_PAIR = itemgetter(1, 0)
 
 
 @dataclass(frozen=True)
@@ -132,9 +138,8 @@ class FiniteMatrix:
         return not any(any(row[i + 1:]) for i, row in enumerate(self.numerators))
 
     def is_unipotent(self) -> bool:
-        return self.is_lower_triangular() and all(
-            row[i] == self.denominator for i, row in enumerate(self.numerators)
-        )
+        d = self.denominator
+        return all(row[i] == d and not any(row[i + 1:]) for i, row in enumerate(self.numerators))
 
     def entry_texts(self) -> list[list[str]]:
         """The entries as ``str`` writes :attr:`entries`: ``p/q`` in lowest
@@ -209,7 +214,9 @@ class SubstitutionReport:
                 "the substitution condition is defined for unipotent matrices "
                 "(lower triangular, unit diagonal)"
             )
-        vars(self)["_first_failure"] = recurrence_failure(m.numerators)
+        phi = []
+        vars(self)["_first_failure"] = recurrence_failure(m.numerators, phi)
+        vars(self)["_phi_prefix"] = phi[0]
 
     @property
     def verdict(self) -> bool:
@@ -221,18 +228,22 @@ class SubstitutionReport:
         return column_egf(self.matrix, 0, self.matrix.n_max)
 
     @cached_property
-    def _phi_entries(self) -> list:
-        """EGF entries Φ[i] = i!·φ_i of φ = c_1/c_0, ``int`` or ``Fraction``.
+    def _phi_entries(self) -> tuple[list[int], int]:
+        """EGF entries Φ[i] = i!·φ_i of φ = c_1/c_0, as integers N over one D.
 
         With R = L·M the stored rows, c_1 = c_0⊛Φ reads R[:,1] = R[:,0]⊛Φ,
-        so Φ is the EGF quotient of column 1 by column 0, over R[0,0] = L.
+        so Φ is the EGF quotient of column 1 by column 0.  It continues from
+        the entries the verdict computed, which are not computed again.
         """
         rows = self.matrix.numerators
-        return _egf_quotient([row[1] for row in rows], [row[0] for row in rows])
+        quotient = self._phi_prefix
+        for quotient in _egf_quotient(map(_PHI_PAIR, rows), len(rows) - 1, quotient):
+            pass
+        return quotient
 
     @cached_property
     def extracted_phi(self) -> TruncatedSeries:
-        return TruncatedSeries.from_egf_entries(self._phi_entries)
+        return TruncatedSeries.from_egf_entries(*self._phi_entries)
 
     @cached_property
     def failing_columns(self) -> tuple[ColumnMismatch, ...]:
@@ -334,8 +345,9 @@ def _column_chain(start, k: int, phi):
     """Yield (j, N_j, s_j) for j = k..n: integer columns with N_j/s_j = E_j.
 
     `start` holds n+1 exact EGF entries E_k, zero below index k, and `phi`
-    those of a φ with φ(0) = 0.  With s_k and D the LCMs of the denominators
-    of E_k and Φ, N_k = s_k·E_k, N_{j+1} = N_j⊛(D·Φ) and s_{j+1} = s_j·D·(j+1),
+    is (D·Φ, D) for the n+1 EGF entries Φ of a φ with φ(0) = 0 and an
+    integer D ≥ 1.  With s_k the LCM of the denominators of E_k,
+    N_k = s_k·E_k, N_{j+1} = N_j⊛(D·Φ) and s_{j+1} = s_j·D·(j+1),
     so E_{j+1} = E_j⊛Φ/(j+1), zero below j+1 as Φ[0] = 0.  Column j of the
     matrix of f ↦ g·(f∘φ) holds the EGF entries of g·φ^j/j!, and
     g·φ^{j+1}/(j+1)! = (g·φ^j/j!)·φ/(j+1); ⊛ is the EGF product, and its
@@ -343,7 +355,7 @@ def _column_chain(start, k: int, phi):
     column k truncated at n, E_j is c times column j for every j ≥ k.
     """
     column, scale = _over_common_denominator(start)
-    step, d = _over_common_denominator(phi)
+    step, d = phi
     yield k, column, scale
     for j in range(k + 1, len(column)):
         column = _egf_product(column, step, j - 1)
@@ -351,88 +363,107 @@ def _column_chain(start, k: int, phi):
         yield j, column, scale
 
 
-def recurrence_failure(rows) -> int | None:
+def recurrence_failure(rows, phi: list | None = None) -> int | None:
     """First step k at which the column recurrence fails, or None if none does.
 
-    `rows` is L·M for a unipotent M of size n+1 ≥ 2 and an integer L ≥ 1,
-    given as integer rows.  Step k, for k = 1..n−1, is the identity
+    `rows` is R = L·M for a unipotent M of size n+1 ≥ 2 and an integer
+    L ≥ 1, given as integer rows.  With φ = c_1/c_0, which exists because
+    c_0 has constant term 1, step k, for k = 1..n−1, is the identity
 
-        c_0·(k+1)·c_{k+1} ≡ c_k·c_1   (mod x^{n+1})
+        (k+1)·c_{k+1} ≡ c_k·φ   (mod x^{n+1})
 
     of column EGFs.  The EGF product has Σ_j C(i,j)·a_j·b_{i−j} at x^i/i!,
-    so coefficient i of step k reads
+    so with Φ[m] = m!·φ_m the EGF entries of φ, coefficient i of step k
+    reads, multiplied by L,
 
-        (k+1)·Σ_{j=0}^{i} C(i,j)·M[j,0]·M[i−j,k+1] = Σ_{j=0}^{i} C(i,j)·M[j,k]·M[i−j,1],
+        (k+1)·R[i,k+1] = Σ_{j=0}^{i} C(i,j)·R[j,k]·Φ[i−j].
 
-    with no division.  For i ≤ k both sides vanish (c_{k+1} and c_k·c_1 start
-    at x^{k+1}), and for i = k+1 both equal (k+1)·L², so only i = k+2..n are
-    checked.
+    For i ≤ k both sides vanish (c_{k+1} and c_k·φ start at x^{k+1}), and
+    for i = k+1 both equal (k+1)·L, since Φ[0] = 0 and Φ[1] = 1 on a
+    unipotent matrix; so only i = k+2..n are checked.  The terms j < k
+    vanish because M is lower triangular.
 
-    Per-row weights.  Put m = i−j on the left.  Since C(i,i−m) = C(i,m), it
-    is (k+1)·Σ_m u_i[m]·M[m,k+1] with the weights u_i[m] = C(i,m)·M[i−m,0],
-    and its terms m < k+1 vanish because M is lower triangular.  The right
-    side is Σ_j v_i[j]·M[j,k] with v_i[j] = C(i,j)·M[i−j,1].  Its terms
-    j < k vanish for the same reason, and so does its term j = i, which is
-    C(i,i)·M[0,1]·M[i,k] with M[0,1] = 0 on a unipotent matrix; so v_i
-    stops at j = i−1.  Coefficient i of step k is therefore
+    Per-row weights.  Put m = i−j and let D_i be the LCM of the
+    denominators of Φ[0..i−1].  Multiplied by D_i, coefficient i of step k
+    is the integer identity
 
-        (k+1)·Σ_{m=k+1}^{i} u_i[m]·M[m,k+1] = Σ_{j=k}^{i−1} v_i[j]·M[j,k],
+        (k+1)·D_i·R[i,k+1] = Σ_{m=0}^{i−k} w_i[m]·R[i−m,k],   w_i[m] = C(i,m)·D_i·Φ[m],
 
-    two dot products of row i's weights with column slices, at one product
-    of entries per term where the sums above take two.
+    one dot product of row i's weights with column k read upwards from
+    row i to row k.  Its term m = 0 is zero, as Φ[0] = 0; it is kept so
+    that the weights and the column line up with no slice.  The weights
+    read Φ[0..i−1] alone and do not depend on k.  Φ comes from
+    :func:`.series._egf_quotient`, the EGF quotient of column 1 by column
+    0, as integers over their LCM, which is D_i when row i's weights are
+    formed.
 
-    Laziness and order.  The weights depend on row i alone, not on k, so
-    each row's are formed once, when the scan first reaches that row, and
-    column k+1 grows by one entry for each row that step k reaches.  The
-    scan goes column by column, k = 1, 2, ... outside and i upwards inside,
-    and returns at the first failing pair, whose k is then the least failing
-    step with no bookkeeping; a row-by-row scan meets failures out of k
-    order and would have to go on checking the earlier steps of later rows.
-    A random matrix almost always fails at step 1 within its first rows, so
-    it pays for column 1 and the weights of those rows only, about what the
-    two-product sums cost it; forming every weight, or the whole transpose,
-    before the scan would cost O(n²) for a single comparison.
+    Laziness and order.  Each row's weights are formed once, when the scan
+    first reaches that row, and Φ is computed only as far as they need,
+    Φ[0] = 0 and Φ[1] = 1 being known.  The column of step k grows by one
+    entry for each row the step reaches.  The scan goes column by column,
+    k = 1, 2, ... outside and i upwards inside, and returns at the first
+    failing pair, whose k is then the least failing step with no
+    bookkeeping; a row-by-row scan meets failures out of k order and would
+    have to go on checking the earlier steps of later rows.  A random
+    matrix almost always fails at step 1 within its first rows r, so it
+    pays for the weights of those rows and Φ[2..r−1] only; computing all
+    of Φ, every weight or a whole column before the scan would cost O(n²)
+    for a single comparison.  If `phi` is given, a list, the scan appends
+    to it the pair (N, D) with Φ[j] = N[j]/D for the entries j = 0..m it
+    held when it stopped, from which the quotient can continue.
 
     Equivalence with the column-EGF condition c_k = c_0·φ^k/k! for all
-    k = 0..n, where φ = c_1/c_0 exists because c_0 has constant term 1:
+    k = 0..n:
 
-    * Forward: multiplying c_k = c_0·φ^k/k! by c_1 = c_0·φ gives
-      c_k·c_1 = c_0·(c_0·φ^{k+1}/k!) = c_0·(k+1)·c_{k+1}, all mod x^{n+1}.
+    * Forward: multiplying c_k = c_0·φ^k/k! by φ gives
+      c_k·φ = c_0·φ^{k+1}/k! = (k+1)·c_{k+1}, all mod x^{n+1}.
     * Backward, by induction on k: c_0 = c_0·φ^0/0! and c_1 = c_0·φ hold by
       the definition of φ.  If c_k = c_0·φ^k/k! and step k holds, dividing
-      step k by the unit (k+1)·c_0 gives
-      c_{k+1} = c_k·φ/(k+1) = c_0·φ^{k+1}/(k+1)!.
+      step k by k+1 gives c_{k+1} = c_k·φ/(k+1) = c_0·φ^{k+1}/(k+1)!.
 
     So the matrix passes exactly when every step holds, and when step k is
     the first to fail, columns 0..k satisfy the condition and column k+1 is
     the first that does not.
 
-    Scaling: every term on either side is a product of two entries, so the
-    identity is homogeneous of degree 2 and holds for L·M exactly when it
-    holds for M, since L² ≠ 0.  A rational matrix therefore takes this same
-    integer path on its stored numerators.
+    The division-free form.  Since c_1 = c_0·φ, the recurrence
+    c_0·(k+1)·c_{k+1} ≡ c_k·c_1, which reads the matrix's entries alone
+    and which :func:`.batch.batch_verdicts` checks, is c_0·e_k ≡ 0 for
+    e_k = (k+1)·c_{k+1} − c_k·φ.  Coefficient i of c_0·e_k is
+    Σ_{j=0}^{i} C(i,j)·M[j,0]·e_k[i−j], and M[0,0] = 1; so if
+    e_k[0..i−1] = 0 it equals e_k[i], and by induction on i the first
+    nonzero coefficients of c_0·e_k and of e_k have the same index.  Both
+    forms therefore fail at the same first step k and, within it, at the
+    same first row i: the scans meet the same first failing pair.
+
+    Scaling: Φ is the same for R as for M, the quotient of two columns
+    that both carry the factor L, and the identity for R is the one for M
+    multiplied by L; so a rational matrix takes this same integer path on
+    its stored numerators.
     """
     n = len(rows) - 1
     binomials = _binomial_rows(n)
+    quotient = _egf_quotient(map(_PHI_PAIR, rows), n, ((0, 1), 1))
+    numerators, d = (0, 1), 1  # D·Φ[0..m] over D
     weights = [None] * (n + 1)
-    column = [row[1] for row in rows[1:]]
-    for k in range(1, n - 1):
-        # M[m,k] for m = k..n, and M[m,k+1] for m = k+1..i as i goes up.
-        previous, column = column, [rows[k + 1][k + 1]]
-        for i in range(k + 2, n + 1):
-            column.append(rows[i][k + 1])
-            w = weights[i]
-            if w is None:
-                # u_i[m] for m = 0..i, and v_i[j] for j = 0..i−1.
-                binomial = binomials[i]
-                w = weights[i] = (
-                    list(map(mul, binomial, map(itemgetter(0), rows[i::-1]))),
-                    list(map(mul, binomial, map(itemgetter(1), rows[i:0:-1]))),
-                )
-            u, v = w
-            if (k + 1) * sum(map(mul, u[k + 1:], column)) != sum(map(mul, v[k:], previous)):
-                return k
-    return None
+    try:
+        for k in range(1, n - 1):
+            # R[j,k] for j = i down to k, as i goes up.
+            column = [rows[k + 1][k], rows[k][k]]
+            for i in range(k + 2, n + 1):
+                column.insert(0, rows[i][k])
+                w = weights[i]
+                if w is None:
+                    while len(numerators) < i:
+                        numerators, d = next(quotient)
+                    # (D_i, w_i[m] for m = 0..i−1), w_i[0] = D_i·Φ[0] = 0
+                    w = weights[i] = (d, list(map(mul, binomials[i], numerators)))
+                scale, w = w
+                if (k + 1) * scale * rows[i][k + 1] != sum(map(mul, w, column)):
+                    return k
+        return None
+    finally:
+        if phi is not None:
+            phi.append((numerators, d))
 
 
 def is_approximate_substitution(m: FiniteMatrix) -> SubstitutionReport:
@@ -467,7 +498,8 @@ def build_substitution_matrix(
         raise ValidationError("g must have constant term 1")
     if phi.coeffs[0] != 0 or phi.coeffs[1] != 1:
         raise ValidationError("phi must have constant term 0 and linear coefficient 1")
-    columns = list(_column_chain(g.egf_entries()[:size], 0, phi.egf_entries()[:size]))
+    columns = list(_column_chain(g.egf_entries()[:size], 0,
+                                 _over_common_denominator(phi.egf_entries()[:size])))
     scale = lcm(*[s // gcd(s, *column) for _, column, s in columns])
     return FiniteMatrix(
         tuple(zip(*[[v * scale // s for v in column] for _, column, s in columns])),

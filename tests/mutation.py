@@ -7,8 +7,10 @@ pytest selector runs with the copy as working directory, so that
 ``pyproject.toml`` puts the copy's ``src/`` on the path.  A row expected to
 be "killed" holds when those tests fail; one expected to be "survives",
 an equivalent mutant, holds when they pass and gives the reason it is
-equivalent.  First the selectors all run on an unmutated copy and must
-pass, so a kill is never a test that fails anyway.  A pytest run still
+equivalent.  Before any row runs, each function of :data:`KERNELS` must be
+defined once in its file and hold the source text of at least two rows
+expected to be killed.  Then the selectors all run on an unmutated copy and
+must pass, so a kill is never a test that fails anyway.  A pytest run still
 going after ``TIMEOUT_S`` seconds is killed and counts as a broken run,
 which fails its row.
 
@@ -17,12 +19,14 @@ subprocess.  Run it from any directory::
 
     python3 tests/mutation.py
 
-It exits 1 if any row does not behave as expected or its source text does
-not match exactly once, and leaves the working tree as it was.
+It exits 1 if a kernel is gone or has fewer than two such rows, if any row
+does not behave as expected or if its source text does not match exactly
+once, and leaves the working tree as it was.
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import shutil
 import signal
@@ -34,6 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = "src/bosonstirling/"
 BATCH = PACKAGE + "batch.py"
+CLI = PACKAGE + "cli.py"
 ERRORS = PACKAGE + "errors.py"
 MONTECARLO = PACKAGE + "montecarlo.py"
 SERIES = PACKAGE + "series.py"
@@ -52,11 +57,46 @@ STIRLING_TESTS = "tests/test_stirling.py::"
 ACTION = STIRLING_TESTS + "TestAgainstActionOracle"
 ORACLE = "tests/test_substitution.py::TestAgainstOracle"
 FIRST_STEP = "tests/test_substitution.py::TestFirstFailingStep"
+TWO_BUMPS = FIRST_STEP + "::test_least_step_of_two_bumps"
+QUOTIENT = "tests/test_substitution.py::TestQuotientVerdict::"
+EARLY_EXIT = QUOTIENT + "test_early_exit_computes_no_entry_past_the_failing_row"
+RESCALES = QUOTIENT + "test_quotient_rescales_to_the_lcm"
+ONCE = QUOTIENT + "test_check_subst_computes_each_entry_once"
+INVERT = "tests/test_series.py::TestInvert"
 ROW_READER = "tests/test_substitution.py::TestRowReader::"
 NEAR_MISS = ROW_READER + "test_near_miss_agrees_with_parse_rational"
 CANONICAL = "tests/test_cli.py::TestCanonicalJson::test_pinned"
 PAIR_MATRIX = ("tests/test_substitution.py::TestBuilder::"
                "test_failing_columns_are_where_the_pair_matrix_differs")
+
+#: The fast paths and checks that must each hold the source text of at
+#: least two rows expected to be killed, found in their files by ``ast``.
+KERNELS = [
+    (SUBSTITUTION, "recurrence_failure"),
+    (BATCH, "_philox4x64_10"),
+    (BATCH, "scaled_draws"),
+    (BATCH, "fits_int64"),
+    (BATCH, "_verdict_plan"),
+    (BATCH, "batch_verdicts"),
+    (MONTECARLO, "_count_successes"),
+    (STIRLING, "_stirling_rows"),
+    (STIRLING, "bell_polynomial"),
+    (SUBSTITUTION, "_phi_entries"),
+    (SUBSTITUTION, "failing_columns"),
+    (SUBSTITUTION, "_column_chain"),
+    (SERIES, "_egf_product"),
+    (SERIES, "_egf_quotient"),
+    (SERIES, "parse_rational"),
+    (SERIES, "parse_rationals"),
+    (CLI, "_dumps_indented"),
+    (SUBSTITUTION, "_ratio_text"),
+    (CLI, "_require_printable_bound"),
+    (MONTECARLO, "_sqrt_above"),
+    (MONTECARLO, "wilson_interval_95"),
+    (ERRORS, "json_derived"),
+    (ERRORS, "require_int"),
+    (ERRORS, "require_items"),
+]
 
 #: Seconds a pytest run may take before it is killed and counted as broken,
 #: so that a mutant that loops or grows a table without end fails the gate.
@@ -68,6 +108,10 @@ TIMEOUT_S = 120
 ROWS = [
     (ERRORS, "kind(value)) != derived:", "kind(value)) == derived:",
      READERS + "test_round_trip", "killed"),
+    # errors.json_derived reads a typed key with its type check.
+    (ERRORS, "value = json_value(obj, key, kind if typed else None)",
+     "value = json_value(obj, key, None)",
+     READERS + "test_mistyped_key_rejected[GeneralizedStirlingMatrix-s_tot]", "killed"),
     (PACKAGE + "series.py", 'json_derived(obj, "order", s.order, int)', "pass",
      DERIVED + "[TruncatedSeries-order]", "killed"),
     (PACKAGE + "substitution.py", 'json_derived(obj, "size", m.size, int)', "pass",
@@ -127,14 +171,22 @@ ROWS = [
     (MONTECARLO, "from .substitution import FiniteMatrix, is_approximate_substitution",
      "from .substitution import FiniteMatrix, SubstitutionReport as is_approximate_substitution",
      "tests/test_tracer_targets.py::test_every_called_layer_records_spans", "killed"),
-    # recurrence_failure: weights, scan bounds.
-    (SUBSTITUTION, "if (k + 1) * sum(map(mul, u[k + 1:], column))",
-     "if k * sum(map(mul, u[k + 1:], column))", FIRST_STEP + "::test_least_step_of_two_bumps",
+    # recurrence_failure: the factor k+1, the scale D_i (1 on the integer
+    # sources, not on "rat"), the scan bounds, the term j = k, how far Φ is
+    # computed and its two known entries.
+    (SUBSTITUTION, "if (k + 1) * scale * rows[i][k + 1]", "if k * scale * rows[i][k + 1]",
+     TWO_BUMPS + "[21-int]", "killed"),
+    (SUBSTITUTION, "if (k + 1) * scale * rows[i][k + 1]", "if (k + 1) * rows[i][k + 1]",
+     TWO_BUMPS + "[21-rat]", "killed"),
+    (SUBSTITUTION, "        for k in range(1, n - 1):\n", "        for k in range(1, n - 2):\n",
+     QUOTIENT + "test_last_step", "killed"),
+    (SUBSTITUTION, "for i in range(k + 2, n + 1):\n                column.insert",
+     "for i in range(k + 2, n):\n                column.insert", TWO_BUMPS + "[21-int]", "killed"),
+    (SUBSTITUTION, "column = [rows[k + 1][k], rows[k][k]]", "column = [rows[k + 1][k]]",
+     TWO_BUMPS + "[21-int]", "killed"),
+    (SUBSTITUTION, "while len(numerators) < i:", "while len(numerators) <= i:", EARLY_EXIT,
      "killed"),
-    (SUBSTITUTION, "    for k in range(1, n - 1):\n", "    for k in range(1, n - 2):\n",
-     FIRST_STEP, "killed"),
-    (SUBSTITUTION, "for i in range(k + 2, n + 1):\n            column.append",
-     "for i in range(k + 2, n):\n            column.append", FIRST_STEP, "killed"),
+    (SUBSTITUTION, "rows), n, ((0, 1), 1))", "rows), n)", EARLY_EXIT, "killed"),
     # batch._philox4x64_10: rounds, carries.
     (BATCH, "for rnd in range(10):", "for rnd in range(9):", PER_TRIAL, "killed"),
     (BATCH, "        hi += v >> _SHIFT32\n", "", PER_TRIAL, "killed"),
@@ -187,22 +239,34 @@ ROWS = [
      ACTION, "killed"),
     (STIRLING, "_BELL_BLOCK = 8", "_BELL_BLOCK = 1", ACTION,
      "survives: every block size gives the same value; 8 is only the fastest"),
-    # series._egf_quotient, which gives a report's φ and TruncatedSeries.invert:
-    # the division by den[0], the sign, the term j = i, which Φ[0] = 0 makes
-    # vanish in φ but not in an inverse.
-    (SERIES, "out.append(v if den[0] == 1 else Fraction(v, den[0]))", "out.append(v)",
-     ORACLE, "killed"),
-    (SERIES, "v = num[i] - sum(", "v = num[i] + sum(", ORACLE, "killed"),
-    (SERIES, "for j, dj in terms if j <= i])", "for j, dj in terms if j < i])",
-     "tests/test_series.py::TestInvert", "killed"),
+    # series._egf_quotient, which gives the verdict's and a report's φ and
+    # TruncatedSeries.invert: the sign of the sum, the denominator D·den[0]
+    # and its sign, the rescaling and the LCM, the known entries.
+    (SERIES, "t = v * d - sum(", "t = v * d + sum(", INVERT, "killed"),
+    (SERIES, "u = d * d0", "u = d0", RESCALES, "killed"),
+    (SERIES, "gcd(t, u) if u > 0 else -gcd(t, u)", "gcd(t, u)", RESCALES, "killed"),
+    (SERIES, "                numerators = [x * f for x in numerators]\n", "", RESCALES,
+     "killed"),
+    (SERIES, "f = q // gcd(d, q)", "f = q", RESCALES, "killed"),
+    (SERIES, "if i < len(numerators):", "if i < len(numerators) - 1:", RESCALES, "killed"),
+    # SubstitutionReport._phi_entries continues from the verdict's entries,
+    # through the last row.
+    (SUBSTITUTION, "quotient = self._phi_prefix", "quotient = ((0, 1), 1)", ONCE, "killed"),
+    (SUBSTITUTION, "_egf_quotient(map(_PHI_PAIR, rows), len(rows) - 1, quotient)",
+     "_egf_quotient(map(_PHI_PAIR, rows[:-1]), len(rows) - 1, quotient)",
+     "tests/test_substitution.py::TestDiagnosticsAtWorkloadSizes", "killed"),
     # series._egf_product, which gives the builder's columns and
     # TruncatedSeries.multiply: the last term of each entry, the last of b.
     (SERIES, "for j, bj in terms if j <= i - lo])", "for j, bj in terms if j < i - lo])",
      "tests/test_series.py::TestMultiply", "killed"),
     (SERIES, "enumerate(b[: n + 1 - lo])", "enumerate(b[: n - lo])", PAIR_MATRIX, "killed"),
-    # errors.require_items: text is not a sequence of coefficients or rows.
+    # errors.require_items: text is not a sequence of coefficients or rows,
+    # and neither is an object that is not iterable.
     (ERRORS, "isinstance(value, (str, bytes)) or ", "",
      "tests/test_series.py::TestConstruction::test_text_or_non_iterable_coefficients_rejected",
+     "killed"),
+    (ERRORS, " or not isinstance(value, Iterable):", ":",
+     "tests/test_substitution.py::TestEntryTypes::test_text_or_non_iterable_rows_rejected",
      "killed"),
     # SubstitutionReport.failing_columns.
     (SUBSTITUTION, "islice(columns, 1, None)", "islice(columns, 2, None)", ORACLE, "killed"),
@@ -259,6 +323,8 @@ ROWS = [
     (MONTECARLO, "isqrt(a * b * scale * scale) + 1", "isqrt(a * b * scale * scale)",
      "tests/test_montecarlo.py::TestSqrtAbove::test_perfect_square_meets_the_lower_side",
      "killed"),
+    (MONTECARLO, "+ 1, b * scale)", "+ 1, scale)",
+     "tests/test_montecarlo.py::TestSqrtAbove::test_quarter_is_strictly_inside", "killed"),
     (MONTECARLO, "_SQRT_DIGITS = 30", "_SQRT_DIGITS = 3", WILSON, "killed"),
     (MONTECARLO, "z2 / (4 * n * n)", "z2 / (2 * n * n)", WILSON, "killed"),
     (MONTECARLO, "return max(Fraction(0), lo), min(Fraction(1), hi)", "return lo, hi", WILSON,
@@ -278,6 +344,28 @@ ROWS = [
     (PACKAGE + "cli.py", "(range_r.bit_length() - 1) * exponent < 4 * budget",
      "(range_r.bit_length() - 1) * exponent < 3 * budget", PRINTABLE, "killed"),
 ]
+
+
+def coverage_problems() -> list[str]:
+    """One line for each kernel that is not defined once or holds fewer than
+    two killed rows: rows whose source text, found once in the kernel's
+    file, lies within the lines of its definition."""
+    problems = []
+    for path, name in KERNELS:
+        source = (ROOT / path).read_text(encoding="utf-8")
+        spans = [(node.lineno, node.end_lineno) for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.FunctionDef) and node.name == name]
+        if len(spans) != 1:
+            problems.append(f"{path}::{name} is defined {len(spans)} times, not once")
+            continue
+        (first, last), killed = spans[0], 0
+        for row_path, text, _, _, expected in ROWS:
+            if row_path == path and expected == "killed" and source.count(text) == 1:
+                start = source[:source.index(text)].count("\n") + 1
+                killed += first <= start and start + text.rstrip("\n").count("\n") <= last
+        if killed < 2:
+            problems.append(f"{path}::{name} holds {killed} killed row(s), not at least 2")
+    return problems
 
 
 def copy_tree(target: Path) -> Path:
@@ -306,6 +394,12 @@ def run_tests(tree: Path, *selectors: str) -> int | None:
 
 
 def main() -> int:
+    uncovered = coverage_problems()
+    for line in uncovered:
+        print(f"FAIL  {line}")
+    if uncovered:
+        print(f"{len(uncovered)} kernel(s) without two killed rows; no row was run")
+        return 1
     problems = 0
     with tempfile.TemporaryDirectory(prefix="mutation-") as scratch:
         code = run_tests(copy_tree(Path(scratch)), *sorted({row[3] for row in ROWS}))

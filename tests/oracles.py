@@ -6,9 +6,10 @@ a a† → a† a + 1, the x^m action applies a = d/dx and a† = x letter by
 letter to a monomial (and, through forward differences, recovers whole
 Stirling rows from it), the substitution check and the substitution
 matrix work on plain lists of Fractions with series division and powers of
-φ, the step oracle sums the verdict's column recurrence term by term, the
-matrix file reader builds a Fraction per entry, and the helpers below stay
-at that level.
+φ, the step oracles check the division-free column recurrence, one term
+by term and one with the per-row weights the verdict used before it read
+φ, the matrix file reader builds a Fraction per entry, and the helpers
+below stay at that level.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import itertools
 from collections import defaultdict
 from fractions import Fraction
 from math import comb, factorial
+from operator import itemgetter, mul
 
 from bosonstirling import FiniteMatrix
 from bosonstirling.errors import json_derived, json_list, json_value
@@ -213,6 +215,35 @@ def first_failing_step(rows) -> int | None:
             lhs = sum(binomial[j] * col0[j] * rows[i - j][k + 1] for j in range(i - k))
             rhs = sum(binomial[j] * rows[j][k] * col1[i - j] for j in range(k, i))
             if (k + 1) * lhs != rhs:
+                return k
+    return None
+
+
+def division_free_failure(rows) -> int | None:
+    """First failing step k of c_0·(k+1)·c_{k+1} ≡ c_k·c_1, by per-row weights.
+
+    The substitution verdict before it read φ: coefficient i of step k is
+    (k+1)·Σ_{m=k+1}^{i} u_i[m]·M[m,k+1] = Σ_{j=k}^{i−1} v_i[j]·M[j,k], with
+    u_i[m] = C(i,m)·M[i−m,0] and v_i[j] = C(i,j)·M[i−j,1] formed once per
+    row, two dot products per step and row, scanned k upwards and then i
+    upwards.  It reads columns 0 and 1 and no quotient; `rows` are the
+    integer rows L·M of a unipotent M, the recurrence being homogeneous.
+    """
+    n = len(rows) - 1
+    binomials = [[comb(i, j) for j in range(i + 1)] for i in range(n + 1)]
+    weights = [None] * (n + 1)
+    column = [row[1] for row in rows[1:]]
+    for k in range(1, n - 1):
+        previous, column = column, [rows[k + 1][k + 1]]
+        for i in range(k + 2, n + 1):
+            column.append(rows[i][k + 1])
+            if weights[i] is None:
+                weights[i] = (
+                    list(map(mul, binomials[i], map(itemgetter(0), rows[i::-1]))),
+                    list(map(mul, binomials[i], map(itemgetter(1), rows[i:0:-1]))),
+                )
+            u, v = weights[i]
+            if (k + 1) * sum(map(mul, u[k + 1:], column)) != sum(map(mul, v[k:], previous)):
                 return k
     return None
 

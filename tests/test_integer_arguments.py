@@ -22,6 +22,7 @@ from bosonstirling import (
     ExperimentConfig,
     ExperimentResult,
     FiniteMatrix,
+    GeneralizedStirlingMatrix,
     RangeError,
     TruncatedSeries,
     ValidationError,
@@ -79,6 +80,8 @@ ARGUMENTS = {
     "wilson_interval_95-draws": Argument(lambda v: wilson_interval_95(0, v), "draws", 1),
     "stirling_matrix": Argument(
         lambda v: stirling_matrix(parse_word("a+ a"), v), "row count", 0),
+    "GeneralizedStirlingMatrix": Argument(
+        lambda v: GeneralizedStirlingMatrix(parse_word("a+ a"), v), "row count", 0),
     "build_substitution_matrix": Argument(
         lambda v: build_substitution_matrix(*_SERIES, v), "matrix size", 2),
     "truncate_rn": Argument(

@@ -134,6 +134,18 @@ class TestInvert:
         with pytest.raises(ZeroDivisionError):
             series(0, 1, order=3).invert()
 
+    @pytest.mark.parametrize("coeffs", [
+        (-1, 1, 1, 1),
+        (-2, Fraction(1, 3), 5, Fraction(-1, 7), 2),
+        (Fraction(3, 4), -2, 0, Fraction(1, 5), 0, 1),
+        (Fraction(-5, 6), Fraction(1, 2), Fraction(2, 3), Fraction(-3, 5)),
+    ], ids=["negative", "negative-rational", "rational", "negative-fraction"])
+    def test_series_times_its_inverse_is_one(self, coeffs):
+        # A negative or fractional constant term, and coefficients whose
+        # inverse's denominators grow term by term.
+        s = series(*coeffs)
+        assert s.multiply(s.invert()) == series(1, order=s.order)
+
 
 class TestRendering:
     def test_str(self):

@@ -179,6 +179,23 @@ class TestStirlingMatrix:
     def test_stores_only_word_and_rows(self):
         assert [f.name for f in fields(GeneralizedStirlingMatrix)] == ["word", "rows"]
 
+    def test_constructor_takes_the_word_and_row_count(self):
+        w = parse_word("d a d")
+        m = GeneralizedStirlingMatrix(w, 4)
+        assert m == stirling_matrix(w, 4)
+        assert m.rows == tuple(stirling_module._stirling_rows(w, 4)) and m.n_max == 4
+        assert GeneralizedStirlingMatrix.from_json_obj(m.to_json_obj()) == m
+
+    @pytest.mark.parametrize("word,n_max,message", [
+        (parse_word("d a"), "15", "row count must be an int, got '15'"),
+        (parse_word("d a"), -1, "row count must be non-negative, got -1"),
+        ("da", 3, "word must be a BosonWord, got 'da'"),
+        (((1, 1),), 3, "word must be a BosonWord, got ((1, 1),)"),
+    ])
+    def test_constructor_checks_its_arguments(self, word, n_max, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            GeneralizedStirlingMatrix(word, n_max)
+
     @pytest.mark.parametrize("key,value", [("s_tot", 2), ("d", 0)])
     def test_json_rejects_counts_that_disagree_with_word(self, key, value):
         obj = stirling_matrix(parse_word("d a d"), 2).to_json_obj()

@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
+import pickle
 import random
 from decimal import Decimal
 from fractions import Fraction
-from math import factorial, lcm
+from math import comb, factorial, lcm
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bosonstirling import (
@@ -33,12 +35,14 @@ from bosonstirling import (
 )
 
 from bosonstirling.cli import main as cli_main
-from bosonstirling.series import parse_integer, parse_rational, parse_rationals
+from bosonstirling.series import _egf_quotient, parse_integer, parse_rational, parse_rationals
 from bosonstirling import substitution as substitution_module
 from bosonstirling.substitution import MAX_REPORT_ORDER, _ratio_text, recurrence_failure
 
 from oracles import (
+    _series_divide,
     closed_form_pair,
+    division_free_failure,
     first_failing_step,
     matrix_from_json_obj,
     matrix_product,
@@ -403,6 +407,177 @@ class TestFirstFailingStep:
         assert recurrence_failure(rows) == first_failing_step(rows) == late - 1
         rows[n][3] += 1
         assert recurrence_failure(rows) == first_failing_step(rows) == 2
+
+
+@st.composite
+def rational_column_matrices(draw):
+    """Integer rows L·M, L > 1, of a matrix of size 4–14 whose columns 0 and 1
+    are drawn, and whose later columns are g·φ^k/k! for the pair those two fix,
+    with at most one entry in them changed.
+
+    Φ's entries take their denominators from products of the drawn entries,
+    so they grow along the column and the scan, which reaches the changed
+    column or the end, rescales them.
+    """
+    size = draw(st.integers(4, 14))
+    fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    col0 = [Fraction(1)] + [draw(fractions) for _ in range(size - 1)]
+    col1 = [Fraction(0), Fraction(1)] + [draw(fractions) for _ in range(size - 2)]
+    g = [v / factorial(i) for i, v in enumerate(col0)]
+    phi = _series_divide([v / factorial(i) for i, v in enumerate(col1)], g)
+    rows = substitution_matrix(g, phi, size)
+    if draw(st.booleans()):
+        i = draw(st.integers(3, size - 1))
+        rows[i][draw(st.integers(2, i - 1))] += draw(fractions.filter(bool))
+    m = FiniteMatrix.from_rows(rows)
+    assume(m.denominator > 1)
+    return [list(row) for row in m.numerators]
+
+
+@st.composite
+def built_pairs_one_change(draw):
+    """Integer rows L·M of the matrix of a drawn pair (g, φ), size 3–12, with
+    one entry below the diagonal changed, in any column."""
+    size = draw(st.integers(3, 12))
+    coeffs = draw(st.sampled_from([st.integers(-3, 3), SMALL_FRACTIONS]))
+    g = [1] + [draw(coeffs) for _ in range(size - 1)]
+    phi = [0, 1] + [draw(coeffs) for _ in range(size - 2)]
+    rows = substitution_matrix(g, phi, size)
+    i = draw(st.integers(1, size - 1))
+    rows[i][draw(st.integers(0, i - 1))] += draw(coeffs.filter(bool))
+    return [list(row) for row in FiniteMatrix.from_rows(rows).numerators]
+
+
+class TestQuotientVerdict:
+    """The verdict reads φ = c_1/c_0 from the quotient kernel: it returns the
+    step of the division-free oracles, computes only the entries of Φ its
+    scan reads, and a report computes each entry once."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.one_of(
+        unipotent_rows(st.integers(-3, 12)),
+        rational_column_matrices(),
+        built_pairs_one_change(),
+    ))
+    def test_step_agrees_with_the_division_free_oracles(self, rows):
+        assert recurrence_failure(rows) == division_free_failure(rows) == first_failing_step(rows)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_quotient_rescales_to_the_lcm(self, sign):
+        # Column 0 has entries over 2, 3 and 5, so Φ's denominator grows
+        # along the column, and each pair yielded is Φ[0..i] over the LCM of
+        # their reduced denominators; negating both columns, den[0] < 0
+        # included, leaves every entry and denominator as it is.
+        m = FiniteMatrix.from_rows(
+            [[1, 0, 0, 0, 0, 0, 0],
+             [Fraction(1, 2), 1, 0, 0, 0, 0, 0],
+             [Fraction(1, 3), Fraction(2, 5), 1, 0, 0, 0, 0],
+             [Fraction(-3, 5), 1, 1, 1, 0, 0, 0],
+             [2, Fraction(1, 7), 1, 1, 1, 0, 0],
+             [Fraction(5, 3), 0, 1, 1, 1, 1, 0],
+             [1, Fraction(-1, 2), 1, 1, 1, 1, 1]])
+        n = m.n_max
+        g, c1 = ([Fraction(row[k]) / factorial(i) for i, row in enumerate(m.entries)]
+                 for k in (0, 1))
+        entries = [c * factorial(i) for i, c in enumerate(_series_divide(c1, g))]
+        pairs = [(sign * row[1], sign * row[0]) for row in m.numerators]
+        denominators = []
+        for numerators, d in _egf_quotient(iter(pairs), n):
+            i = len(numerators) - 1
+            assert [Fraction(v, d) for v in numerators] == entries[:i + 1]
+            assert d == lcm(*[v.denominator for v in entries[:i + 1]])
+            denominators.append(d)
+        assert len(set(denominators)) >= 3
+        # Continued from Q[0..2], the kernel computes only Q[3..n].
+        quotient = _egf_quotient(iter(pairs), n)
+        for _ in range(3):
+            numerators, d = next(quotient)
+        rest = list(_egf_quotient(iter(pairs), n, (list(numerators), d)))
+        assert len(rest) == n - 2
+        assert [Fraction(v, rest[-1][1]) for v in rest[-1][0]] == entries
+
+    @pytest.mark.parametrize("source", ["int", "rat", "d a d"])
+    def test_last_step(self, source):
+        # Changing M[n,n−1] breaks column n−1 alone, which step n−2 reads last.
+        rows = [list(row) for row in FiniteMatrix.from_rows(workload_rows(source, 21)).numerators]
+        rows[20][19] += 1
+        assert recurrence_failure(rows) == division_free_failure(rows) == 18
+
+    @staticmethod
+    def _counting_quotient(monkeypatch, computed):
+        """Record the index of each entry the quotient kernel computes."""
+        real = substitution_module._egf_quotient
+
+        def counting(pairs, n, known=((), 1)):
+            for state in real(pairs, n, known):
+                computed.append(len(state[0]) - 1)
+                yield state
+
+        monkeypatch.setattr(substitution_module, "_egf_quotient", counting)
+
+    @staticmethod
+    def _first_failing_row_of_step_1(rows):
+        """The least i with 2·Σ_j C(i,j)·R[j,0]·R[i−j,2] ≠ Σ_j C(i,j)·R[j,1]·R[i−j,1]."""
+        for i in range(3, len(rows)):
+            left = sum(comb(i, j) * rows[j][0] * rows[i - j][2] for j in range(i - 1))
+            right = sum(comb(i, j) * rows[j][1] * rows[i - j][1] for j in range(1, i))
+            if 2 * left != right:
+                return i
+        return None
+
+    def test_early_exit_computes_no_entry_past_the_failing_row(self, monkeypatch):
+        # A size-64 matrix failing at step 1 in row r: row r's weights read
+        # Φ[0..r−1], of which Φ[0] = 0 and Φ[1] = 1 are known, so the scan
+        # holds r entries and computes r − 2 of them.
+        computed = []
+        self._counting_quotient(monkeypatch, computed)
+        cases = [random_unipotent(64, 10, trial_stream(5, trial)).numerators for trial in range(20)]
+        built = [list(row) for row in FiniteMatrix.from_rows(workload_rows("int", 64)).numerators]
+        for r in (4, 9, 33, 63):
+            bumped = [list(row) for row in built]
+            bumped[r][2] += 1
+            cases.append(bumped)
+        rows_seen = set()
+        for rows in cases:
+            r = self._first_failing_row_of_step_1(rows)
+            computed.clear()
+            phi = []
+            assert recurrence_failure(rows, phi) == 1
+            (numerators, d), = phi
+            assert len(numerators) == r and computed == list(range(2, r))
+            rows_seen.add(r)
+        assert {3, 4, 9, 33, 63} <= rows_seen
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize("source,bump", [("int", None), ("rat", None), ("rat", 5), ("d a d", 2)])
+    def test_check_subst_computes_each_entry_once(self, monkeypatch, tmp_path, capsys, fmt,
+                                                   source, bump):
+        computed = []
+        self._counting_quotient(monkeypatch, computed)
+        rows = workload_rows(source, 21)
+        if bump is not None:
+            rows[-1][bump] += 1
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(FiniteMatrix.from_rows(rows).to_json_obj()))
+        code = cli_main(["check-subst", str(path), "--format", fmt])
+        assert code == (0 if bump is None else 1)
+        assert sorted(computed) == list(range(2, 21))
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("source,bump", [("int", None), ("rat", 7), ("d a", 3)])
+    def test_report_pickles_and_deep_copies(self, source, bump):
+        rows = workload_rows(source, 12)
+        if bump is not None:
+            rows[-1][bump] += 1
+        report = is_approximate_substitution(FiniteMatrix.from_rows(rows))
+        expected = substitution_report(rows)
+        for read in (False, True):
+            if read:
+                assert report.to_json_obj() == expected
+            for twin in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
+                assert twin == report and hash(twin) == hash(report)
+                assert twin.verdict is report.verdict
+                assert twin.to_json_obj() == expected
 
 
 class TestLazyDiagnostics:
