@@ -32,7 +32,7 @@ from .montecarlo import (
     run_experiment,
     run_sweep,
 )
-from .series import TruncatedSeries, parse_integer, parse_rational
+from .series import TruncatedSeries, parse_integer, parse_rational, parse_rationals
 from .stirling import (
     bell_numbers,
     bell_polynomial,
@@ -245,8 +245,8 @@ def cmd_check_subst(args) -> int:
 
 
 def _parse_series_arg(text: str, order: int) -> TruncatedSeries:
-    coeffs = [parse_rational(part.strip()) for part in text.split(",")]
-    return TruncatedSeries.from_coeffs(coeffs[: order + 1], order)
+    coeffs, d = parse_rationals([part.strip() for part in text.split(",")])
+    return TruncatedSeries.from_coeffs(coeffs[: order + 1], order, d)
 
 
 def cmd_build_subst(args) -> int:

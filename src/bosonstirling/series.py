@@ -1,19 +1,23 @@
 """Exact-rational arithmetic on truncated exponential generating functions.
 
-A :class:`TruncatedSeries` is a polynomial of bounded degree with
-:class:`fractions.Fraction` coefficients, standing for a power series known
-only up to its truncation order.  The order is carried by the value itself,
-as its coefficient count, never by ambient context: a product carries the
-minimum of the operand orders.
+A :class:`TruncatedSeries` is a polynomial of bounded degree with exact
+rational coefficients, standing for a power series known only up to its
+truncation order.  The order is carried by the value itself, as its
+coefficient count, never by ambient context: a product carries the minimum
+of the operand orders.
 
 The package's EGF convention lives here alone: the series Σ c_i·x^i is the
 exponential generating function of the entries i!·c_i, a matrix column in
-the substitution condition.  :meth:`TruncatedSeries.from_egf_entries` and
-:meth:`TruncatedSeries.egf_entries` convert between the two.  On entries
-the EGF product is the binomial convolution (a⊛b)[i] = Σ_j C(i,j)·a[i−j]·b[j],
-and the package's one product and one quotient of EGFs are the kernels
-here, :func:`_egf_product` and :func:`_egf_quotient`, over the one binomial
-table :func:`_binomial_rows`.  :meth:`TruncatedSeries.multiply` and
+the substitution condition.  A series is stored in the kernels' number
+form, as those EGF entries: integers over one positive denominator,
+reduced by one gcd, as a matrix is integer rows over one denominator.
+:meth:`TruncatedSeries.from_egf_entries` takes that form as the kernels
+return it, the coefficients are derived on read, and text and JSON write
+each coefficient through one integer renderer, :func:`_ratio_text`, which
+the matrix writer shares.  On entries the EGF product is the binomial
+convolution (a⊛b)[i] = Σ_j C(i,j)·a[i−j]·b[j], and the package's one
+product and one quotient of EGFs are the kernels here, :func:`_egf_product`
+and :func:`_egf_quotient`, over the one binomial table :func:`_binomial_rows`.  :meth:`TruncatedSeries.multiply` and
 :meth:`TruncatedSeries.invert` wrap them; the substitution verdict, the
 builder and a report's diagnostics call them on matrix columns.
 
@@ -33,6 +37,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, factorial, gcd, isfinite, lcm
 from operator import mul
 
@@ -203,92 +208,125 @@ def _egf_quotient(pairs, n: int, known=((), 1)):
         yield numerators, d
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Σ coeffs[i]·x^i for i = 0..order, with exact rational coefficients.
+def _ratio_text(v: int, d: int) -> str:
+    """``str(Fraction(v, d))`` for d ≥ 1, by one gcd and no Fraction."""
+    g = gcd(v, d)
+    return str(v // g) if g == d else f"{v // g}/{d // g}"
 
-    The order is not stored: it is the coefficient count less one.
+
+@dataclass(frozen=True, init=False)
+class TruncatedSeries:
+    """Σ c_i·x^i for i = 0..order, with exact rational coefficients.
+
+    Stored as its EGF entries over one denominator: c_i is
+    entries[i]/(denominator·i!), with ``int`` entries and a denominator
+    ≥ 1 prime to them.  That form is unique, so equality and hashing
+    compare values, and the order is the entry count less one.
+    ``TruncatedSeries(coeffs)`` builds one from exact values.
     """
 
-    coeffs: tuple[Fraction, ...]
+    entries: tuple[int, ...]
+    denominator: int
 
-    def __post_init__(self):
-        items = require_items(self.coeffs, "coefficients")
-        coeffs = tuple(c if type(c) is Fraction else Fraction(exact_number(c)) for c in items)
-        if not coeffs:
+    def __init__(self, coeffs):
+        values = list(map(exact_number, require_items(coeffs, "coefficients")))
+        numerators, d = _over_common_denominator(values)
+        self._store([v * factorial(i) for i, v in enumerate(numerators)], d)
+
+    def _store(self, entries: list[int], d: int) -> TruncatedSeries:
+        """Set the fields to entries/d, for d ≥ 1, reduced by one gcd."""
+        if not entries:
             raise ValidationError("a series needs at least one coefficient")
-        object.__setattr__(self, "coeffs", coeffs)
+        g = gcd(d, *entries)
+        if g != 1:
+            entries, d = [v // g for v in entries], d // g
+        object.__setattr__(self, "entries", tuple(entries))
+        object.__setattr__(self, "denominator", d)
+        return self
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.entries) - 1
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients c_0..c_order, as ``Fraction``."""
+        return tuple(Fraction(v, q) for v, q in self._ratios())
+
+    def _ratios(self):
+        """(entries[i], denominator·i!) for i = 0..order: each coefficient, unreduced."""
+        return zip(self.entries, accumulate(range(1, len(self.entries)), mul,
+                                            initial=self.denominator))
 
     @classmethod
-    def from_coeffs(cls, coeffs, order: int | None = None) -> TruncatedSeries:
-        """Build from a coefficient list, zero-padding up to `order` if given."""
+    def from_coeffs(cls, coeffs, order: int | None = None,
+                    denominator: int = 1) -> TruncatedSeries:
+        """The series with coefficients coeffs[i]/denominator, zero-padded up to
+        `order` if given; `denominator` is a positive ``int``."""
         coeffs = require_items(coeffs, "coefficients")
         if order is None:
             order = max(len(coeffs) - 1, 0)
         require_int(order, "order", 0)
+        require_int(denominator, "denominator", 1)
         if len(coeffs) > order + 1:
-            raise ValidationError(
-                f"{len(coeffs)} coefficients exceed order {order}"
-            )
-        return cls(coeffs + (0,) * (order + 1 - len(coeffs)))
+            raise ValidationError(f"{len(coeffs)} coefficients exceed order {order}")
+        s = cls(coeffs + (0,) * (order + 1 - len(coeffs)))
+        return cls.from_egf_entries(s.entries, s.denominator * denominator)
 
     @classmethod
     def from_egf_entries(cls, entries, denominator: int = 1) -> TruncatedSeries:
         """The series with coefficients entries[i]/(denominator·i!).
 
-        Entries are ``int`` or ``Fraction``; `denominator`, a positive
-        ``int``, is a common denominator taken out of integer entries.
+        Entries are exact values, as :func:`exact_number` reads them, and
+        `denominator`, a positive ``int``, is a common denominator taken out
+        of them.  ``int`` entries are stored as they are, after one gcd.
         """
-        return cls(tuple(
-            Fraction(v, denominator * factorial(i)) for i, v in enumerate(entries)
-        ))
+        entries = list(require_items(entries, "EGF entries"))
+        require_int(denominator, "denominator", 1)
+        if not {int}.issuperset(map(type, entries)):
+            entries, d = _over_common_denominator(list(map(exact_number, entries)))
+            denominator *= d
+        return object.__new__(cls)._store(entries, denominator)
 
     def egf_entries(self) -> list[Fraction]:
-        """The EGF entries i!·coeffs[i], inverse to :meth:`from_egf_entries`."""
-        return [c * factorial(i) for i, c in enumerate(self.coeffs)]
+        """The EGF entries i!·c_i as ``Fraction``, inverse to :meth:`from_egf_entries`."""
+        return [Fraction(v, self.denominator) for v in self.entries]
 
     def multiply(self, other: TruncatedSeries) -> TruncatedSeries:
         """Product truncated at min(self.order, other.order): the EGF product of the entries."""
-        a = self.egf_entries()[: min(self.order, other.order) + 1]
-        return TruncatedSeries.from_egf_entries(_egf_product(a, other.egf_entries(), 0))
+        a = self.entries[: min(self.order, other.order) + 1]
+        return TruncatedSeries.from_egf_entries(
+            _egf_product(a, other.entries, 0), self.denominator * other.denominator
+        )
 
     def invert(self) -> TruncatedSeries:
         """Multiplicative inverse up to the truncation order.
 
         Requires a nonzero constant term; the inverse is the EGF quotient of
-        1 by the series, exact throughout.  With the entries E/d over their
-        common denominator, (E/d)⊛Q = 1 reads E⊛Q = d·1.
+        1 by the series, exact throughout.  With the entries E over the
+        denominator d, (E/d)⊛Q = 1 reads E⊛Q = d·1.
         """
-        if self.coeffs[0] == 0:
+        if self.entries[0] == 0:
             raise ZeroDivisionError("series with zero constant term is not invertible")
-        entries, d = _over_common_denominator(self.egf_entries())
-        for quotient in _egf_quotient(zip([d] + [0] * self.order, entries), self.order):
+        one = [self.denominator] + [0] * self.order
+        for quotient in _egf_quotient(zip(one, self.entries), self.order):
             pass
         return TruncatedSeries.from_egf_entries(*quotient)
 
     def __str__(self) -> str:
         parts: list[str] = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            else:
-                var = "x" if i == 1 else f"x^{i}"
-                body = var if mag == 1 else f"{mag} {var}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(parts) if parts else "0"
+        for i, (v, q) in enumerate(self._ratios()):
+            if v:
+                body = _ratio_text(abs(v), q)
+                if i:
+                    var = "x" if i == 1 else f"x^{i}"
+                    body = var if body == "1" else f"{body} {var}"
+                sign = "-" if v < 0 else "+"
+                parts.append(f"{sign} {body}" if parts else f"-{body}" if v < 0 else body)
+        return " ".join(parts) or "0"
 
     def to_json_obj(self) -> dict:
-        return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
+        return {"order": self.order, "coeffs": [_ratio_text(v, q) for v, q in self._ratios()]}
 
     @classmethod
     def from_json_obj(cls, obj) -> TruncatedSeries:

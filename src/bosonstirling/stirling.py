@@ -87,6 +87,11 @@ class GeneralizedStirlingMatrix:
         row = self.rows[n]
         return row[k] if k < len(row) else 0
 
+    def column(self, k: int) -> tuple[list[int], int]:
+        """Column k over rows 0..n_max, zero beyond the staircase, over denominator 1."""
+        require_int(k, "column", 0)
+        return [row[k] if k < len(row) else 0 for row in self.rows], 1
+
     def is_lower_triangular(self) -> bool:
         return not any(any(row[n + 1:]) for n, row in enumerate(self.rows))
 
@@ -331,12 +336,13 @@ def classify_word(w: BosonWord) -> WordClassification:
 def column_egf(matrix, k: int, order: int) -> TruncatedSeries:
     """Truncated EGF of column k: Σ_{i=0..order} M[i,k] x^i / i!.
 
-    Accepts anything with an ``entry(i, k)`` accessor and an ``n_max`` (a
-    materialized Stirling matrix or a finite square matrix).  An order
-    outside 0..n_max is a RangeError naming `order`; the accessor's
-    RangeError propagates for a column out of range.
+    Accepts anything with a ``column(k)`` accessor, which gives column k
+    as integers over one denominator, and an ``n_max`` (a materialized
+    Stirling matrix or a finite square matrix); the column's integers are
+    the series' EGF entries.  An order outside 0..n_max is a RangeError
+    naming `order`; the accessor's RangeError propagates for a column out
+    of range.
     """
     require_int(order, "order", 0, matrix.n_max)
-    return TruncatedSeries.from_egf_entries(
-        [matrix.entry(i, k) for i in range(order + 1)]
-    )
+    entries, d = matrix.column(k)
+    return TruncatedSeries.from_egf_entries(entries[: order + 1], d)

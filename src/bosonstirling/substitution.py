@@ -47,7 +47,7 @@ from operator import itemgetter, mul
 from .errors import (ValidationError, json_derived, json_list, json_value, require_int,
                      require_items)
 from .series import (TruncatedSeries, _binomial_rows, _egf_product, _egf_quotient,
-                     _over_common_denominator, exact_number, parse_rationals)
+                     _over_common_denominator, _ratio_text, exact_number, parse_rationals)
 from .stirling import column_egf
 
 #: Largest ``g`` order that :meth:`SubstitutionReport.from_json_obj` reads.
@@ -131,8 +131,12 @@ class FiniteMatrix:
     def entry(self, i: int, k: int) -> int | Fraction:
         require_int(i, "row", 0, self.n_max)
         require_int(k, "column", 0, self.n_max)
-        v, d = self.numerators[i][k], self.denominator
-        return Fraction(v, d) if v % d else v // d
+        return self.entries[i][k]
+
+    def column(self, k: int) -> tuple[list[int], int]:
+        """Column k as its integer numerators over the matrix's denominator."""
+        require_int(k, "column", 0, self.n_max)
+        return [row[k] for row in self.numerators], self.denominator
 
     def is_lower_triangular(self) -> bool:
         return not any(any(row[i + 1:]) for i, row in enumerate(self.numerators))
@@ -168,12 +172,6 @@ class FiniteMatrix:
         m = cls([row if q == d else [v * (d // q) for v in row] for row, q in rows], d)
         json_derived(obj, "size", m.size, int)
         return m
-
-
-def _ratio_text(v: int, d: int) -> str:
-    """``str(Fraction(v, d))`` for d ≥ 1, by one gcd and no Fraction."""
-    g = gcd(v, d)
-    return str(v // g) if g == d else f"{v // g}/{d // g}"
 
 
 @dataclass(frozen=True)
@@ -250,13 +248,13 @@ class SubstitutionReport:
         """Scanned from the first failing column k+1: columns 0..k hold.
 
         So :func:`_column_chain` from column k of R = L·M, the stored rows,
-        gives N_j = L·s_j·E_j, E_j the expected column j, and column j fails
-        exactly when N_j ≠ s_j·R[:,j]; only a failing column is divided out.
+        gives N_j/s_j = L·E_j, E_j the expected column j, and column j fails
+        exactly when N_j ≠ s_j·R[:,j]; only a failing column becomes a series.
         """
         if self.verdict:
             return ()
         m, rows, k = self.matrix, self.matrix.numerators, self._first_failure
-        columns = _column_chain([row[k] for row in rows], k, self._phi_entries)
+        columns = _column_chain(([row[k] for row in rows], 1), k, self._phi_entries)
         failing = []
         for j, column, scale in islice(columns, 1, None):
             if any(column[i] != scale * rows[i][j] for i in range(j, len(rows))):
@@ -342,24 +340,32 @@ class SubstitutionReport:
 
 
 def _column_chain(start, k: int, phi):
-    """Yield (j, N_j, s_j) for j = k..n: integer columns with N_j/s_j = E_j.
+    """Yield (j, N_j, s_j) for j = k..n: integer columns with N_j/s_j = E_j
+    in lowest terms, gcd(s_j, N_j) = 1.
 
-    `start` holds n+1 exact EGF entries E_k, zero below index k, and `phi`
-    is (D·Φ, D) for the n+1 EGF entries Φ of a φ with φ(0) = 0 and an
-    integer D ≥ 1.  With s_k the LCM of the denominators of E_k,
-    N_k = s_k·E_k, N_{j+1} = N_j⊛(D·Φ) and s_{j+1} = s_j·D·(j+1),
-    so E_{j+1} = E_j⊛Φ/(j+1), zero below j+1 as Φ[0] = 0.  Column j of the
+    `start` is (N, s), n+1 integer EGF entries over an integer s ≥ 1, and
+    E_k = N/s is zero below index k; `phi` is (D·Φ, D) for the n+1 EGF
+    entries Φ of a φ with φ(0) = 0 and an integer D ≥ 1.  Each column is
+    divided by its gcd with its scale when it is yielded, and the next is
+    N_{j+1} = N_j⊛(D·Φ) over s_{j+1} = s_j·D·(j+1), so
+    E_{j+1} = E_j⊛Φ/(j+1), zero below j+1 as Φ[0] = 0.  Column j of the
     matrix of f ↦ g·(f∘φ) holds the EGF entries of g·φ^j/j!, and
     g·φ^{j+1}/(j+1)! = (g·φ^j/j!)·φ/(j+1); ⊛ is the EGF product, and its
     entry i reads entries 0..i alone.  So by induction, if E_k is c times
     column k truncated at n, E_j is c times column j for every j ≥ k.
+    Reducing each column keeps the next product's operands small: on an
+    integer matrix N_j is column j itself.
     """
-    column, scale = _over_common_denominator(start)
+    column, scale = start
     step, d = phi
-    yield k, column, scale
-    for j in range(k + 1, len(column)):
-        column = _egf_product(column, step, j - 1)
-        scale *= d * j
+    for j in range(k, len(column)):
+        if j > k:
+            column = _egf_product(column, step, j - 1)
+            scale *= d * j
+        common = gcd(scale, *column)
+        if common > 1:
+            column = [v // common for v in column]
+            scale //= common
         yield j, column, scale
 
 
@@ -485,24 +491,26 @@ def build_substitution_matrix(
     guarantee it passes the substitution test at order size−1.
 
     Column 0 holds g's EGF entries i!·g_i, and :func:`_column_chain` gives
-    each column k as an integer vector N_k = s_k·M[:,k].  Column k's reduced
-    denominator is s_k/gcd(s_k, N_k); the matrix's denominator L is the LCM
-    of those, and its numerators are N_k·L/s_k.
+    each column k in lowest terms as N_k/s_k = M[:,k], starting from g's and
+    φ's stored entries.  The matrix's denominator L is the LCM of the s_k,
+    and column k's numerators are N_k·(L/s_k): one factor per column and no
+    division of an entry.
     """
     n = require_int(size, "matrix size", 2) - 1
     if g.order < n or phi.order < n:
         raise ValidationError(
             f"need series through order {n}: got g at {g.order}, phi at {phi.order}"
         )
-    if g.coeffs[0] != 1:
+    if g.entries[0] != g.denominator:
         raise ValidationError("g must have constant term 1")
-    if phi.coeffs[0] != 0 or phi.coeffs[1] != 1:
+    if phi.entries[0] != 0 or phi.entries[1] != phi.denominator:
         raise ValidationError("phi must have constant term 0 and linear coefficient 1")
-    columns = list(_column_chain(g.egf_entries()[:size], 0,
-                                 _over_common_denominator(phi.egf_entries()[:size])))
-    scale = lcm(*[s // gcd(s, *column) for _, column, s in columns])
+    columns = list(_column_chain((list(g.entries[:size]), g.denominator), 0,
+                                 (phi.entries[:size], phi.denominator)))
+    scale = lcm(*[s for _, _, s in columns])
     return FiniteMatrix(
-        tuple(zip(*[[v * scale // s for v in column] for _, column, s in columns])),
+        tuple(zip(*[column if s == scale else [v * (scale // s) for v in column]
+                    for _, column, s in columns])),
         scale,
     )
 

@@ -10,9 +10,10 @@ an equivalent mutant, holds when they pass and gives the reason it is
 equivalent.  Before any row runs, each function of :data:`KERNELS` must be
 defined once in its file and hold the source text of at least two rows
 expected to be killed.  Then the selectors all run on an unmutated copy and
-must pass, so a kill is never a test that fails anyway.  A pytest run still
-going after ``TIMEOUT_S`` seconds is killed and counts as a broken run,
-which fails its row.
+must pass, so a kill is never a test that fails anyway.  The rows then run
+:data:`WORKERS` at a time, and their lines print in table order.  A pytest
+run still going after ``TIMEOUT_S`` seconds is killed and counts as a
+broken run, which fails its row.
 
 The script uses the standard library only and runs pytest in a
 subprocess.  Run it from any directory::
@@ -33,6 +34,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -66,6 +68,7 @@ INVERT = "tests/test_series.py::TestInvert"
 ROW_READER = "tests/test_substitution.py::TestRowReader::"
 NEAR_MISS = ROW_READER + "test_near_miss_agrees_with_parse_rational"
 CANONICAL = "tests/test_cli.py::TestCanonicalJson::test_pinned"
+RENDERING = "tests/test_series.py::TestRendering"
 PAIR_MATRIX = ("tests/test_substitution.py::TestBuilder::"
                "test_failing_columns_are_where_the_pair_matrix_differs")
 
@@ -89,7 +92,8 @@ KERNELS = [
     (SERIES, "parse_rational"),
     (SERIES, "parse_rationals"),
     (CLI, "_dumps_indented"),
-    (SUBSTITUTION, "_ratio_text"),
+    (SERIES, "_ratio_text"),
+    (SERIES, "_store"),
     (CLI, "_require_printable_bound"),
     (MONTECARLO, "_sqrt_above"),
     (MONTECARLO, "wilson_interval_95"),
@@ -97,6 +101,9 @@ KERNELS = [
     (ERRORS, "require_int"),
     (ERRORS, "require_items"),
 ]
+
+#: Rows run this many at a time, each in its own copy and pytest process.
+WORKERS = min(os.cpu_count() or 1, 4)
 
 #: Seconds a pytest run may take before it is killed and counted as broken,
 #: so that a mutant that loops or grows a table without end fails the gate.
@@ -275,9 +282,16 @@ ROWS = [
      "tests/test_substitution.py::TestDiagnosticsAtWorkloadSizes", "killed"),
     (SUBSTITUTION, "for i in range(j, len(rows))):", "for i in range(j + 1, len(rows))):",
      ORACLE, "survives: entry j of column j is L·s_j on both sides, as M[j,j] = 1"),
-    # substitution._column_chain: the scale step, the first column.
+    # substitution._column_chain: the scale step, each column's reduction,
+    # the first column.
     (SUBSTITUTION, "scale *= d * j", "scale *= d * (j + 1)", PAIR_MATRIX, "killed"),
-    (SUBSTITUTION, "    yield k, column, scale\n", "", PAIR_MATRIX, "killed"),
+    (SUBSTITUTION, "common = gcd(scale, *column)", "common = 1", PAIR_MATRIX, "killed"),
+    (SUBSTITUTION, "            scale //= common\n", "", PAIR_MATRIX, "killed"),
+    (SUBSTITUTION, "for j in range(k, len(column)):", "for j in range(k + 1, len(column)):",
+     PAIR_MATRIX, "killed"),
+    # build_substitution_matrix brings each column over the LCM of the scales.
+    (SUBSTITUTION, "[v * (scale // s) for v in column]", "[v * scale for v in column]",
+     PAIR_MATRIX, "killed"),
     # series.parse_rational's fast path and its integral result.
     (PACKAGE + "series.py", "if digits.isdigit() and digits.isascii():",
      "if digits.isdigit():", "tests/test_substitution.py::TestEntryParsing", "killed"),
@@ -314,11 +328,16 @@ ROWS = [
      CANONICAL, "killed"),
     (PACKAGE + "cli.py", 'f"{text(k)}: {', 'f"{text(k)}:{', CANONICAL, "killed"),
     (PACKAGE + "cli.py", '.replace("\\n", "\\n" + pad)', "", CANONICAL, "killed"),
-    # substitution._ratio_text.
-    (SUBSTITUTION, "if g == d else", "if d == 1 else",
-     "tests/test_substitution.py::TestFiniteMatrix", "killed"),
-    (SUBSTITUTION, 'f"{v // g}/{d // g}"', 'f"{v}/{d}"',
-     "tests/test_substitution.py::TestFiniteMatrix", "killed"),
+    # series._ratio_text, which writes every series coefficient and matrix
+    # entry: the reduction to an integer, the reduced ratio, the sign.
+    (SERIES, "if g == d else", "if d == 1 else", RENDERING, "killed"),
+    (SERIES, 'f"{v // g}/{d // g}"', 'f"{v}/{d}"', RENDERING, "killed"),
+    (SERIES, "str(v // g) if", "str(abs(v) // g) if", RENDERING, "killed"),
+    # TruncatedSeries._store, which every series constructor ends in: the gcd
+    # reduction and the positive denominator.
+    (SERIES, "g = gcd(d, *entries)", "g = 1",
+     "tests/test_series.py::TestEgfEntries::test_common_denominator", "killed"),
+    (SERIES, "g = gcd(d, *entries)", "g = -gcd(d, *entries)", RENDERING, "killed"),
     # montecarlo._sqrt_above and wilson_interval_95.
     (MONTECARLO, "isqrt(a * b * scale * scale) + 1", "isqrt(a * b * scale * scale)",
      "tests/test_montecarlo.py::TestSqrtAbove::test_perfect_square_meets_the_lower_side",
@@ -393,6 +412,29 @@ def run_tests(tree: Path, *selectors: str) -> int | None:
             return None
 
 
+def run_row(row) -> tuple[str, bool]:
+    """The line reporting one row, and whether the row behaved as expected."""
+    path, text, replacement, selector, expected = row
+    label = f"{path}: {text.splitlines()[0]!r} -> {replacement!r}"
+    source = (ROOT / path).read_text(encoding="utf-8")
+    if source.count(text) != 1:
+        return f"FAIL  {label}: the text occurs {source.count(text)} times, not once", False
+    if expected != "killed" and not expected.startswith("survives: "):
+        return (f"FAIL  {label}: expectation {expected!r} is not 'killed' or "
+                "'survives: <reason>'"), False
+    with tempfile.TemporaryDirectory(prefix="mutation-") as scratch:
+        tree = copy_tree(Path(scratch))
+        (tree / path).write_text(source.replace(text, replacement), encoding="utf-8")
+        code = run_tests(tree, selector)
+    # Exit 1 means the mutant ran and a test failed; any other nonzero code
+    # is a broken run (a collection error, say), which kills nothing.
+    outcome = {0: "survives", 1: "killed", None: f"broken run (over {TIMEOUT_S} s)"}.get(
+        code, f"broken run (exit {code})")
+    ok = outcome == expected.partition(":")[0]
+    return (f"{'ok  ' if ok else 'FAIL'}  {label}: {outcome}"
+            + (f" ({expected.partition(': ')[2]})" if outcome == "survives" else "")), ok
+
+
 def main() -> int:
     uncovered = coverage_problems()
     for line in uncovered:
@@ -400,36 +442,17 @@ def main() -> int:
     if uncovered:
         print(f"{len(uncovered)} kernel(s) without two killed rows; no row was run")
         return 1
-    problems = 0
     with tempfile.TemporaryDirectory(prefix="mutation-") as scratch:
         code = run_tests(copy_tree(Path(scratch)), *sorted({row[3] for row in ROWS}))
         if code != 0:
             print(f"FAIL  the selectors exit {code} on the unmutated tree"
                   + (f" (over {TIMEOUT_S} s)" if code is None else ""))
             return 1
-    for path, text, replacement, selector, expected in ROWS:
-        label = f"{path}: {text.splitlines()[0]!r} -> {replacement!r}"
-        source = (ROOT / path).read_text(encoding="utf-8")
-        if source.count(text) != 1:
-            print(f"FAIL  {label}: the text occurs {source.count(text)} times, not once")
-            problems += 1
-            continue
-        if expected != "killed" and not expected.startswith("survives: "):
-            print(f"FAIL  {label}: expectation {expected!r} is not 'killed' or 'survives: <reason>'")
-            problems += 1
-            continue
-        with tempfile.TemporaryDirectory(prefix="mutation-") as scratch:
-            tree = copy_tree(Path(scratch))
-            (tree / path).write_text(source.replace(text, replacement), encoding="utf-8")
-            code = run_tests(tree, selector)
-        # Exit 1 means the mutant ran and a test failed; any other nonzero
-        # code is a broken run (a collection error, say), which kills nothing.
-        outcome = {0: "survives", 1: "killed", None: f"broken run (over {TIMEOUT_S} s)"}.get(
-            code, f"broken run (exit {code})")
-        ok = outcome == expected.partition(":")[0]
-        print(f"{'ok  ' if ok else 'FAIL'}  {label}: {outcome}"
-              + (f" ({expected.partition(': ')[2]})" if outcome == "survives" else ""))
-        problems += not ok
+    problems = 0
+    with ThreadPoolExecutor(WORKERS) as pool:
+        for line, ok in pool.map(run_row, ROWS):
+            print(line, flush=True)
+            problems += not ok
     print(f"{problems} problem(s) in {len(ROWS)} rows")
     return 1 if problems else 0
 

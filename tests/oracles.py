@@ -8,21 +8,22 @@ Stirling rows from it), the substitution check and the substitution
 matrix work on plain lists of Fractions with series division and powers of
 φ, the step oracles check the division-free column recurrence, one term
 by term and one with the per-row weights the verdict used before it read
-φ, the matrix file reader builds a Fraction per entry, and the helpers
-below stay at that level.
+φ, the matrix file reader builds a Fraction per entry, the series stores
+one Fraction per coefficient, and the helpers below stay at that level.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import defaultdict
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from operator import itemgetter, mul
 
 from bosonstirling import FiniteMatrix
-from bosonstirling.errors import json_derived, json_list, json_value
-from bosonstirling.series import parse_rational
+from bosonstirling.errors import json_derived, json_list, json_value, require_items
+from bosonstirling.series import exact_number, parse_rational
 
 
 def rewrite_normal_order(letters: tuple[str, ...]) -> dict[tuple[int, int], int]:
@@ -98,6 +99,46 @@ def stirling_rows_by_action(letters: tuple[str, ...], n_max: int) -> list[list[i
 def all_words(length: int):
     """Every letter tuple of exactly the given length."""
     return itertools.product("ad", repeat=length)
+
+
+@dataclass(frozen=True)
+class FractionSeries:
+    """The truncated series with one ``Fraction`` per coefficient: the form
+    ``TruncatedSeries`` had before it stored integer EGF entries over one
+    denominator, kept for its coefficients, text and JSON."""
+
+    coeffs: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        items = require_items(self.coeffs, "coefficients")
+        object.__setattr__(self, "coeffs", tuple(Fraction(exact_number(c)) for c in items))
+
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
+
+    def egf_entries(self) -> list[Fraction]:
+        return [c * factorial(i) for i, c in enumerate(self.coeffs)]
+
+    def __str__(self) -> str:
+        parts: list[str] = []
+        for i, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            mag = abs(c)
+            if i == 0:
+                body = str(mag)
+            else:
+                var = "x" if i == 1 else f"x^{i}"
+                body = var if mag == 1 else f"{mag} {var}"
+            if not parts:
+                parts.append(body if c > 0 else f"-{body}")
+            else:
+                parts.append(("+ " if c > 0 else "- ") + body)
+        return " ".join(parts) if parts else "0"
+
+    def to_json_obj(self) -> dict:
+        return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
 
 
 def matrix_from_json_obj(obj) -> FiniteMatrix:

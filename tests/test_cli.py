@@ -520,6 +520,18 @@ class TestBuildSubstCommand:
         assert (code, out) == (2, "")
         assert err == f"error: matrix size must be at least 2, got {size}\n"
 
+    @pytest.mark.parametrize("flag,text,bad", [
+        ("--g", "1,x", "'x'"),
+        ("--phi", "0,1,1/2/3", "'1/2/3'"),
+        ("--g", "x,1/0", "'x'"),
+    ], ids=["not-a-number", "two-slashes", "first-bad-value-named"])
+    def test_malformed_value_message(self, capsys, flag, text, bad):
+        values = {"--g": "1", "--phi": "0,1", flag: text}
+        code, out, err = run_cli(capsys, "build-subst", "--g", values["--g"],
+                                 "--phi", values["--phi"], "--size", "3")
+        assert (code, out) == (2, "")
+        assert err == f"error: not a rational (integer, p/q or decimal; no exponent): {bad}\n"
+
     def test_bad_normalization_exit_2(self, capsys):
         code, _, err = run_cli(
             capsys, "build-subst", "--g", "2", "--phi", "0,1", "--size", "3"
@@ -1123,6 +1135,59 @@ class TestIntegerFlagGrammar:
         types = [a.type for sp in commands.choices.values() for a in sp._actions]
         assert not any(t is int for t in types)
         assert sum(t is cli._integer_flag for t in types) == len(INTEGER_FLAGS)
+
+
+class TestNoFractionOnTheIntegerPath:
+    """From argv or a matrix file to the report's text, check-subst and
+    build-subst work on integers over one denominator: a count of the
+    Fractions they construct, not a timing, shows it."""
+
+    PAIRS = {
+        "int": ("1,2,-1,3,-1", "0,1,1,-2,1"),
+        "rat": ("1,1/2,-2/3,3/5,-1/7", "0,1,-3/4,1/3,2/5"),
+    }
+
+    @pytest.fixture
+    def count_fractions(self, monkeypatch):
+        """A call that starts counting the Fractions constructed; the list it
+        returns holds the count so far."""
+        count = [0]
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            count[0] += 1
+            return new(cls, *args, **kwargs)
+
+        def start():
+            monkeypatch.setattr(Fraction, "__new__", counting)
+            return count
+
+        return start
+
+    @pytest.mark.parametrize("kind", PAIRS)
+    def test_build_subst(self, capsys, tmp_path, count_fractions, kind):
+        g, phi = self.PAIRS[kind]
+        made = count_fractions()
+        assert run_cli(capsys, "build-subst", "--g", g, "--phi", phi, "--size", "12",
+                       "--out", str(tmp_path / "m.json")) == (0, "", "")
+        assert made == [0]
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize("late_failing", [False, True], ids=["passing", "late-failing"])
+    @pytest.mark.parametrize("kind", PAIRS)
+    def test_check_subst(self, capsys, tmp_path, count_fractions, kind, late_failing, fmt):
+        g, phi = (TruncatedSeries.from_coeffs(list(map(Fraction, text.split(","))), 11)
+                  for text in self.PAIRS[kind])
+        m = build_substitution_matrix(g, phi, 12)
+        rows = [list(row) for row in m.numerators]
+        rows[-1][5] += m.denominator * late_failing
+        path = tmp_path / "m.json"
+        path.write_text(dumps_canonical(FiniteMatrix(rows, m.denominator).to_json_obj()),
+                        encoding="utf-8")
+        made = count_fractions()
+        code, out, _ = run_cli(capsys, "check-subst", str(path), "--format", fmt)
+        assert (code, made) == (int(late_failing), [0])
+        assert ("failing columns: 5" in out) == (late_failing and fmt == "table")
 
 
 class TestExponentNotationRejected:

@@ -57,7 +57,7 @@ def _config(**changes):
     return ExperimentConfig(**dict(size=4, draws=10, range_r=3, seed=1, jobs=1) | changes)
 
 
-_SERIES = TruncatedSeries.from_coeffs([1, 1, 1]), TruncatedSeries.from_coeffs([0, 1, 1])
+_SERIES = TruncatedSeries((1, 1, 1)), TruncatedSeries((0, 1, 1))
 
 ARGUMENTS = {
     "ExperimentConfig-size": Argument(lambda v: _config(size=v), "size", 2, MAX_SIZE),
@@ -90,6 +90,10 @@ ARGUMENTS = {
     "FiniteMatrix.identity": Argument(FiniteMatrix.identity, "matrix size", 1),
     "TruncatedSeries.from_coeffs": Argument(
         lambda v: TruncatedSeries.from_coeffs([1], v), "order", 0),
+    "TruncatedSeries.from_coeffs-denominator": Argument(
+        lambda v: TruncatedSeries.from_coeffs([1], 0, v), "denominator", 1),
+    "TruncatedSeries.from_egf_entries": Argument(
+        lambda v: TruncatedSeries.from_egf_entries([1], v), "denominator", 1),
 }
 
 _IDENTITY = FiniteMatrix.identity(3)
@@ -107,6 +111,8 @@ INDICES = {
     "GeneralizedStirlingMatrix.entry-column": Argument(
         lambda v: _STIRLING.entry(1, v), "column", 0),
     "bell_polynomial": Argument(lambda v: bell_polynomial(_STIRLING, v, 1), "row", 0, 3),
+    "FiniteMatrix.column": Argument(_IDENTITY.column, "column", 0, 2),
+    "GeneralizedStirlingMatrix.column": Argument(_STIRLING.column, "column", 0),
     "column_egf-column": Argument(lambda v: column_egf(_IDENTITY, v, 2), "column", 0, 2),
     "column_egf-order": Argument(lambda v: column_egf(_IDENTITY, 0, v), "order", 0, 2),
 }

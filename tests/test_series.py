@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 from dataclasses import fields
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +14,7 @@ from hypothesis import strategies as st
 
 from bosonstirling import TruncatedSeries, ValidationError
 
-from oracles import _series_divide, _series_multiply, geometric_inverse_coeffs
+from oracles import FractionSeries, _series_divide, _series_multiply, geometric_inverse_coeffs
 
 
 def series(*coeffs, order=None):
@@ -52,9 +55,10 @@ class TestConstruction:
     def test_equality_includes_order(self):
         assert series(1, order=2) != series(1, order=3)
 
-    def test_stores_only_coefficients(self):
-        assert [f.name for f in fields(TruncatedSeries)] == ["coeffs"]
-        assert TruncatedSeries((1, 0, 2)).order == 2
+    def test_stores_entries_over_one_denominator(self):
+        assert [f.name for f in fields(TruncatedSeries)] == ["entries", "denominator"]
+        s = TruncatedSeries((1, 0, Fraction(2, 3)))
+        assert (s.entries, s.denominator, s.order) == ((3, 0, 4), 3, 2)
 
     @pytest.mark.parametrize("text", ["1e3", " 2 ", "1_0"])
     def test_text_coefficient_read_by_number_grammar(self, text):
@@ -84,6 +88,54 @@ class TestConstruction:
         assert s.coeffs == (
             Fraction(1, 2), 3, Fraction(1, 3), Fraction(1, 4), Fraction(-1, 2)
         )
+
+
+# Negative, zero and non-integer coefficients, some given as text.
+coefficients = st.one_of(
+    st.integers(-40, 40),
+    st.fractions(min_value=-40, max_value=40, max_denominator=30),
+    st.fractions(min_value=-3, max_value=3, max_denominator=8).map(str),
+)
+
+
+class TestAgainstFractionSeries:
+    """The stored integer form against the one-Fraction-per-coefficient oracle."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(coefficients, min_size=1, max_size=12), st.integers(1, 60))
+    def test_every_construction_agrees(self, coeffs, factor):
+        oracle = FractionSeries(coeffs)
+        # Coefficients N/D and entries E/q over common denominators, each
+        # multiplied through by `factor`, so that neither input is reduced.
+        d = lcm(*[c.denominator for c in oracle.coeffs])
+        numerators = [c.numerator * (d // c.denominator) * factor for c in oracle.coeffs]
+        entries = oracle.egf_entries()
+        q = lcm(*[v.denominator for v in entries])
+        built = [
+            TruncatedSeries(coeffs),
+            TruncatedSeries.from_coeffs(numerators, oracle.order, d * factor),
+            TruncatedSeries.from_egf_entries(
+                [v.numerator * (q // v.denominator) * factor for v in entries], q * factor),
+            TruncatedSeries.from_egf_entries(entries),
+            TruncatedSeries.from_json_obj(oracle.to_json_obj()),
+        ]
+        for s in built:
+            assert s.coeffs == oracle.coeffs and s.order == oracle.order
+            assert s.egf_entries() == entries
+            assert str(s) == str(oracle)
+            assert s.to_json_obj() == oracle.to_json_obj()
+            assert s.denominator >= 1 and gcd(s.denominator, *s.entries) == 1
+            assert s == built[0] and hash(s) == hash(built[0])
+            for twin in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+                assert twin == s and hash(twin) == hash(s) and str(twin) == str(s)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(*[st.lists(st.sampled_from([0, 1, -1, Fraction(1, 2), "2/4", "-0.5"]),
+                      min_size=1, max_size=3)] * 2)
+    def test_equality_and_hash_agree(self, a, b):
+        equal = TruncatedSeries(a) == TruncatedSeries(b)
+        assert equal == (FractionSeries(a) == FractionSeries(b))
+        assert not equal or hash(TruncatedSeries(a)) == hash(TruncatedSeries(b))
 
 
 class TestEgfEntries:
@@ -152,6 +204,12 @@ class TestRendering:
         assert str(series(1, -1, Fraction(1, 2))) == "1 - x + 1/2 x^2"
         assert str(series(order=3)) == "0"
         assert str(series(0, 1, 0, Fraction(-1, 6))) == "x - 1/6 x^3"
+
+    def test_each_coefficient_reduced_with_its_sign(self):
+        s = series(-3, 0, 0, Fraction(1, 2))
+        assert (s.entries, s.denominator) == ((-3, 0, 0, 3), 1)
+        assert str(s) == "-3 + 1/2 x^3"
+        assert s.to_json_obj()["coeffs"] == ["-3", "0", "0", "1/2"]
 
     def test_json_round_trip(self):
         s = series(1, Fraction(-2, 3), 0, 5)

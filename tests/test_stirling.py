@@ -490,6 +490,13 @@ class TestColumnEgf:
             ))
             assert column_egf(m, k, 6) == by_hand
 
+    def test_column_is_integers_over_the_denominator(self):
+        assert stirling_matrix(parse_word("d a"), 3).column(2) == ([0, 0, 1, 3], 1)
+        assert stirling_matrix(parse_word("d a"), 3).column(7) == ([0, 0, 0, 0], 1)
+        m = FiniteMatrix.from_rows([[1, 0], [Fraction(1, 3), 1]])
+        assert m.column(0) == ([3, 1], 3)
+        assert column_egf(m, 0, 1) == TruncatedSeries.from_coeffs([1, Fraction(1, 3)])
+
     def test_insufficient_materialization(self):
         m = stirling_matrix(parse_word("d a"), 3)
         with pytest.raises(RangeError):

@@ -35,9 +35,10 @@ from bosonstirling import (
 )
 
 from bosonstirling.cli import main as cli_main
-from bosonstirling.series import _egf_quotient, parse_integer, parse_rational, parse_rationals
+from bosonstirling.series import (_egf_quotient, _ratio_text, parse_integer, parse_rational,
+                                  parse_rationals)
 from bosonstirling import substitution as substitution_module
-from bosonstirling.substitution import MAX_REPORT_ORDER, _ratio_text, recurrence_failure
+from bosonstirling.substitution import MAX_REPORT_ORDER, recurrence_failure
 
 from oracles import (
     _series_divide,
