@@ -23,7 +23,14 @@ what the per-trial path — :func:`trial_stream`, :func:`random_unipotent`
 and :func:`is_approximate_substitution` — gives, and that path decides,
 inside the same block, every trial the batch cannot.  A block's Philox
 words are drawn once and scaled for every range of a sweep
-(:func:`run_sweep`), since only that scaling depends on r.
+(:func:`run_sweep`), since only that scaling depends on r, and the scaled
+rows of its ranges are decided together, in as few verdict calls as the
+block's element budget allows.
+
+The report is worked out in integers: the estimate s/n and a sweep's
+ratio s·r^e/n are one fraction each, and :func:`wilson_interval_95` bounds
+the interval's square root with ``math.isqrt`` and builds each endpoint as
+one fraction.
 
 numpy is imported by the functions that draw, and the process pool by a
 run with more than one job, so importing this module loads neither.
@@ -35,15 +42,12 @@ import os
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt
+from math import gcd, isqrt
 from typing import NamedTuple
 
 from .errors import json_derived, json_list, json_value, require_int, require_items
 from .series import parse_rational
 from .substitution import FiniteMatrix, is_approximate_substitution
-
-#: z for the 95% Wilson interval, kept rational on purpose.
-_Z95 = Fraction(196, 100)
 
 #: Largest matrix size an experiment accepts.  One trial holds size² entries
 #: and its verdict reads O(size³) terms, so the cap keeps every trial small
@@ -103,7 +107,8 @@ class ExperimentResult:
 
     @property
     def ratio_to_bound(self) -> Fraction:
-        return self.estimate / self.bound
+        """estimate/bound = (s/n)·r^e, built as one fraction s·r^e/n."""
+        return Fraction(self.successes * self.bound.denominator, self.config.draws)
 
     def to_json_obj(self) -> dict:
         return {
@@ -219,13 +224,17 @@ def _count_successes(seed: int, size: int, ranges, start: int, stop: int) -> lis
     A range where :func:`.batch.fits_int64` holds takes the block's Philox
     words, computed once and scaled for each such range, and
     :func:`.batch.batch_verdicts`; its trials with a rejected draw are
-    redrawn by the per-trial path.  Every other range, which includes every
-    range of 2³² or more, is counted by the per-trial path over the same
-    block.  NEP 19 lets numpy change the stream of a Generator method
-    between releases, so for every batch range the first trial of the call
-    that the batch draws without a reject is also drawn and decided by the
-    per-trial path.  A disagreement turns the batch path off for good in
-    this process and returns every range's per-trial count.
+    redrawn by the per-trial path.  The scaled rows of as many such ranges
+    as keep rows·size² within ``batch._BLOCK_ELEMENTS`` are stacked and
+    decided by one verdict call, so a sweep pays numpy's per-call cost once
+    per block rather than once per range, and memory stays that of one
+    full block.  Every other range, which includes every range of 2³² or
+    more, is counted by the per-trial path over the same block.  NEP 19
+    lets numpy change the stream of a Generator method between releases,
+    so for every batch range the first trial of the call that the batch
+    draws without a reject is also drawn and decided by the per-trial path.
+    A disagreement turns the batch path off for good in this process and
+    returns every range's per-trial count.
     """
     global _batch_ok
     # Imported on first use: the commands that run no experiment never load them.
@@ -237,40 +246,46 @@ def _count_successes(seed: int, size: int, ranges, start: int, stop: int) -> lis
     step = batch.trials_per_block(size)
     batched = [_batch_ok and batch.fits_int64(size, r) for r in ranges]
     unchecked = list(batched)
+    todo = [i for i, b in enumerate(batched) if b]
     counts = [0] * len(ranges)
     for lo in range(start, stop, step):
         hi = min(lo + step, stop)
-        words = batch.trial_words(seed, lo, hi, count) if any(batched) else None
         for i, range_r in enumerate(ranges):
             if not batched[i]:
                 counts[i] += _scalar_successes(seed, size, range_r, range(lo, hi))
-                continue
-            values, rejected = batch.scaled_draws(words, range_r)
-            passed = batch.batch_verdicts(size, values) & ~rejected
-            kept = np.flatnonzero(~rejected)
-            if unchecked[i] and kept.size:
-                unchecked[i] = False
-                t = int(kept[0])
-                if _scalar_trial(seed, size, range_r, lo + t) != (
-                    values[t].tolist(), bool(passed[t])
-                ):
-                    _batch_ok = False
-                    return [_scalar_successes(seed, size, r, range(start, stop)) for r in ranges]
-            redo = (lo + np.flatnonzero(rejected)).tolist()
-            counts[i] += int(np.count_nonzero(passed))
-            counts[i] += _scalar_successes(seed, size, range_r, redo)
+        if not todo:
+            continue
+        rows = hi - lo
+        words = batch.trial_words(seed, lo, hi, count)
+        # At least one: trials_per_block keeps a full block within the budget.
+        per_call = batch._BLOCK_ELEMENTS // (rows * size * size)
+        for g in range(0, len(todo), per_call):
+            group = todo[g:g + per_call]
+            draws = [batch.scaled_draws(words, ranges[i]) for i in group]
+            stacked = batch.batch_verdicts(size, np.concatenate([v for v, _ in draws]))
+            verdicts = stacked.reshape(len(group), rows)
+            for i, (values, rejected), passed in zip(group, draws, verdicts):
+                passed &= ~rejected
+                kept = np.flatnonzero(~rejected)
+                if unchecked[i] and kept.size:
+                    unchecked[i] = False
+                    t = int(kept[0])
+                    if _scalar_trial(seed, size, ranges[i], lo + t) != (
+                        values[t].tolist(), bool(passed[t])
+                    ):
+                        _batch_ok = False
+                        return [_scalar_successes(seed, size, r, range(start, stop))
+                                for r in ranges]
+                redo = (lo + np.flatnonzero(rejected)).tolist()
+                counts[i] += int(np.count_nonzero(passed))
+                counts[i] += _scalar_successes(seed, size, ranges[i], redo)
     return counts
 
 
-#: Decimal digits to which :func:`_sqrt_above` bounds a square root.
-_SQRT_DIGITS = 30
-
-
-def _sqrt_above(value: Fraction) -> Fraction:
-    """A rational above √value by at most 10^-_SQRT_DIGITS, for value > 0."""
-    a, b = value.numerator, value.denominator
-    scale = 10**_SQRT_DIGITS
-    return Fraction(isqrt(a * b * scale * scale) + 1, b * scale)
+#: 10^30: the square root in :func:`wilson_interval_95` is bounded from
+#: above within 10^-30, and its square, 10^60, scales the radicand.
+_ROOT_SCALE = 10**30
+_ROOT_SCALE_SQUARED = _ROOT_SCALE**2
 
 
 def wilson_interval_95(successes: int, draws: int) -> tuple[Fraction, Fraction]:
@@ -278,26 +293,52 @@ def wilson_interval_95(successes: int, draws: int) -> tuple[Fraction, Fraction]:
 
     The exact endpoints are irrational (they contain a square root); this
     returns a rational outer enclosure, widened by less than 10^-30 on each
-    side, and clipped to [0, 1].  With draws ≥ 1 the square root's argument
-    is at least z²/(4·draws²) > 0.
+    side, and clipped to [0, 1].  It is computed in integers, one gcd for
+    the radicand and one per endpoint.
+
+    With s = successes, n = draws, p = s/n and z = 49/25 (z² = 2401/625),
+    Wilson's endpoints are (c ∓ z·√disc)/w with
+
+        c = p + z²/(2n) = (1250·s + 2401)/(1250·n),
+        w = 1 + z²/n = (625·n + 2401)/(625·n),
+        disc = p(1−p)/n + z²/(4n²) = (2500·s·(n−s) + 2401·n)/(2500·n³),
+
+    and disc ≥ z²/(4n²) > 0.  Let a/b be disc in lowest terms.  The root is
+    bounded from above by ρ/(b·10³⁰) with ρ = ⌊√(a·b·10⁶⁰)⌋ + 1: that is
+    above √(a/b) = √(a·b·10⁶⁰)/(b·10³⁰) and below it plus 10⁻³⁰.  The
+    gcd is not optional: ρ/(b·10³⁰) depends on the pair (a, b), not only on
+    a/b, since k·a/(k·b) gives ⌊k·√(ab)·10³⁰⌋ + 1 over k·b·10³⁰, a
+    different rational, so only the lowest-terms pair gives the endpoints
+    this function has always printed.  Multiplying c ∓ z·ρ/(b·10³⁰) by
+    625·n/(625·n + 2401) gives each endpoint as one fraction,
+
+        (B ∓ O)/E,  B = b·10³⁰·(1250·s + 2401),  O = 2450·n·ρ,
+                    E = 2·b·10³⁰·(625·n + 2401),
+
+    with E > 0, so the clip compares integers: the lower endpoint is 0
+    when B ≤ O and the upper one 1 when B + O ≥ E.
     """
     require_int(draws, "draws", 1)
     require_int(successes, "successes", 0, draws)
-    n = draws
-    z2 = _Z95 * _Z95
-    phat = Fraction(successes, n)
-    denom = 1 + z2 / n
-    center = phat + z2 / (2 * n)
-    disc = phat * (1 - phat) / n + z2 / (4 * n * n)
-    margin = _Z95 * _sqrt_above(disc)
-    lo = (center - margin) / denom
-    hi = (center + margin) / denom
-    return max(Fraction(0), lo), min(Fraction(1), hi)
+    s, n = successes, draws
+    num, den = 2500 * s * (n - s) + 2401 * n, 2500 * n**3
+    g = gcd(num, den)
+    a, b = num // g, den // g
+    scale = b * _ROOT_SCALE
+    offset = 2450 * n * (isqrt(a * b * _ROOT_SCALE_SQUARED) + 1)
+    base = scale * (1250 * s + 2401)
+    whole = 2 * scale * (625 * n + 2401)
+    lo = Fraction(base - offset, whole) if base > offset else Fraction(0)
+    hi = Fraction(base + offset, whole) if base + offset < whole else Fraction(1)
+    return lo, hi
 
 
 def worker_count(jobs: int, draws: int) -> int:
-    """Processes to start for `jobs` requested: at most one per draw and per CPU."""
-    return min(jobs, draws, os.cpu_count() or 1)
+    """Processes to start for `jobs` requested: at most one per draw and per CPU.
+
+    One job reads no CPU count: it is the one process whatever the count.
+    """
+    return 1 if jobs == 1 else min(jobs, draws, os.cpu_count() or 1)
 
 
 def run_sweep(cfg: ExperimentConfig, ranges) -> list[ExperimentResult]:

@@ -55,6 +55,9 @@ ON_DEMAND = "tests/test_cli.py::TestImportsOnDemand"
 PER_TRIAL = "tests/test_montecarlo.py::TestBatchAgreesWithPerTrialPath"
 BATCH_VERDICTS = "tests/test_montecarlo.py::TestBatchVerdicts"
 WILSON = "tests/test_montecarlo.py::TestWilson"
+WILSON_ORACLE = WILSON + "::test_integer_form_matches_the_fraction_oracle_exhaustively"
+STACKED = "tests/test_montecarlo.py::TestVerdictCallsStayWithinTheBlock"
+SWEEP = "tests/test_montecarlo.py::TestSweepAgreesWithPerRangePath"
 STIRLING_TESTS = "tests/test_stirling.py::"
 ACTION = STIRLING_TESTS + "TestAgainstActionOracle"
 ORACLE = "tests/test_substitution.py::TestAgainstOracle"
@@ -95,7 +98,7 @@ KERNELS = [
     (SERIES, "_ratio_text"),
     (SERIES, "_store"),
     (CLI, "_require_printable_bound"),
-    (MONTECARLO, "_sqrt_above"),
+    (MONTECARLO, "ratio_to_bound"),
     (MONTECARLO, "wilson_interval_95"),
     (ERRORS, "json_derived"),
     (ERRORS, "require_int"),
@@ -220,6 +223,12 @@ ROWS = [
      "tests/test_montecarlo.py::TestOneCountingLoop", "killed"),
     (MONTECARLO, "batched = [_batch_ok and batch.fits_int64(size, r) for r in ranges]",
      "batched = [_batch_ok for r in ranges]", PER_TRIAL, "killed"),
+    # montecarlo._count_successes stacks ranges into one verdict call: one
+    # range more than the element budget holds, the last batch range left out.
+    (MONTECARLO, "per_call = batch._BLOCK_ELEMENTS // (rows * size * size)",
+     "per_call = batch._BLOCK_ELEMENTS // (rows * size * size) + 1", STACKED, "killed"),
+    (MONTECARLO, "todo = [i for i, b in enumerate(batched) if b]",
+     "todo = [i for i, b in enumerate(batched) if b][:-1]", SWEEP, "killed"),
     # stirling._stirling_rows: the row-count type check, the lazy tables,
     # the unit shortcut, the past-the-end skip.
     (STIRLING, 'require_int(n_max, "row count", 0)', 'require_int(int(n_max), "row count", 0)',
@@ -338,19 +347,28 @@ ROWS = [
     (SERIES, "g = gcd(d, *entries)", "g = 1",
      "tests/test_series.py::TestEgfEntries::test_common_denominator", "killed"),
     (SERIES, "g = gcd(d, *entries)", "g = -gcd(d, *entries)", RENDERING, "killed"),
-    # montecarlo._sqrt_above and wilson_interval_95.
-    (MONTECARLO, "isqrt(a * b * scale * scale) + 1", "isqrt(a * b * scale * scale)",
-     "tests/test_montecarlo.py::TestSqrtAbove::test_perfect_square_meets_the_lower_side",
-     "killed"),
-    (MONTECARLO, "+ 1, b * scale)", "+ 1, scale)",
-     "tests/test_montecarlo.py::TestSqrtAbove::test_quarter_is_strictly_inside", "killed"),
-    (MONTECARLO, "_SQRT_DIGITS = 30", "_SQRT_DIGITS = 3", WILSON, "killed"),
-    (MONTECARLO, "z2 / (4 * n * n)", "z2 / (2 * n * n)", WILSON, "killed"),
-    (MONTECARLO, "return max(Fraction(0), lo), min(Fraction(1), hi)", "return lo, hi", WILSON,
-     "killed"),
+    # montecarlo.wilson_interval_95 in integers: the radicand's gcd, the
+    # root's upper bound and its scale, z² = 2401/625 in each place, the
+    # clip to [0, 1] at either end.
+    (MONTECARLO, "g = gcd(num, den)", "g = 1", WILSON_ORACLE, "killed"),
+    (MONTECARLO, "_ROOT_SCALE_SQUARED) + 1)", "_ROOT_SCALE_SQUARED))", WILSON_ORACLE, "killed"),
+    (MONTECARLO, "scale = b * _ROOT_SCALE", "scale = _ROOT_SCALE", WILSON_ORACLE, "killed"),
+    (MONTECARLO, "_ROOT_SCALE = 10**30", "_ROOT_SCALE = 10**3", WILSON, "killed"),
+    (MONTECARLO, "+ 2401 * n", "+ 2400 * n", WILSON_ORACLE, "killed"),
+    (MONTECARLO, "(1250 * s + 2401)", "(1250 * s + 2400)", WILSON_ORACLE, "killed"),
+    (MONTECARLO, "(625 * n + 2401)", "(625 * n + 2400)", WILSON_ORACLE, "killed"),
+    (MONTECARLO, "if base > offset else Fraction(0)", "", WILSON, "killed"),
+    (MONTECARLO, "if base + offset < whole else Fraction(1)", "", WILSON, "killed"),
+    # ExperimentResult.ratio_to_bound is s·r^e/n.
+    (MONTECARLO, "self.successes * self.bound.denominator", "self.successes",
+     "tests/test_cli.py::TestMonteCarloCommand::test_sweep_emits_ratios", "killed"),
+    (MONTECARLO, "self.bound.denominator, self.config.draws)",
+     "self.bound.denominator, self.config.size)",
+     "tests/test_cli.py::TestMonteCarloCommand::test_sweep_emits_ratios", "killed"),
     # montecarlo loads numpy and the process pool where a run needs them,
     # so that no other command pays for importing them.
-    (MONTECARLO, "from math import isqrt\n", "from math import isqrt\nimport numpy as np\n",
+    (MONTECARLO, "from math import gcd, isqrt\n",
+     "from math import gcd, isqrt\nimport numpy as np\n",
      ON_DEMAND, "killed"),
     (MONTECARLO, "import os\n", "import os\nfrom concurrent.futures import ProcessPoolExecutor\n",
      ON_DEMAND, "killed"),

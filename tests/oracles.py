@@ -9,7 +9,9 @@ matrix work on plain lists of Fractions with series division and powers of
 φ, the step oracles check the division-free column recurrence, one term
 by term and one with the per-row weights the verdict used before it read
 φ, the matrix file reader builds a Fraction per entry, the series stores
-one Fraction per coefficient, and the helpers below stay at that level.
+one Fraction per coefficient, the Wilson interval is Wilson's formula in
+Fraction arithmetic with its square root bounded by `sqrt_above`, and the
+helpers below stay at that level.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, isqrt
 from operator import itemgetter, mul
 
 from bosonstirling import FiniteMatrix
@@ -313,3 +315,27 @@ def closed_form_pair(r: int, p: int, order: int) -> tuple[list, list]:
     phi = binomial_series(Fraction(1, c))
     phi[0] -= 1
     return binomial_series(Fraction(p, c)), phi
+
+
+def sqrt_above(value: Fraction) -> Fraction:
+    """A rational above √value by at most 10⁻³⁰, for value > 0: with
+    value = a/b in lowest terms, (⌊√(a·b·10⁶⁰)⌋ + 1)/(b·10³⁰)."""
+    a, b = value.numerator, value.denominator
+    scale = 10**30
+    return Fraction(isqrt(a * b * scale * scale) + 1, b * scale)
+
+
+def wilson_interval_95(successes: int, draws: int) -> tuple[Fraction, Fraction]:
+    """The 95% Wilson interval in Fraction arithmetic, as Wilson (JASA 22,
+    1927) writes it, with z = 1.96 and the root bounded by `sqrt_above`,
+    clipped to [0, 1]."""
+    n = draws
+    z = Fraction(196, 100)
+    phat = Fraction(successes, n)
+    denom = 1 + z * z / n
+    center = phat + z * z / (2 * n)
+    disc = phat * (1 - phat) / n + z * z / (4 * n * n)
+    margin = z * sqrt_above(disc)
+    lo = (center - margin) / denom
+    hi = (center + margin) / denom
+    return max(Fraction(0), lo), min(Fraction(1), hi)

@@ -33,8 +33,10 @@ from bosonstirling import (
 from bosonstirling import batch, montecarlo
 from bosonstirling.batch import batch_verdicts, fits_int64, scaled_draws, trial_words
 from bosonstirling.cli import main as cli_main
-from bosonstirling.montecarlo import MAX_RANGE, MAX_SIZE, _sqrt_above, worker_count
+from bosonstirling.montecarlo import MAX_RANGE, MAX_SIZE, worker_count
 from bosonstirling.substitution import recurrence_failure
+from oracles import sqrt_above
+from oracles import wilson_interval_95 as fraction_wilson
 
 # Recorded from the reference generator at first run; guards against stream
 # drift in Philox keying or triangle fill order.
@@ -187,13 +189,31 @@ class TestWilson:
         assert lo <= outer[0] and hi >= outer[1]
         assert inner[0] - lo < Fraction(1, 10**30) and hi - inner[1] < Fraction(1, 10**30)
 
+    @staticmethod
+    def agree(successes, draws):
+        # Equal values and equal text: the text is what the CLI prints.
+        got, want = wilson_interval_95(successes, draws), fraction_wilson(successes, draws)
+        assert got == want and list(map(str, got)) == list(map(str, want)), (successes, draws)
+
+    def test_integer_form_matches_the_fraction_oracle_exhaustively(self):
+        for n in range(1, 301):
+            for s in range(n + 1):
+                self.agree(s, n)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.integers(1, 2**40).flatmap(
+        lambda n: st.tuples(st.sampled_from([0, n]) | st.integers(0, n), st.just(n))))
+    def test_integer_form_matches_the_fraction_oracle(self, counts):
+        self.agree(*counts)
+
 
 class TestSqrtAbove:
-    """_sqrt_above(v) = s bounds √v within 10⁻³⁰: s > √v ≥ s − 10⁻³⁰."""
+    """The oracle's sqrt_above(v) = s bounds √v within 10⁻³⁰:
+    s > √v ≥ s − 10⁻³⁰."""
 
     @staticmethod
     def bounds(v):
-        s = _sqrt_above(v)
+        s = sqrt_above(v)
         # √v ≥ 0, so the lower side is squared from max(s − 10⁻³⁰, 0).
         return s * s, max(s - Fraction(1, 10**30), Fraction(0)) ** 2
 
@@ -244,6 +264,17 @@ class TestRunExperiment:
         assert worker_count(2, 10**9) == 2
         monkeypatch.setattr("os.cpu_count", lambda: None)
         assert worker_count(10**6, 10**9) == 1
+
+    def test_one_job_reads_no_cpu_count(self, monkeypatch):
+        cfg = ExperimentConfig(size=4, draws=30, range_r=3, seed=2)
+        expected = run_experiment(cfg)
+
+        def fail():
+            raise AssertionError("the CPU count was read for one job")
+
+        monkeypatch.setattr("os.cpu_count", fail)
+        assert worker_count(1, 10**9) == 1
+        assert run_experiment(cfg) == expected
 
     @pytest.mark.parametrize("size", [4, 5])
     def test_wilson_lower_edge_respects_bound(self, size):
@@ -635,16 +666,20 @@ class TestSweepSelfCheck:
         verdicts = batch.batch_verdicts
         calls = []
 
+        # The three ranges' 500 rows each are stacked into one call, and
+        # trial 0 of range 3 does not reject, so row 500 is its first
+        # checked trial.
+        assert not scaled_draws(trial_words(2, 0, 500, 6), 3)[1][0]
+
         def flip_second_range(size, values):
             passed = verdicts(size, values)
-            calls.append(None)
-            if len(calls) == 2:
-                passed[0] = not passed[0]
+            calls.append(len(values))
+            passed[500] = not passed[500]
             return passed
 
         monkeypatch.setattr(batch, "batch_verdicts", flip_second_range)
         assert montecarlo._count_successes(2, 4, ranges, 0, 500) == expected
-        assert montecarlo._batch_ok is False
+        assert calls == [1500] and montecarlo._batch_ok is False
 
     def test_sweep_with_jobs_starts_one_pool(self, monkeypatch, capsys):
         argv = ["montecarlo", "--size", "5", "--draws", "40", "--range", "10",
@@ -735,6 +770,40 @@ class TestOneCountingLoop:
         monkeypatch.setattr(batch, "trial_words", _no_trials)
         expected = _per_range(2, 4, [3, 10], range(50))
         assert montecarlo._count_successes(2, 4, [3, 10], 0, 50) == expected
+
+
+class TestVerdictCallsStayWithinTheBlock:
+    """A sweep stacks its ranges' rows into as few verdict calls as the
+    block's element budget allows, and draws each block's words once."""
+
+    @pytest.mark.parametrize("ranges", [1, 4, 50])
+    @pytest.mark.parametrize("size", [4, 8, 12])
+    @pytest.mark.parametrize("blocks", [0.5, 1.5])
+    def test_rows_times_size_squared_within_budget(
+        self, size, ranges, blocks, monkeypatch, fresh_self_check
+    ):
+        step = batch.trials_per_block(size)
+        draws = int(step * blocks)
+        ranges = list(range(2, 2 + ranges))
+        assert all(fits_int64(size, r) for r in ranges)
+        # Each range alone, one verdict call per block.
+        expected = [montecarlo._count_successes(9, size, [r], 0, draws)[0] for r in ranges]
+        rows, words = [], []
+        decide, draw = batch.batch_verdicts, batch.trial_words
+        monkeypatch.setattr(
+            batch, "batch_verdicts", lambda n, m: rows.append(len(m)) or decide(n, m)
+        )
+        monkeypatch.setattr(batch, "trial_words", lambda *args: words.append(args) or draw(*args))
+        assert montecarlo._count_successes(9, size, ranges, 0, draws) == expected
+        assert montecarlo._batch_ok is True
+        assert max(rows) * size * size <= batch._BLOCK_ELEMENTS
+        assert len(words) == -(-draws // step)
+        # Each block's rows of every range are decided, in as few calls as
+        # the budget allows.
+        assert sum(rows) == draws * len(ranges)
+        per_call = [batch._BLOCK_ELEMENTS // (min(step, draws - lo) * size * size)
+                    for lo in range(0, draws, step)]
+        assert len(rows) == sum(-(-len(ranges) // p) for p in per_call)
 
 
 class TestTrialsPerBlock:
