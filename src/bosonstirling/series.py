@@ -10,7 +10,12 @@ The package's EGF convention lives here alone: the series Σ c_i·x^i is the
 exponential generating function of the entries i!·c_i, a matrix column in
 the substitution condition.  A series is stored in the kernels' number
 form, as those EGF entries: integers over one positive denominator,
-reduced by one gcd, as a matrix is integer rows over one denominator.
+reduced by one gcd, as a matrix is integer rows over one denominator.  The
+form's two operations are coded here once each: :func:`_lowest` reduces
+integers over a denominator by one gcd, and :func:`_over_lcm` brings
+integer vectors over their own denominators to one LCM.  Every reader of
+exact values, the row reader and the series, matrix and report readers,
+builds its integers through them, with no ``Fraction`` between.
 :meth:`TruncatedSeries.from_egf_entries` takes that form as the kernels
 return it, the coefficients are derived on read, and text and JSON write
 each coefficient through one integer renderer, :func:`_ratio_text`, which
@@ -37,8 +42,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from math import comb, factorial, gcd, isfinite, lcm
+from itertools import accumulate, chain
+from math import comb, gcd, isfinite, lcm
 from operator import mul
 
 from .errors import (ValidationError, json_derived, json_list, json_value, require_int,
@@ -93,26 +98,48 @@ def parse_rationals(values: list) -> tuple[list[int], int]:
     D the LCM of their denominators.
 
     A list of texts, each an integer or p/q, is read in one pass over its
-    joined text, with no ``Fraction``: one LCM brings the values over a
-    common denominator and one gcd reduces it.  Any other list, one holding
-    a JSON integer, a decimal or a malformed value, goes value by value
-    through :func:`parse_rational`, with that reader's results and errors.
+    joined text, with no ``Fraction``: :func:`_over_lcm` brings the values
+    over a common denominator and :func:`_lowest` reduces it by one gcd.
+    Any other list, one holding a JSON integer, a decimal or a malformed
+    value, goes value by value through :func:`parse_rational`, with that
+    reader's results and errors.
     """
     text = ",".join(values) if {str}.issuperset(map(type, values)) else ""
     if text.count(",") != len(values) - 1 or not _RATIONAL_ROW.fullmatch(text):
         return _over_common_denominator(list(map(parse_rational, values)))
     if "/" not in text:
         return list(map(int, text.split(","))), 1
-    numerators, denominators = [], []
+    pairs = []  # (numerators, q), one pair per run of values over one q
     for value in values:
         p, _, q = value.partition("/")
         # q before p, as parse_rational reads them, for the same digit-limit error.
-        denominators.append(int(q) if q else 1)
-        numerators.append(int(p))
-    d = lcm(*denominators)
-    numerators = [v * (d // q) for v, q in zip(numerators, denominators)]
-    g = gcd(d, *numerators)
-    return [v // g for v in numerators], d // g
+        q = int(q) if q else 1
+        if not pairs or pairs[-1][1] != q:
+            pairs.append(([], q))
+        pairs[-1][0].append(int(p))
+    return _lowest(*_over_lcm(pairs))
+
+
+def _lowest(values: list[int], d: int) -> tuple[list[int], int]:
+    """values/d in lowest terms, for d ≥ 1: both divided by their one gcd."""
+    g = gcd(d, *values)
+    return (values, d) if g == 1 else ([v // g for v in values], d // g)
+
+
+def _over_lcm(pairs) -> tuple[list[int], int]:
+    """The vectors N/q of the pairs (N, q), N integers and q ≥ 1, over one
+    denominator: their integers in order, each N·(D/q), and D, the LCM of the q.
+
+    In lowest terms when every pair is: a prime's highest power in D comes
+    from a pair with an integer that the prime does not divide, and that
+    pair's factor D/q has no such prime.  With every q = 1 the integers are
+    only joined.
+    """
+    pairs = list(pairs)
+    d = lcm(*[q for _, q in pairs])
+    if d == 1:
+        return list(chain.from_iterable(v for v, _ in pairs)), 1
+    return [x * f for v, f in [(v, d // q) for v, q in pairs] for x in v], d
 
 
 def _over_common_denominator(values) -> tuple[list[int], int]:
@@ -208,6 +235,11 @@ def _egf_quotient(pairs, n: int, known=((), 1)):
         yield numerators, d
 
 
+def _factorials(n: int, d: int = 1):
+    """d·i! for i = 0..n−1, one running product: the series' one factorial walk."""
+    return accumulate(range(1, n), mul, initial=d)
+
+
 def _ratio_text(v: int, d: int) -> str:
     """``str(Fraction(v, d))`` for d ≥ 1, by one gcd and no Fraction."""
     g = gcd(v, d)
@@ -230,16 +262,17 @@ class TruncatedSeries:
 
     def __init__(self, coeffs):
         values = list(map(exact_number, require_items(coeffs, "coefficients")))
-        numerators, d = _over_common_denominator(values)
-        self._store([v * factorial(i) for i, v in enumerate(numerators)], d)
+        self._store_coeffs(*_over_common_denominator(values))
+
+    def _store_coeffs(self, numerators: list[int], d: int) -> TruncatedSeries:
+        """Set the fields to the series with coefficients numerators[i]/d, for d ≥ 1."""
+        return self._store(list(map(mul, numerators, _factorials(len(numerators)))), d)
 
     def _store(self, entries: list[int], d: int) -> TruncatedSeries:
         """Set the fields to entries/d, for d ≥ 1, reduced by one gcd."""
         if not entries:
             raise ValidationError("a series needs at least one coefficient")
-        g = gcd(d, *entries)
-        if g != 1:
-            entries, d = [v // g for v in entries], d // g
+        entries, d = _lowest(entries, d)
         object.__setattr__(self, "entries", tuple(entries))
         object.__setattr__(self, "denominator", d)
         return self
@@ -255,8 +288,7 @@ class TruncatedSeries:
 
     def _ratios(self):
         """(entries[i], denominator·i!) for i = 0..order: each coefficient, unreduced."""
-        return zip(self.entries, accumulate(range(1, len(self.entries)), mul,
-                                            initial=self.denominator))
+        return zip(self.entries, _factorials(len(self.entries), self.denominator))
 
     @classmethod
     def from_coeffs(cls, coeffs, order: int | None = None,
@@ -330,8 +362,12 @@ class TruncatedSeries:
 
     @classmethod
     def from_json_obj(cls, obj) -> TruncatedSeries:
-        """Read :meth:`to_json_obj` output; ValidationError if ``order`` disagrees."""
+        """Read :meth:`to_json_obj` output; ValidationError if ``order`` disagrees.
+
+        The coefficients are read by :func:`parse_rationals`, as integers
+        over one denominator.
+        """
         coeffs = json_list(json_value(obj, "coeffs"), "coeffs")
-        s = cls(tuple(map(parse_rational, coeffs)))
+        s = object.__new__(cls)._store_coeffs(*parse_rationals(coeffs))
         json_derived(obj, "order", s.order, int)
         return s

@@ -41,13 +41,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice
-from math import gcd, lcm
+from math import gcd
 from operator import itemgetter, mul
 
 from .errors import (ValidationError, json_derived, json_list, json_value, require_int,
                      require_items)
-from .series import (TruncatedSeries, _binomial_rows, _egf_product, _egf_quotient,
-                     _over_common_denominator, _ratio_text, exact_number, parse_rationals)
+from .series import (TruncatedSeries, _binomial_rows, _egf_product, _egf_quotient, _lowest,
+                     _over_common_denominator, _over_lcm, _ratio_text, exact_number,
+                     parse_rationals)
 from .stirling import column_egf
 
 #: Largest ``g`` order that :meth:`SubstitutionReport.from_json_obj` reads.
@@ -108,9 +109,14 @@ class FiniteMatrix:
         rows = [require_items(row, "matrix row") for row in require_items(rows, "matrix")]
         if all({int}.issuperset(map(type, row)) for row in rows):
             return cls(rows)
-        values, d = _over_common_denominator(list(map(exact_number, chain.from_iterable(rows))))
+        values = map(exact_number, chain.from_iterable(rows))
+        return cls._cut(*_over_common_denominator(list(values)), map(len, rows))
+
+    @classmethod
+    def _cut(cls, values: list[int], d: int, lengths) -> FiniteMatrix:
+        """The matrix of `values` over d, cut into rows of the given lengths in order."""
         values = iter(values)
-        return cls([list(islice(values, len(row))) for row in rows], d)
+        return cls([list(islice(values, n)) for n in lengths], d)
 
     @classmethod
     def identity(cls, size: int) -> FiniteMatrix:
@@ -163,13 +169,14 @@ class FiniteMatrix:
         Every entry is read as :func:`parse_rational` reads it, so anything
         else, a JSON float or boolean entry included, raises ValidationError.
         Each row is read by :func:`parse_rationals` into integers over its
-        own denominator, and one LCM brings the rows over the matrix's.
+        own denominator, in lowest terms, and :func:`.series._over_lcm`
+        brings the rows over the matrix's denominator; no ``Fraction`` is
+        built.
         """
         json_value(obj, "size", int)  # a mistyped size is reported before any entry
         rows = [parse_rationals(row) for row in
                 json_list(json_value(obj, "entries"), "entries", of=list)]
-        d = lcm(*[q for _, q in rows])
-        m = cls([row if q == d else [v * (d // q) for v in row] for row, q in rows], d)
+        m = cls._cut(*_over_lcm(rows), [len(row) for row, _ in rows])
         json_derived(obj, "size", m.size, int)
         return m
 
@@ -289,32 +296,30 @@ class SubstitutionReport:
         read as its report only if that report has the same verdict, g, φ
         and failing columns.  A g of order above :data:`MAX_REPORT_ORDER`,
         or a φ, expected or actual series of another order than g's, is
-        rejected before any matrix is built; every series of a matrix's
-        report has g's order, so no report is lost.
+        rejected from the lengths of the coefficient lists, before any
+        series is built; every series of a matrix's report has g's order, so
+        no report is lost.  The rebuilt matrix comes from the builder's
+        column chain and tail, :func:`_pair_columns` and
+        :func:`_matrix_of_columns`, with each failing column's actual
+        integers in place of the expected ones, and no ``Fraction``.
         """
-        failing = tuple(
-            ColumnMismatch(
-                k=json_value(f, "k", int),
-                expected=TruncatedSeries.from_json_obj(json_value(f, "expected")),
-                actual=TruncatedSeries.from_json_obj(json_value(f, "actual")),
-            )
-            for f in json_list(json_value(obj, "failing_columns"), "failing_columns", of=dict)
-        )
-        g = TruncatedSeries.from_json_obj(json_value(obj, "g"))
-        if g.order > MAX_REPORT_ORDER:
-            raise ValidationError(
-                f"g has order {g.order}; reports are read up to order {MAX_REPORT_ORDER}"
-            )
-        phi = TruncatedSeries.from_json_obj(json_value(obj, "phi"))
-        series = [("phi", phi)]
-        for f in failing:
-            series += [(f"failing column {f.k}'s expected", f.expected),
-                       (f"failing column {f.k}'s actual", f.actual)]
-        for name, s in series:
-            if s.order != g.order:
-                raise ValidationError(
-                    f"{name} has order {s.order}; need series through order {g.order}, as g"
-                )
+        columns = json_list(json_value(obj, "failing_columns"), "failing_columns", of=dict)
+        ks = [json_value(f, "k", int) for f in columns]
+        series = [("g", json_value(obj, "g")), ("phi", json_value(obj, "phi"))]
+        series += [(f"failing column {k}'s {key}", json_value(f, key))
+                   for k, f in zip(ks, columns) for key in ("expected", "actual")]
+        g_length, *lengths = [len(json_list(json_value(s, "coeffs"), "coeffs"))
+                              for _, s in series]
+        if g_length > MAX_REPORT_ORDER + 1:
+            raise ValidationError(f"g has order {g_length - 1}; "
+                                  f"reports are read up to order {MAX_REPORT_ORDER}")
+        for (name, _), length in zip(series[1:], lengths):
+            # An empty series is left to its reader, which names that fault.
+            if g_length and length and length != g_length:
+                raise ValidationError(f"{name} has order {length - 1}; "
+                                      f"need series through order {g_length - 1}, as g")
+        g, phi, *columns = (TruncatedSeries.from_json_obj(s) for _, s in series)
+        failing = tuple(map(ColumnMismatch, ks, columns[::2], columns[1::2]))
         previous = 1
         for f in failing:
             if not previous < f.k <= g.order:
@@ -325,11 +330,9 @@ class SubstitutionReport:
                 raise ValidationError(f"failing column {f.k} equals its expectation")
             previous = f.k
         json_derived(obj, "verdict", not failing, bool)
-        rows = [list(row) for row in build_substitution_matrix(g, phi, g.order + 1).entries]
-        for f in failing:
-            for row, v in zip(rows, f.actual.egf_entries()):
-                row[f.k] = v
-        report = cls(FiniteMatrix.from_rows(rows))
+        actual = {f.k: (f.actual.entries, f.actual.denominator) for f in failing}
+        report = cls(_matrix_of_columns(actual.get(k, (column, s))
+                                        for k, column, s in _pair_columns(g, phi, g.order + 1)))
         if (report.verdict, report.extracted_g, report.extracted_phi,
                 report.failing_columns) != (not failing, g, phi, failing):
             raise ValidationError(
@@ -362,10 +365,7 @@ def _column_chain(start, k: int, phi):
         if j > k:
             column = _egf_product(column, step, j - 1)
             scale *= d * j
-        common = gcd(scale, *column)
-        if common > 1:
-            column = [v // common for v in column]
-            scale //= common
+        column, scale = _lowest(column, scale)
         yield j, column, scale
 
 
@@ -490,12 +490,17 @@ def build_substitution_matrix(
     g = 1 + O(x) and φ = x + O(x²), which make the result unipotent and
     guarantee it passes the substitution test at order size−1.
 
-    Column 0 holds g's EGF entries i!·g_i, and :func:`_column_chain` gives
+    Column 0 holds g's EGF entries i!·g_i, and :func:`_pair_columns` gives
     each column k in lowest terms as N_k/s_k = M[:,k], starting from g's and
-    φ's stored entries.  The matrix's denominator L is the LCM of the s_k,
-    and column k's numerators are N_k·(L/s_k): one factor per column and no
-    division of an entry.
+    φ's stored entries; :func:`_matrix_of_columns` puts them over one
+    denominator.
     """
+    return _matrix_of_columns((column, s) for _, column, s in _pair_columns(g, phi, size))
+
+
+def _pair_columns(g: TruncatedSeries, phi: TruncatedSeries, size: int):
+    """Check the pair (g, φ) and the size, then return :func:`_column_chain`
+    from g: (k, N_k, s_k) with N_k/s_k = M[:,k] in lowest terms, k = 0..size−1."""
     n = require_int(size, "matrix size", 2) - 1
     if g.order < n or phi.order < n:
         raise ValidationError(
@@ -505,14 +510,22 @@ def build_substitution_matrix(
         raise ValidationError("g must have constant term 1")
     if phi.entries[0] != 0 or phi.entries[1] != phi.denominator:
         raise ValidationError("phi must have constant term 0 and linear coefficient 1")
-    columns = list(_column_chain((list(g.entries[:size]), g.denominator), 0,
-                                 (phi.entries[:size], phi.denominator)))
-    scale = lcm(*[s for _, _, s in columns])
-    return FiniteMatrix(
-        tuple(zip(*[column if s == scale else [v * (scale // s) for v in column]
-                    for _, column, s in columns])),
-        scale,
-    )
+    return _column_chain((list(g.entries[:size]), g.denominator), 0,
+                         (phi.entries[:size], phi.denominator))
+
+
+def _matrix_of_columns(columns) -> FiniteMatrix:
+    """The square matrix whose column k is N_k/s_k, from (N_k, s_k) in lowest terms.
+
+    Its denominator L is the LCM of the s_k, and column k's numerators are
+    N_k·(L/s_k), by :func:`.series._over_lcm`: one factor per column and no
+    division of an entry.  Lowest-terms columns make the matrix's form
+    lowest too, as :class:`FiniteMatrix` requires.
+    """
+    columns = list(columns)
+    values, d = _over_lcm(columns)
+    size = len(columns)
+    return FiniteMatrix(tuple(values[i::size] for i in range(size)), d)
 
 
 def truncate_rn(m, n: int) -> FiniteMatrix:
@@ -520,12 +533,13 @@ def truncate_rn(m, n: int) -> FiniteMatrix:
 
     Defined on any row-finite matrix materialized through row n.  Not a
     morphism for the product: truncation discards cross terms that feed
-    back into the retained block.
+    back into the retained block.  Each of the columns 0..n of
+    ``m.column(k)`` is cut to rows 0..n and reduced by one gcd, as it may
+    have lost the rows that held its denominator.
     """
     require_int(n, "truncation order", 0, m.n_max)
-    return FiniteMatrix.from_rows(
-        [[m.entry(i, k) for k in range(n + 1)] for i in range(n + 1)]
-    )
+    return _matrix_of_columns(_lowest(column[: n + 1], d)
+                              for column, d in map(m.column, range(n + 1)))
 
 
 def truncate_taun(m, n: int) -> FiniteMatrix:

@@ -74,6 +74,8 @@ CANONICAL = "tests/test_cli.py::TestCanonicalJson::test_pinned"
 RENDERING = "tests/test_series.py::TestRendering"
 PAIR_MATRIX = ("tests/test_substitution.py::TestBuilder::"
                "test_failing_columns_are_where_the_pair_matrix_differs")
+REPORT_READER = "tests/test_substitution.py::TestReportIsItsMatrix::"
+TRUNCATIONS = "tests/test_substitution.py::TestTruncations::"
 
 #: The fast paths and checks that must each hold the source text of at
 #: least two rows expected to be killed, found in their files by ``ast``.
@@ -97,6 +99,8 @@ KERNELS = [
     (CLI, "_dumps_indented"),
     (SERIES, "_ratio_text"),
     (SERIES, "_store"),
+    (SERIES, "_lowest"),
+    (SERIES, "_over_lcm"),
     (CLI, "_require_printable_bound"),
     (MONTECARLO, "ratio_to_bound"),
     (MONTECARLO, "wilson_interval_95"),
@@ -294,13 +298,18 @@ ROWS = [
     # substitution._column_chain: the scale step, each column's reduction,
     # the first column.
     (SUBSTITUTION, "scale *= d * j", "scale *= d * (j + 1)", PAIR_MATRIX, "killed"),
-    (SUBSTITUTION, "common = gcd(scale, *column)", "common = 1", PAIR_MATRIX, "killed"),
-    (SUBSTITUTION, "            scale //= common\n", "", PAIR_MATRIX, "killed"),
+    (SUBSTITUTION, "        column, scale = _lowest(column, scale)\n", "", PAIR_MATRIX,
+     "killed"),
     (SUBSTITUTION, "for j in range(k, len(column)):", "for j in range(k + 1, len(column)):",
      PAIR_MATRIX, "killed"),
-    # build_substitution_matrix brings each column over the LCM of the scales.
-    (SUBSTITUTION, "[v * (scale // s) for v in column]", "[v * scale for v in column]",
-     PAIR_MATRIX, "killed"),
+    # The report reader swaps each failing column's actual integers into the
+    # builder's chain; truncate_rn reduces each cut column.
+    (SUBSTITUTION, "actual.get(k, (column, s))", "(column, s)",
+     REPORT_READER + "test_read_report_equals_and_hashes_like_the_lazy_one", "killed"),
+    (SUBSTITUTION, "if g_length and length and length != g_length:", "if False:",
+     REPORT_READER + "test_long_series_beside_a_small_g_rejected_before_any_series", "killed"),
+    (SUBSTITUTION, "_lowest(column[: n + 1], d)", "(column[: n + 1], d)",
+     TRUNCATIONS + "test_rn_drops_the_row_that_holds_the_denominator", "killed"),
     # series.parse_rational's fast path and its integral result.
     (PACKAGE + "series.py", "if digits.isdigit() and digits.isascii():",
      "if digits.isdigit():", "tests/test_substitution.py::TestEntryParsing", "killed"),
@@ -314,15 +323,26 @@ ROWS = [
     (SERIES, " or not _RATIONAL_ROW.fullmatch(text):", ":", NEAR_MISS, "killed"),
     (SERIES, 'if {str}.issuperset(map(type, values)) else ""', "", NEAR_MISS, "killed"),
     (SERIES, "(?:/0*+[1-9][0-9]*+)", "(?:/[0-9]++)", NEAR_MISS, "killed"),
-    (SERIES, "denominators.append(int(q) if q else 1)\n        numerators.append(int(p))",
-     "numerators.append(int(p))\n        denominators.append(int(q) if q else 1)",
+    (SERIES, '        p, _, q = value.partition("/")\n',
+     '        p, _, q = value.partition("/")\n        p = int(p)\n',
      ROW_READER + "test_denominator_read_before_numerator", "killed"),
-    (SERIES, "numerators = [v * (d // q) for v, q", "numerators = [v for v, q",
-     ROW_READER + "test_pinned", "killed"),
-    (SERIES, "g = gcd(d, *numerators)", "g = 1", ROW_READER + "test_pinned", "killed"),
-    # FiniteMatrix.from_json_obj brings each row over the matrix's denominator.
-    (SUBSTITUTION, "row if q == d else [v * (d // q) for v in row]", "row",
+    (SERIES, "if not pairs or pairs[-1][1] != q:", "if not pairs:", ROW_READER + "test_pinned",
+     "killed"),
+    # series._lowest, the one gcd reduction: skipped for the row reader, the
+    # sign of the denominator for the series, and for the builder's chain.
+    (SERIES, "g = gcd(d, *values)", "g = 1", ROW_READER + "test_pinned", "killed"),
+    (SERIES, "g = gcd(d, *values)", "g = -gcd(d, *values)", RENDERING, "killed"),
+    (SERIES, "(values, d) if g == 1 else", "(values, d) if g else", PAIR_MATRIX, "killed"),
+    # series._over_lcm, the one LCM: the factors D/q, the rows of
+    # FiniteMatrix.from_json_obj, the LCM itself; its integer shortcut.
+    (SERIES, "[x * f for v, f in", "[x for v, f in", ROW_READER + "test_pinned", "killed"),
+    (SERIES, "(v, d // q) for v, q in pairs]", "(v, d) for v, q in pairs]",
      ROW_READER + "test_rows_over_one_denominator", "killed"),
+    (SERIES, "d = lcm(*[q for _, q in pairs])", "d = max([q for _, q in pairs])",
+     ROW_READER + "test_pinned", "killed"),
+    (SERIES, "    if d == 1:\n        return list(chain.from_iterable(v for v, _ in pairs)), 1\n",
+     "", PAIR_MATRIX, "survives: with D = 1 every factor is 1, and the general path joins "
+     "the same integers"),
     # cli._dumps_indented: the item separator, empty containers, the key
     # separator and the indent of json's own text.  The hypothesis test
     # test_agrees_with_json_dumps kills each of them but the last, as it
@@ -342,11 +362,15 @@ ROWS = [
     (SERIES, "if g == d else", "if d == 1 else", RENDERING, "killed"),
     (SERIES, 'f"{v // g}/{d // g}"', 'f"{v}/{d}"', RENDERING, "killed"),
     (SERIES, "str(v // g) if", "str(abs(v) // g) if", RENDERING, "killed"),
-    # TruncatedSeries._store, which every series constructor ends in: the gcd
-    # reduction and the positive denominator.
-    (SERIES, "g = gcd(d, *entries)", "g = 1",
+    # TruncatedSeries._store, which every series constructor ends in: the
+    # empty series, the reduction; and the one factorial walk.
+    (SERIES, '        if not entries:\n            raise ValidationError("a series needs at '
+     'least one coefficient")\n', "",
+     "tests/test_series.py::TestConstruction::test_json_rejects_no_coefficients", "killed"),
+    (SERIES, "        entries, d = _lowest(entries, d)\n", "",
      "tests/test_series.py::TestEgfEntries::test_common_denominator", "killed"),
-    (SERIES, "g = gcd(d, *entries)", "g = -gcd(d, *entries)", RENDERING, "killed"),
+    (SERIES, "accumulate(range(1, n), mul, initial=d)", "accumulate(range(2, n), mul, initial=d)",
+     "tests/test_series.py::TestAgainstFractionSeries", "killed"),
     # montecarlo.wilson_interval_95 in integers: the radicand's gcd, the
     # root's upper bound and its scale, z² = 2401/625 in each place, the
     # clip to [0, 1] at either end.

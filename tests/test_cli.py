@@ -35,6 +35,7 @@ from bosonstirling import (
     parse_word,
     run_experiment,
     stirling_matrix,
+    truncate_rn,
 )
 from bosonstirling.cli import dumps_canonical, main
 from bosonstirling.stirling import (
@@ -1188,6 +1189,37 @@ class TestNoFractionOnTheIntegerPath:
         code, out, _ = run_cli(capsys, "check-subst", str(path), "--format", fmt)
         assert (code, made) == (int(late_failing), [0])
         assert ("failing columns: 5" in out) == (late_failing and fmt == "table")
+
+    def test_failing_report_reader(self, count_fractions):
+        g, phi = (TruncatedSeries.from_coeffs(list(map(Fraction, text.split(","))), 11)
+                  for text in self.PAIRS["rat"])
+        m = build_substitution_matrix(g, phi, 12)
+        rows = [list(row) for row in m.numerators]
+        rows[-1][5] += m.denominator
+        report = is_approximate_substitution(FiniteMatrix(rows, m.denominator))
+        obj = json.loads(dumps_canonical(report.to_json_obj()))
+        assert [f["k"] for f in obj["failing_columns"]] == [5]
+        made = count_fractions()
+        assert (SubstitutionReport.from_json_obj(obj), made) == (report, [0])
+
+    def test_series_reader(self, count_fractions):
+        want = TruncatedSeries.from_coeffs([1, Fraction(-1, 2), Fraction(2, 3), 0, Fraction(5, 4)])
+        made = count_fractions()
+        read = TruncatedSeries.from_json_obj(
+            {"order": 4, "coeffs": ["1", "-1/2", "2/3", "0", "5/4"]})
+        assert (read, made) == (want, [0])
+
+    def test_truncate_rn(self, count_fractions):
+        m = FiniteMatrix.from_rows([[1, 0, 0], [Fraction(1, 2), 1, 0], [Fraction(2, 3), 3, 1]])
+        want = FiniteMatrix([[2, 0], [1, 2]], 2)
+        made = count_fractions()
+        assert (truncate_rn(m, 1), made) == (want, [0])
+
+    def test_stirling_check_subst(self, capsys, count_fractions):
+        made = count_fractions()
+        code, out, _ = run_cli(capsys, "stirling", "a+ a", "--rows", "12", "--check-subst")
+        assert (code, made) == (0, [0])
+        assert out.endswith("substitution check (order 12): PASS\n")
 
 
 class TestExponentNotationRejected:

@@ -52,6 +52,10 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             TruncatedSeries(())
 
+    def test_json_rejects_no_coefficients(self):
+        with pytest.raises(ValidationError, match="a series needs at least one coefficient"):
+            TruncatedSeries.from_json_obj({"order": 0, "coeffs": []})
+
     def test_equality_includes_order(self):
         assert series(1, order=2) != series(1, order=3)
 

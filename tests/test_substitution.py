@@ -726,6 +726,56 @@ class TestReportIsItsMatrix:
         with pytest.raises(ValidationError, match="need series through order 3"):
             SubstitutionReport.from_json_obj(obj)
 
+    @pytest.fixture
+    def count_series(self, monkeypatch):
+        """A call that starts counting the series built, as every constructor
+        ends in _store; the list it returns holds the count so far."""
+        count = [0]
+        store = TruncatedSeries._store
+
+        def counting(self, *args):
+            count[0] += 1
+            return store(self, *args)
+
+        def start():
+            monkeypatch.setattr(TruncatedSeries, "_store", counting)
+            return count
+
+        return start
+
+    def test_long_g_rejected_before_any_series(self, count_series):
+        obj = self._identity_report(20_000)
+        built = count_series()
+        with pytest.raises(ValidationError,
+                           match="g has order 20000; reports are read up to order 256"):
+            SubstitutionReport.from_json_obj(obj)
+        assert built == [0]
+
+    @pytest.mark.parametrize("field", ["phi", "expected", "actual"])
+    def test_long_series_beside_a_small_g_rejected_before_any_series(
+        self, count_series, field
+    ):
+        obj = counterexample_json()
+        long = {"order": 20_000, "coeffs": ["0"] * 20_001}
+        if field == "phi":
+            obj["phi"] = long
+        else:
+            obj["failing_columns"][0][field] = long
+        built = count_series()
+        with pytest.raises(ValidationError, match="has order 20000; need series through order 3"):
+            SubstitutionReport.from_json_obj(obj)
+        assert built == [0]
+
+    @pytest.mark.parametrize("field", ["g", "phi", "actual"])
+    def test_empty_series_named_by_its_reader(self, field):
+        obj = counterexample_json()
+        if field == "actual":
+            obj["failing_columns"][0]["actual"]["coeffs"] = []
+        else:
+            obj[field]["coeffs"] = []
+        with pytest.raises(ValidationError, match="a series needs at least one coefficient"):
+            SubstitutionReport.from_json_obj(obj)
+
     def test_order_at_the_cap_is_read(self, monkeypatch):
         monkeypatch.setattr(substitution_module, "MAX_REPORT_ORDER", 4)
         report = SubstitutionReport.from_json_obj(self._identity_report(4))
@@ -1223,6 +1273,11 @@ class TestTruncations:
         assert m == FiniteMatrix.from_rows(
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 1, 1, 0], [0, 1, 3, 1]]
         )
+
+    def test_rn_drops_the_row_that_holds_the_denominator(self):
+        m = FiniteMatrix.from_rows([[1, 0], ["1/2", 1]])
+        assert m.denominator == 2
+        assert truncate_rn(m, 0) == FiniteMatrix.identity(1)
 
     def test_rn_nesting_is_idempotent(self):
         m = stirling_matrix(parse_word("d a d"), 6)
