@@ -15,7 +15,10 @@ form's two operations are coded here once each: :func:`_lowest` reduces
 integers over a denominator by one gcd, and :func:`_over_lcm` brings
 integer vectors over their own denominators to one LCM.  Every reader of
 exact values, the row reader and the series, matrix and report readers,
-builds its integers through them, with no ``Fraction`` between.
+builds its integers through them, with no ``Fraction`` between.  The way
+in from exact values is one reader, :func:`_read_exact`, which every
+series constructor, :meth:`.FiniteMatrix.from_rows` and the per-value
+path of :func:`parse_rationals` call, and each series is stored once.
 :meth:`TruncatedSeries.from_egf_entries` takes that form as the kernels
 return it, the coefficients are derived on read, and text and JSON write
 each coefficient through one integer renderer, :func:`_ratio_text`, which
@@ -106,7 +109,7 @@ def parse_rationals(values: list) -> tuple[list[int], int]:
     """
     text = ",".join(values) if {str}.issuperset(map(type, values)) else ""
     if text.count(",") != len(values) - 1 or not _RATIONAL_ROW.fullmatch(text):
-        return _over_common_denominator(list(map(parse_rational, values)))
+        return _read_exact(values, parse_rational)
     if "/" not in text:
         return list(map(int, text.split(","))), 1
     pairs = []  # (numerators, q), one pair per run of values over one q
@@ -142,12 +145,6 @@ def _over_lcm(pairs) -> tuple[list[int], int]:
     return [x * f for v, f in [(v, d // q) for v, q in pairs] for x in v], d
 
 
-def _over_common_denominator(values) -> tuple[list[int], int]:
-    """(D·values, D) with D the LCM of the denominators of the ``int`` or ``Fraction`` values."""
-    d = lcm(*[v.denominator for v in values])
-    return [v.numerator * (d // v.denominator) for v in values], d
-
-
 def exact_number(value) -> int | Fraction:
     """A matrix entry, series coefficient or Bell point as ``int`` or ``Fraction``.
 
@@ -162,6 +159,21 @@ def exact_number(value) -> int | Fraction:
     if type(value) in (bool, float) and isfinite(value):
         return Fraction(value)
     raise ValidationError(f"not an exact number: {value!r}")
+
+
+def _read_exact(values, read=exact_number) -> tuple[list[int], int]:
+    """The values as ``([D·v, ...], D)``, D the LCM of their denominators:
+    the one way into the number form from exact values.
+
+    A list of ``int`` is returned as it is, over 1.  Any other list is read
+    value by value by `read`, :func:`exact_number` or :func:`parse_rational`,
+    with that reader's results and errors, and :func:`_over_lcm` brings the
+    values over one denominator, in lowest terms.
+    """
+    values = list(values)
+    if {int}.issuperset(map(type, values)):
+        return values, 1
+    return _over_lcm(([v.numerator], v.denominator) for v in map(read, values))
 
 
 @lru_cache(maxsize=32)
@@ -261,8 +273,7 @@ class TruncatedSeries:
     denominator: int
 
     def __init__(self, coeffs):
-        values = list(map(exact_number, require_items(coeffs, "coefficients")))
-        self._store_coeffs(*_over_common_denominator(values))
+        self._store_coeffs(*_read_exact(require_items(coeffs, "coefficients")))
 
     def _store_coeffs(self, numerators: list[int], d: int) -> TruncatedSeries:
         """Set the fields to the series with coefficients numerators[i]/d, for d ≥ 1."""
@@ -302,23 +313,23 @@ class TruncatedSeries:
         require_int(denominator, "denominator", 1)
         if len(coeffs) > order + 1:
             raise ValidationError(f"{len(coeffs)} coefficients exceed order {order}")
-        s = cls(coeffs + (0,) * (order + 1 - len(coeffs)))
-        return cls.from_egf_entries(s.entries, s.denominator * denominator)
+        numerators, d = _read_exact(coeffs)
+        padded = numerators + [0] * (order + 1 - len(coeffs))
+        return object.__new__(cls)._store_coeffs(padded, d * denominator)
 
     @classmethod
     def from_egf_entries(cls, entries, denominator: int = 1) -> TruncatedSeries:
         """The series with coefficients entries[i]/(denominator·i!).
 
-        Entries are exact values, as :func:`exact_number` reads them, and
-        `denominator`, a positive ``int``, is a common denominator taken out
-        of them.  ``int`` entries are stored as they are, after one gcd.
+        Entries are exact values, read by :func:`_read_exact` after
+        `denominator`, a positive ``int``, is checked: a common denominator
+        taken out of them.  ``int`` entries are stored as they are, after
+        one gcd.
         """
-        entries = list(require_items(entries, "EGF entries"))
+        entries = require_items(entries, "EGF entries")
         require_int(denominator, "denominator", 1)
-        if not {int}.issuperset(map(type, entries)):
-            entries, d = _over_common_denominator(list(map(exact_number, entries)))
-            denominator *= d
-        return object.__new__(cls)._store(entries, denominator)
+        entries, d = _read_exact(entries)
+        return object.__new__(cls)._store(entries, d * denominator)
 
     def egf_entries(self) -> list[Fraction]:
         """The EGF entries i!·c_i as ``Fraction``, inverse to :meth:`from_egf_entries`."""

@@ -47,8 +47,7 @@ from operator import itemgetter, mul
 from .errors import (ValidationError, json_derived, json_list, json_value, require_int,
                      require_items)
 from .series import (TruncatedSeries, _binomial_rows, _egf_product, _egf_quotient, _lowest,
-                     _over_common_denominator, _over_lcm, _ratio_text, exact_number,
-                     parse_rationals)
+                     _over_lcm, _ratio_text, _read_exact, parse_rationals)
 from .stirling import column_egf
 
 #: Largest ``g`` order that :meth:`SubstitutionReport.from_json_obj` reads.
@@ -105,12 +104,10 @@ class FiniteMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> FiniteMatrix:
-        """The matrix of `rows`, each entry read by :func:`exact_number`."""
+        """The matrix of `rows`, read by :func:`.series._read_exact`: integer
+        rows as they are, any other entry by :func:`.series.exact_number`."""
         rows = [require_items(row, "matrix row") for row in require_items(rows, "matrix")]
-        if all({int}.issuperset(map(type, row)) for row in rows):
-            return cls(rows)
-        values = map(exact_number, chain.from_iterable(rows))
-        return cls._cut(*_over_common_denominator(list(values)), map(len, rows))
+        return cls._cut(*_read_exact(chain.from_iterable(rows)), map(len, rows))
 
     @classmethod
     def _cut(cls, values: list[int], d: int, lengths) -> FiniteMatrix:

@@ -101,6 +101,7 @@ KERNELS = [
     (SERIES, "_store"),
     (SERIES, "_lowest"),
     (SERIES, "_over_lcm"),
+    (SERIES, "_read_exact"),
     (CLI, "_require_printable_bound"),
     (MONTECARLO, "ratio_to_bound"),
     (MONTECARLO, "wilson_interval_95"),
@@ -343,6 +344,20 @@ ROWS = [
     (SERIES, "    if d == 1:\n        return list(chain.from_iterable(v for v, _ in pairs)), 1\n",
      "", PAIR_MATRIX, "survives: with D = 1 every factor is 1, and the general path joins "
      "the same integers"),
+    # series._read_exact, the one way into the number form from exact
+    # values: its all-int shortcut, the denominators it brings over one LCM,
+    # its reader; and from_coeffs, which builds through it once.
+    (SERIES, "if {int}.issuperset(map(type, values)):",
+     "if {int, bool}.issuperset(map(type, values)):",
+     "tests/test_substitution.py::TestEntryTypes::test_integral_inputs_become_int", "killed"),
+    (SERIES, "([v.numerator], v.denominator) for v in", "([v.numerator], 1) for v in",
+     "tests/test_series.py::TestConstruction::test_other_coefficients_read_as_before", "killed"),
+    (SERIES, "for v in map(read, values))", "for v in map(exact_number, values))", NEAR_MISS,
+     "killed"),
+    (SERIES, "return object.__new__(cls)._store_coeffs(padded, d * denominator)",
+     "s = object.__new__(cls)._store_coeffs(padded, d)\n"
+     "        return cls.from_egf_entries(s.entries, s.denominator * denominator)",
+     "tests/test_series.py::TestConstruction::test_from_coeffs_builds_one_series", "killed"),
     # cli._dumps_indented: the item separator, empty containers, the key
     # separator and the indent of json's own text.  The hypothesis test
     # test_agrees_with_json_dumps kills each of them but the last, as it

@@ -503,6 +503,19 @@ class TestBuildSubstCommand:
         code, out, _ = run_cli(capsys, "check-subst", str(target))
         assert code == 0
 
+    def test_each_series_built_once(self, capsys, count_series):
+        built = count_series()
+        code, _, _ = run_cli(
+            capsys, "build-subst", "--g", "1,1/2", "--phi", "0,1", "--size", "6"
+        )
+        assert (code, built) == (0, [2])
+
+    def test_decimal_and_ratio_values_build_the_same_bytes(self, capsys):
+        outs = [run_cli(capsys, "build-subst", "--g", g, "--phi", phi, "--size", "6",
+                        "--format", "json")
+                for g, phi in [("1,0.5,-0.25", "0,1,0.75"), ("1,1/2,-1/4", "0,1,3/4")]]
+        assert outs[0] == outs[1] and outs[0][0] == 0
+
     def test_json_round_trips(self, capsys):
         code, out, _ = run_cli(
             capsys, "build-subst", "--g", "1,1", "--phi", "0,1,1",

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bosonstirling import TruncatedSeries, ValidationError
+from bosonstirling import RangeError, TruncatedSeries, ValidationError
 
 from oracles import FractionSeries, _series_divide, _series_multiply, geometric_inverse_coeffs
 
@@ -41,8 +41,26 @@ class TestConstruction:
         assert s.coeffs == (1, 2, 0, 0, 0)
 
     def test_rejects_too_many_coefficients(self):
-        with pytest.raises(ValidationError):
-            TruncatedSeries.from_coeffs([1, 2, 3], order=1)
+        # The count is checked before any coefficient is read.
+        for coeffs in [[1, 2, 3], ["1", "2", "3"], ["1", "2", "x"]]:
+            with pytest.raises(ValidationError, match="^3 coefficients exceed order 1$"):
+                TruncatedSeries.from_coeffs(coeffs, order=1)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: TruncatedSeries.from_egf_entries(["x"], 0),
+         lambda: TruncatedSeries.from_coeffs(["x"], 3, 0)],
+        ids=["from_egf_entries", "from_coeffs"],
+    )
+    def test_denominator_checked_before_any_value(self, build):
+        with pytest.raises(RangeError, match="^denominator must be at least 1, got 0$"):
+            build()
+
+    def test_from_coeffs_builds_one_series(self, count_series):
+        built = count_series()
+        s = TruncatedSeries.from_coeffs(["1", "1/2"], 5, 3)
+        assert built == [1]
+        assert s.coeffs == (Fraction(1, 3), Fraction(1, 6), 0, 0, 0, 0)
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValidationError, match="serialized order"):

@@ -702,7 +702,7 @@ class TestReportIsItsMatrix:
         def no_matrix(*args):
             raise AssertionError("a matrix was built")
 
-        monkeypatch.setattr(substitution_module, "build_substitution_matrix", no_matrix)
+        monkeypatch.setattr(substitution_module, "_pair_columns", no_matrix)
         obj = self._identity_report(MAX_REPORT_ORDER + 1)
         assert len(json.dumps(obj)) < 4096
         with pytest.raises(ValidationError, match=f"up to order {MAX_REPORT_ORDER}"):
@@ -715,7 +715,7 @@ class TestReportIsItsMatrix:
         def no_matrix(*args):
             raise AssertionError("a matrix was built")
 
-        monkeypatch.setattr(substitution_module, "build_substitution_matrix", no_matrix)
+        monkeypatch.setattr(substitution_module, "_pair_columns", no_matrix)
         obj = counterexample_json()
         long = {"order": MAX_REPORT_ORDER + 1, "coeffs": ["0"] * (MAX_REPORT_ORDER + 2)}
         if field == "phi":
@@ -725,23 +725,6 @@ class TestReportIsItsMatrix:
         assert len(json.dumps(obj)) < 4096
         with pytest.raises(ValidationError, match="need series through order 3"):
             SubstitutionReport.from_json_obj(obj)
-
-    @pytest.fixture
-    def count_series(self, monkeypatch):
-        """A call that starts counting the series built, as every constructor
-        ends in _store; the list it returns holds the count so far."""
-        count = [0]
-        store = TruncatedSeries._store
-
-        def counting(self, *args):
-            count[0] += 1
-            return store(self, *args)
-
-        def start():
-            monkeypatch.setattr(TruncatedSeries, "_store", counting)
-            return count
-
-        return start
 
     def test_long_g_rejected_before_any_series(self, count_series):
         obj = self._identity_report(20_000)
@@ -837,6 +820,10 @@ class TestEntryTypes:
         m = FiniteMatrix.from_rows([[Fraction(4, 2), 0], ["6/3", 1.0]])
         assert m.entries == ((2, 0), (2, 1))
         assert all(type(v) is int for row in m.entries for v in row)
+        # Booleans beside int entries alone are read as values too.
+        m = FiniteMatrix.from_rows([[True, 0], [False, 1]])
+        assert m.entries == ((1, 0), (0, 1))
+        assert all(type(v) is int for row in m.numerators for v in row)
 
     def test_other_inputs_become_fraction(self):
         m = FiniteMatrix.from_rows([[Fraction(1, 2), "1/3"], [0.25, True]])
@@ -870,6 +857,18 @@ class TestEntryTypes:
         reduced = FiniteMatrix.from_rows([[1, 0], [value, Fraction(1, 3)]])
         assert (m.numerators, m.denominator) == (reduced.numerators, reduced.denominator)
         assert m.denominator == denominator
+
+    @pytest.mark.parametrize(
+        "entry,message",
+        [(np.int64(3), "not an exact number: "),
+         (np.float64(0.5), "not an exact number: "),
+         ("1e3", r"not a rational \(integer, p/q or decimal; no exponent\): '1e3'"),
+         ("1/0", "zero denominator in '1/0'")],
+        ids=["numpy-int", "numpy-float", "exponent", "zero-denominator"],
+    )
+    def test_rejected_entry_keeps_its_message(self, entry, message):
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            FiniteMatrix.from_rows([[1, 0], [entry, "1/2"]])
 
     def test_direct_constructor_equals_from_rows_of_its_entries(self):
         for nums, d in [([[6, 0], [3, 2]], 6), ([[1, 0], [7, 1]], 1), ([[-4, 9], [0, 1]], 3)]:
