@@ -13,12 +13,15 @@ form, as those EGF entries: integers over one positive denominator,
 reduced by one gcd, as a matrix is integer rows over one denominator.  The
 form's two operations are coded here once each: :func:`_lowest` reduces
 integers over a denominator by one gcd, and :func:`_over_lcm` brings
-integer vectors over their own denominators to one LCM.  Every reader of
-exact values, the row reader and the series, matrix and report readers,
-builds its integers through them, with no ``Fraction`` between.  The way
-in from exact values is one reader, :func:`_read_exact`, which every
-series constructor, :meth:`.FiniteMatrix.from_rows` and the per-value
-path of :func:`parse_rationals` call, and each series is stored once.
+integer vectors over their own denominators to one LCM and gives them back
+as vectors, so that no matrix is joined into one list and cut again.  Every
+reader of exact values, the row reader and the series, matrix and report
+readers, builds its integers through them, with no ``Fraction`` between,
+and the EGF quotient grows its denominator through :func:`_over_lcm`.
+The way in from exact values is one reader, :func:`_read_exact`, which
+every series constructor, :meth:`.FiniteMatrix.from_rows` and the
+per-value path of :func:`parse_rationals` call, and each series is stored
+once.
 :meth:`TruncatedSeries.from_egf_entries` takes that form as the kernels
 return it, the coefficients are derived on read, and text and JSON write
 each coefficient through one integer renderer, :func:`_ratio_text`, which
@@ -101,8 +104,9 @@ def parse_rationals(values: list) -> tuple[list[int], int]:
     D the LCM of their denominators.
 
     A list of texts, each an integer or p/q, is read in one pass over its
-    joined text, with no ``Fraction``: :func:`_over_lcm` brings the values
-    over a common denominator and :func:`_lowest` reduces it by one gcd.
+    joined text, with no ``Fraction``: :func:`_over_lcm` brings each run of
+    values over one q to a common denominator, the runs are joined into one
+    list, and :func:`_lowest` reduces it by one gcd.
     Any other list, one holding a JSON integer, a decimal or a malformed
     value, goes value by value through :func:`parse_rational`, with that
     reader's results and errors.
@@ -120,7 +124,8 @@ def parse_rationals(values: list) -> tuple[list[int], int]:
         if not pairs or pairs[-1][1] != q:
             pairs.append(([], q))
         pairs[-1][0].append(int(p))
-    return _lowest(*_over_lcm(pairs))
+    vectors, d = _over_lcm(pairs)
+    return _lowest(list(chain.from_iterable(vectors)), d)
 
 
 def _lowest(values: list[int], d: int) -> tuple[list[int], int]:
@@ -129,20 +134,19 @@ def _lowest(values: list[int], d: int) -> tuple[list[int], int]:
     return (values, d) if g == 1 else ([v // g for v in values], d // g)
 
 
-def _over_lcm(pairs) -> tuple[list[int], int]:
+def _over_lcm(pairs) -> tuple[list, int]:
     """The vectors N/q of the pairs (N, q), N integers and q ≥ 1, over one
-    denominator: their integers in order, each N·(D/q), and D, the LCM of the q.
+    denominator: ``([N·(D/q), ...], D)``, one vector per pair in order, and
+    D, the LCM of the q.
 
-    In lowest terms when every pair is: a prime's highest power in D comes
+    A vector whose factor D/q is 1 comes back as it is, with no copy.  In
+    lowest terms when every pair is: a prime's highest power in D comes
     from a pair with an integer that the prime does not divide, and that
-    pair's factor D/q has no such prime.  With every q = 1 the integers are
-    only joined.
+    pair's factor D/q has no such prime.
     """
     pairs = list(pairs)
     d = lcm(*[q for _, q in pairs])
-    if d == 1:
-        return list(chain.from_iterable(v for v, _ in pairs)), 1
-    return [x * f for v, f in [(v, d // q) for v, q in pairs] for x in v], d
+    return [v if f == 1 else [x * f for x in v] for v, f in [(v, d // q) for v, q in pairs]], d
 
 
 def exact_number(value) -> int | Fraction:
@@ -168,12 +172,14 @@ def _read_exact(values, read=exact_number) -> tuple[list[int], int]:
     A list of ``int`` is returned as it is, over 1.  Any other list is read
     value by value by `read`, :func:`exact_number` or :func:`parse_rational`,
     with that reader's results and errors, and :func:`_over_lcm` brings the
-    values over one denominator, in lowest terms.
+    values, one vector each, over one denominator, in lowest terms; the
+    vectors are joined into one list.
     """
     values = list(values)
     if {int}.issuperset(map(type, values)):
         return values, 1
-    return _over_lcm(([v.numerator], v.denominator) for v in map(read, values))
+    vectors, d = _over_lcm(([v.numerator], v.denominator) for v in map(read, values))
+    return list(chain.from_iterable(vectors)), d
 
 
 @lru_cache(maxsize=32)
@@ -213,13 +219,15 @@ def _egf_quotient(pairs, n: int, known=((), 1)):
 
         Q[i] = (D·num[i] − Σ_{j=1}^{i} C(i,j)·den[j]·N[i−j]) / (D·den[0]),
 
-    one dot product of integers.  Reduced to p/q with q > 0, Q[i] joins N
-    over D' = D·q/gcd(D, q), the LCM of D and q, after the earlier
-    numerators are multiplied by D'/D.  So D stays the LCM of the reduced
-    denominators if D₀ was, N is rebuilt only when D grows, and D stays 1
-    when den[0] = 1 and D₀ = 1.  A yielded list only grows after the
-    yield, every entry over the same D, and a new list replaces it when D
-    grows, so a yielded pair stays consistent.
+    one dot product of integers.  Reduced to p/q with q > 0 (the sign of
+    D·den[0] moved into the numerator by a signed gcd), Q[i] joins N over
+    D' = lcm(D, q).  When q does not divide D, :func:`_over_lcm` of N over
+    D and the empty vector over q gives D' and the earlier numerators
+    times D'/D.  So D stays the LCM of the reduced denominators if D₀ was,
+    N is rebuilt only when D grows, and D stays 1 when den[0] = 1 and
+    D₀ = 1.  A yielded list only grows after the yield, every entry over
+    the same D, and a new list replaces it when D grows, so a yielded pair
+    stays consistent.
     """
     numerators, d = known
     numerators = list(numerators)
@@ -239,9 +247,7 @@ def _egf_quotient(pairs, n: int, known=((), 1)):
             g = gcd(t, u) if u > 0 else -gcd(t, u)
             t, q = t // g, u // g
             if d % q:
-                f = q // gcd(d, q)
-                d *= f
-                numerators = [x * f for x in numerators]
+                (numerators, _), d = _over_lcm([(numerators, d), ((), q)])
             t *= d // q
         numerators.append(t)
         yield numerators, d

@@ -104,16 +104,13 @@ class FiniteMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> FiniteMatrix:
-        """The matrix of `rows`, read by :func:`.series._read_exact`: integer
-        rows as they are, any other entry by :func:`.series.exact_number`."""
+        """The matrix of `rows`, each read by :func:`.series._read_exact`:
+        an integer row as it is, any other entry by
+        :func:`.series.exact_number`.  :func:`.series._over_lcm` brings the
+        rows over the matrix's denominator; every row is checked to be a
+        sequence before any entry is read."""
         rows = [require_items(row, "matrix row") for row in require_items(rows, "matrix")]
-        return cls._cut(*_read_exact(chain.from_iterable(rows)), map(len, rows))
-
-    @classmethod
-    def _cut(cls, values: list[int], d: int, lengths) -> FiniteMatrix:
-        """The matrix of `values` over d, cut into rows of the given lengths in order."""
-        values = iter(values)
-        return cls([list(islice(values, n)) for n in lengths], d)
+        return cls(*_over_lcm(map(_read_exact, rows)))
 
     @classmethod
     def identity(cls, size: int) -> FiniteMatrix:
@@ -167,13 +164,13 @@ class FiniteMatrix:
         else, a JSON float or boolean entry included, raises ValidationError.
         Each row is read by :func:`parse_rationals` into integers over its
         own denominator, in lowest terms, and :func:`.series._over_lcm`
-        brings the rows over the matrix's denominator; no ``Fraction`` is
-        built.
+        brings the rows over the matrix's denominator as they are; no
+        ``Fraction`` is built.
         """
         json_value(obj, "size", int)  # a mistyped size is reported before any entry
         rows = [parse_rationals(row) for row in
                 json_list(json_value(obj, "entries"), "entries", of=list)]
-        m = cls._cut(*_over_lcm(rows), [len(row) for row, _ in rows])
+        m = cls(*_over_lcm(rows))
         json_derived(obj, "size", m.size, int)
         return m
 
@@ -516,13 +513,12 @@ def _matrix_of_columns(columns) -> FiniteMatrix:
 
     Its denominator L is the LCM of the s_k, and column k's numerators are
     N_k·(L/s_k), by :func:`.series._over_lcm`: one factor per column and no
-    division of an entry.  Lowest-terms columns make the matrix's form
+    division of an entry.  The columns come back as vectors, and ``zip``
+    turns them into the rows.  Lowest-terms columns make the matrix's form
     lowest too, as :class:`FiniteMatrix` requires.
     """
-    columns = list(columns)
-    values, d = _over_lcm(columns)
-    size = len(columns)
-    return FiniteMatrix(tuple(values[i::size] for i in range(size)), d)
+    columns, d = _over_lcm(columns)
+    return FiniteMatrix(tuple(zip(*columns)), d)
 
 
 def truncate_rn(m, n: int) -> FiniteMatrix:

@@ -262,13 +262,15 @@ ROWS = [
      "survives: every block size gives the same value; 8 is only the fastest"),
     # series._egf_quotient, which gives the verdict's and a report's φ and
     # TruncatedSeries.invert: the sign of the sum, the denominator D·den[0]
-    # and its sign, the rescaling and the LCM, the known entries.
+    # and its sign, the rescaling and the LCM, which _over_lcm takes, the
+    # known entries.
     (SERIES, "t = v * d - sum(", "t = v * d + sum(", INVERT, "killed"),
     (SERIES, "u = d * d0", "u = d0", RESCALES, "killed"),
-    (SERIES, "gcd(t, u) if u > 0 else -gcd(t, u)", "gcd(t, u)", RESCALES, "killed"),
-    (SERIES, "                numerators = [x * f for x in numerators]\n", "", RESCALES,
-     "killed"),
-    (SERIES, "f = q // gcd(d, q)", "f = q", RESCALES, "killed"),
+    (SERIES, "gcd(t, u) if u > 0 else -gcd(t, u)", "gcd(t, u)", RESCALES,
+     "survives: with u < 0 the mutant hands _over_lcm a q < 0, outside its q ≥ 1, but lcm "
+     "takes |q| and d // q carries the sign into t, so every entry is the same"),
+    (SERIES, "(numerators, _), d = _over_lcm(", "_, d = _over_lcm(", RESCALES, "killed"),
+    (SERIES, "((), q)])", "((), d)])", RESCALES, "killed"),
     (SERIES, "if i < len(numerators):", "if i < len(numerators) - 1:", RESCALES, "killed"),
     # SubstitutionReport._phi_entries continues from the verdict's entries,
     # through the last row.
@@ -335,15 +337,21 @@ ROWS = [
     (SERIES, "g = gcd(d, *values)", "g = -gcd(d, *values)", RENDERING, "killed"),
     (SERIES, "(values, d) if g == 1 else", "(values, d) if g else", PAIR_MATRIX, "killed"),
     # series._over_lcm, the one LCM: the factors D/q, the rows of
-    # FiniteMatrix.from_json_obj, the LCM itself; its integer shortcut.
-    (SERIES, "[x * f for v, f in", "[x for v, f in", ROW_READER + "test_pinned", "killed"),
+    # FiniteMatrix.from_json_obj, the LCM itself; its factor-1 shortcut.
+    (SERIES, "else [x * f for x in v]", "else list(v)", ROW_READER + "test_pinned", "killed"),
     (SERIES, "(v, d // q) for v, q in pairs]", "(v, d) for v, q in pairs]",
      ROW_READER + "test_rows_over_one_denominator", "killed"),
     (SERIES, "d = lcm(*[q for _, q in pairs])", "d = max([q for _, q in pairs])",
      ROW_READER + "test_pinned", "killed"),
-    (SERIES, "    if d == 1:\n        return list(chain.from_iterable(v for v, _ in pairs)), 1\n",
-     "", PAIR_MATRIX, "survives: with D = 1 every factor is 1, and the general path joins "
-     "the same integers"),
+    (SERIES, "[v if f == 1 else [x * f for x in v]", "[[x * f for x in v]",
+     ROW_READER + "test_matrix_agrees_with_oracle",
+     "survives: copying every vector gives the same integers"),
+    # The builders of a FiniteMatrix take _over_lcm's vectors as they are:
+    # the columns turned into rows, each row read on its own.
+    (SUBSTITUTION, "FiniteMatrix(tuple(zip(*columns)), d)", "FiniteMatrix(tuple(columns), d)",
+     "tests/test_substitution.py::TestBuilder", "killed"),
+    (SUBSTITUTION, "_over_lcm(map(_read_exact, rows))", "_over_lcm((row, 1) for row in rows)",
+     "tests/test_substitution.py::TestEntryTypes::test_other_inputs_become_fraction", "killed"),
     # series._read_exact, the one way into the number form from exact
     # values: its all-int shortcut, the denominators it brings over one LCM,
     # its reader; and from_coeffs, which builds through it once.

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bosonstirling import RangeError, TruncatedSeries, ValidationError
+from bosonstirling.series import _over_lcm
 
 from oracles import FractionSeries, _series_divide, _series_multiply, geometric_inverse_coeffs
 
@@ -169,6 +170,16 @@ class TestEgfEntries:
     def test_common_denominator(self):
         assert TruncatedSeries.from_egf_entries([3, 3, 6], 3) == series(1, 1, 1)
         assert TruncatedSeries.from_egf_entries([2, 1], 4) == series(Fraction(1, 2), Fraction(1, 4))
+
+
+class TestOverLcm:
+    def test_vectors_come_back_in_order_over_the_lcm(self):
+        kept = [5, -5]
+        vectors, d = _over_lcm([([1, 2], 2), (kept, 6), ([], 4), ([1], 3)])
+        assert (vectors, d) == ([[6, 12], [10, -10], [], [4]], 12)
+        # A vector already over the LCM comes back as it is.
+        assert _over_lcm([([1], 2), (kept, 6), ([1], 3)])[0][1] is kept
+        assert _over_lcm([]) == ([], 1)
 
 
 class TestMultiply:

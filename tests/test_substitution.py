@@ -831,6 +831,12 @@ class TestEntryTypes:
         assert [type(v) for row in m.entries for v in row] == [
             Fraction, Fraction, Fraction, int,
         ]
+        # Rows that mix int, Fraction and bool, one of them all int, read as
+        # the same values written as text.
+        rows = [[1, 0, 0], [Fraction(1, 2), True, 0], [False, Fraction(-5, 4), 1]]
+        text = [["1", "0", "0"], ["1/2", "1", "0"], ["0", "-5/4", "1"]]
+        assert FiniteMatrix.from_rows(rows) == FiniteMatrix.from_json_obj(
+            {"size": 3, "entries": text})
 
     def test_entries_are_int_or_non_integral_fraction(self):
         half = TruncatedSeries.from_coeffs([1, Fraction(1, 2), 3, Fraction(-2, 3)])
@@ -867,8 +873,11 @@ class TestEntryTypes:
         ids=["numpy-int", "numpy-float", "exponent", "zero-denominator"],
     )
     def test_rejected_entry_keeps_its_message(self, entry, message):
-        with pytest.raises(ValidationError, match=f"^{message}"):
-            FiniteMatrix.from_rows([[1, 0], [entry, "1/2"]])
+        # The bad value is in row 2, after a good row 1 of int entries or of
+        # entries read value by value.
+        for first in ([1, 0], [Fraction(1, 2), "0"]):
+            with pytest.raises(ValidationError, match=f"^{message}"):
+                FiniteMatrix.from_rows([first, [entry, "1/2"]])
 
     def test_direct_constructor_equals_from_rows_of_its_entries(self):
         for nums, d in [([[6, 0], [3, 2]], 6), ([[1, 0], [7, 1]], 1), ([[-4, 9], [0, 1]], 3)]:
