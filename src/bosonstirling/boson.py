@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import groupby
 from math import comb, perm
 from types import MappingProxyType
 
-from .errors import ParseError, ValidationError, json_list, json_value, require_int
+from .errors import ParseError, ValidationError, json_list, json_value, require_int, require_items
 from .series import INTEGER_PATTERN, parse_integer
 
 ANNIHILATOR = "a"
@@ -55,16 +55,11 @@ class BosonWord:
     runs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.runs, Iterable):
-            raise ValidationError(f"runs {self.runs!r} is not a sequence of (r, s) pairs")
         runs: list[tuple[int, int]] = []
-        for run in self.runs:
-            if not (type(run) is tuple and len(run) == 2
-                    and type(run[0]) is int and type(run[1]) is int):
-                raise ValidationError(f"run {run!r} is not a pair (r, s) of integers")
-            r, s = run
-            if r < 0 or s < 0:
-                raise ValidationError(f"negative exponent in (r, s) pair ({r}, {s})")
+        for run in require_items(self.runs, "runs"):
+            if not (type(run) is tuple and len(run) == 2):
+                raise ValidationError(f"run {run!r} is not a pair (r, s)")
+            r, s = (require_int(x, "run exponent", 0) for x in run)
             if runs and (runs[-1][1] == 0 or r == 0):
                 r0, s0 = runs.pop()
                 r, s = r0 + r, s0 + s

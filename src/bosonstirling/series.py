@@ -84,9 +84,7 @@ def parse_rational(value: str | int) -> int | Fraction:
     Anything else, a boolean or a float included, raises ValidationError.
     """
     if type(value) is str:
-        # The common matrix entry, tested faster than by INTEGER_PATTERN.
-        digits = value[1:] if value[:1] == "-" else value
-        if digits.isdigit() and digits.isascii():
+        if re.fullmatch(INTEGER_PATTERN, value):
             return int(value)
         m = _FRACTION_OR_DECIMAL.fullmatch(value)
         if m and m[2] and not int(m[2]):

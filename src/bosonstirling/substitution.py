@@ -86,11 +86,9 @@ class FiniteMatrix:
                 )
         if not {int}.issuperset(map(type, chain.from_iterable(rows))):
             raise ValidationError("every matrix numerator must be an int")
-        d = self.denominator
-        if type(d) is not int or d < 1 or d > 1 and gcd(d, *chain.from_iterable(rows)) != 1:
-            raise ValidationError(
-                f"matrix denominator {d!r} is not an int ≥ 1 prime to the numerators"
-            )
+        d = require_int(self.denominator, "matrix denominator", 1)
+        if d > 1 and gcd(d, *chain.from_iterable(rows)) != 1:
+            raise ValidationError(f"matrix denominator {d} is not prime to the numerators")
         object.__setattr__(self, "numerators", rows)
 
     @property

@@ -67,7 +67,7 @@ QUOTIENT = "tests/test_substitution.py::TestQuotientVerdict::"
 EARLY_EXIT = QUOTIENT + "test_early_exit_computes_no_entry_past_the_failing_row"
 RESCALES = QUOTIENT + "test_quotient_rescales_to_the_lcm"
 ONCE = QUOTIENT + "test_check_subst_computes_each_entry_once"
-INVERT = "tests/test_series.py::TestInvert"
+QUOTIENT_ORACLE = "tests/test_series.py::test_invert_matches_oracle"
 ROW_READER = "tests/test_substitution.py::TestRowReader::"
 NEAR_MISS = ROW_READER + "test_near_miss_agrees_with_parse_rational"
 CANONICAL = "tests/test_cli.py::TestCanonicalJson::test_pinned"
@@ -162,8 +162,10 @@ ROWS = [
     # a value past one is a RangeError that is also a ValidationError.
     (ERRORS, "if type(value) is not int:", "if not isinstance(value, int):",
      INTEGER_ARGS + "test_rejects_every_non_int[word_power-True]", "killed"),
-    (ERRORS, "value < lo:", "value <= lo:", INTEGER_ARGS + "test_bound_admits_itself",
-     "killed"),
+    # Every matrix has its denominator at the lower bound 1, so this mutant
+    # breaks test_integer_arguments' import; runs with an exponent 0 fail.
+    (ERRORS, "value < lo:", "value <= lo:",
+     "tests/test_boson.py::TestRuns::test_equal_however_runs_are_given", "killed"),
     (ERRORS, "value > hi:", "value >= hi:", INTEGER_ARGS + "test_bound_admits_itself",
      "killed"),
     (ERRORS, "class RangeError(ValidationError, IndexError):", "class RangeError(IndexError):",
@@ -264,7 +266,7 @@ ROWS = [
     # TruncatedSeries.invert: the sign of the sum, the denominator D·den[0]
     # and its sign, the rescaling and the LCM, which _over_lcm takes, the
     # known entries.
-    (SERIES, "t = v * d - sum(", "t = v * d + sum(", INVERT, "killed"),
+    (SERIES, "t = v * d - sum(", "t = v * d + sum(", QUOTIENT_ORACLE, "killed"),
     (SERIES, "u = d * d0", "u = d0", RESCALES, "killed"),
     (SERIES, "gcd(t, u) if u > 0 else -gcd(t, u)", "gcd(t, u)", RESCALES,
      "survives: with u < 0 the mutant hands _over_lcm a q < 0, outside its q ≥ 1, but lcm "
@@ -291,6 +293,14 @@ ROWS = [
     (ERRORS, " or not isinstance(value, Iterable):", ":",
      "tests/test_substitution.py::TestEntryTypes::test_text_or_non_iterable_rows_rejected",
      "killed"),
+    # BosonWord's runs and FiniteMatrix's denominator go through the two rules.
+    (PACKAGE + "boson.py", 'require_items(self.runs, "runs")', "self.runs",
+     "tests/test_boson.py::TestRuns::test_runs_must_be_a_sequence", "killed"),
+    (PACKAGE + "boson.py", '"run exponent", 0)', '"run exponent")',
+     INTEGER_ARGS + "test_one_past_the_bound_is_rejected[BosonWord-r-lo]", "killed"),
+    (SUBSTITUTION, '"matrix denominator", 1)', '"matrix denominator", 0)',
+     INTEGER_ARGS + "test_one_past_the_bound_is_rejected[FiniteMatrix-denominator-lo]",
+     "killed"),
     # SubstitutionReport.failing_columns.
     (SUBSTITUTION, "islice(columns, 1, None)", "islice(columns, 2, None)", ORACLE, "killed"),
     (SUBSTITUTION, "TruncatedSeries.from_egf_entries(column, m.denominator * scale)",
@@ -313,9 +323,9 @@ ROWS = [
      REPORT_READER + "test_long_series_beside_a_small_g_rejected_before_any_series", "killed"),
     (SUBSTITUTION, "_lowest(column[: n + 1], d)", "(column[: n + 1], d)",
      TRUNCATIONS + "test_rn_drops_the_row_that_holds_the_denominator", "killed"),
-    # series.parse_rational's fast path and its integral result.
-    (PACKAGE + "series.py", "if digits.isdigit() and digits.isascii():",
-     "if digits.isdigit():", "tests/test_substitution.py::TestEntryParsing", "killed"),
+    # series.parse_rational's integer test, in ASCII digits, and its integral result.
+    (SERIES, "if re.fullmatch(INTEGER_PATTERN, value):", r'if re.fullmatch(r"-?\d+", value):',
+     "tests/test_substitution.py::TestEntryParsing", "killed"),
     (PACKAGE + "series.py", "return q.numerator if q.denominator == 1 else q", "return q",
      "tests/test_substitution.py::TestEntryParsing", "killed"),
     # series.parse_rationals: the comma count, the grammar check and the

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bosonstirling import (
+    BosonWord,
     ExperimentConfig,
     ExperimentResult,
     FiniteMatrix,
@@ -88,6 +89,10 @@ ARGUMENTS = {
         lambda v: truncate_rn(FiniteMatrix.identity(3), v), "truncation order", 0, 2),
     "word_power": Argument(lambda v: word_power(parse_word("a+ a"), v), "word power", 0),
     "FiniteMatrix.identity": Argument(FiniteMatrix.identity, "matrix size", 1),
+    "FiniteMatrix-denominator": Argument(
+        lambda v: FiniteMatrix([[1]], v), "matrix denominator", 1),
+    "BosonWord-r": Argument(lambda v: BosonWord(((v, 1),)), "run exponent", 0),
+    "BosonWord-s": Argument(lambda v: BosonWord(((1, v),)), "run exponent", 0),
     "TruncatedSeries.from_coeffs": Argument(
         lambda v: TruncatedSeries.from_coeffs([1], v), "order", 0),
     "TruncatedSeries.from_coeffs-denominator": Argument(

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bosonstirling import RangeError, TruncatedSeries, ValidationError
-from bosonstirling.series import _over_lcm
+from bosonstirling.series import _egf_product, _egf_quotient, _over_lcm
 
 from oracles import FractionSeries, _series_divide, _series_multiply, geometric_inverse_coeffs
 
@@ -292,17 +292,32 @@ def test_truncation_commutes_with_product(a, b, m):
 
 
 @settings(max_examples=80)
-@given(series_strategy(), series_strategy())
-def test_multiply_matches_oracle(a, b):
+@given(series_strategy(), series_strategy(), st.integers(0, 12))
+def test_multiply_matches_oracle(a, b, lo):
     n = min(a.order, b.order)
     assert list(a.multiply(b).coeffs) == _series_multiply(
         list(a.coeffs[: n + 1]), list(b.coeffs[: n + 1])
     )
+    # The kernel on integer EGF entries, with a vanishing below lo.
+    lo = min(lo, n)
+    product = _egf_product([0] * lo + list(a.entries[lo : n + 1]), b.entries, lo)
+    expected = _series_multiply([0] * lo + list(a.coeffs[lo : n + 1]), list(b.coeffs[: n + 1]))
+    egf = FractionSeries(expected).egf_entries()
+    assert [Fraction(v, a.denominator * b.denominator) for v in product] == egf
 
 
 @settings(max_examples=80)
-@given(series_strategy(), st.sampled_from([1, -1, 3, Fraction(-2, 5)]))
-def test_invert_matches_oracle(a, constant):
+@given(series_strategy(), st.sampled_from([1, -1, 3, Fraction(-2, 5)]),
+       st.lists(rationals, min_size=13, max_size=13))
+def test_invert_matches_oracle(a, constant, numerator):
     a = TruncatedSeries((constant,) + a.coeffs[1:])
     one = [Fraction(1)] + [Fraction(0)] * a.order
     assert list(a.invert().coeffs) == _series_divide(one, list(a.coeffs))
+    # The kernel on integer EGF entries, run to its last pair: Q = b/a
+    # reads a.entries ⊛ (d_b·Q) = d_a·b.entries, with d_a and d_b the two
+    # denominators.
+    b = TruncatedSeries(tuple(numerator[: a.order + 1]))
+    pairs = zip([a.denominator * v for v in b.entries], a.entries)
+    *_, (numerators, d) = _egf_quotient(pairs, a.order)
+    egf = FractionSeries(_series_divide(list(b.coeffs), list(a.coeffs))).egf_entries()
+    assert [Fraction(v, d * b.denominator) for v in numerators] == egf
