@@ -174,9 +174,9 @@ def cmd_stirling(args) -> int:
     _emit(args, lines)
     if not args.check_subst:
         return EXIT_OK
-    if m.s_tot != 1:
+    if w.annihilator_count != 1:
         reason = (
-            f"word has {m.s_tot} annihilators, "
+            f"word has {w.annihilator_count} annihilators, "
             "need exactly 1 for a unitriangular matrix"
         )
     elif args.rows < 1:

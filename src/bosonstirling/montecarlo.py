@@ -57,6 +57,10 @@ MAX_SIZE = 64
 #: Largest range an experiment accepts: numpy draws entries as ``int64``.
 MAX_RANGE = 2**63 - 1
 
+#: Largest seed and trial index: a trial's Philox key is the two ``uint64``
+#: words (seed, trial).
+_MAX_KEY = 2**64 - 1
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -75,7 +79,7 @@ class ExperimentConfig:
         require_int(self.size, "size", 2, MAX_SIZE)
         require_int(self.draws, "draws", 1)
         require_int(self.range_r, "range", 1, MAX_RANGE)
-        require_int(self.seed, "seed", 0, 2**64 - 1)
+        require_int(self.seed, "seed", 0, _MAX_KEY)
         require_int(self.jobs, "jobs", 1)
 
 
@@ -169,9 +173,12 @@ def probability_bound(size: int, range_r: int) -> Fraction:
 
 
 def trial_stream(seed: int, trial: int) -> np.random.Generator:
-    """Independent Philox stream for one trial, keyed by (seed, trial)."""
+    """Independent Philox stream for one trial, keyed by (seed, trial), each
+    an ``int`` in 0..2⁶⁴−1."""
     import numpy as np
 
+    require_int(seed, "seed", 0, _MAX_KEY)
+    require_int(trial, "trial", 0, _MAX_KEY)
     key = np.array([seed, trial], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

@@ -37,12 +37,12 @@ SUBSTITUTION_WITH_PREFUNCTION = "substitution-with-prefunction"
 class GeneralizedStirlingMatrix:
     """Rows 0..n_max of the row-finite staircase matrix S_w(n,k).
 
-    ``rows[n]`` stores the dense staircase slice k = 0..n·s_tot; entries to
-    the right of the staircase are implicitly zero.  ``s_tot``, ``r_tot``
-    and ``d`` are the word's annihilator count, creator count and excess.
-    The rows follow from the word and n_max, so the constructor takes those
-    two and builds the rows by :func:`_stirling_rows`, which checks n_max.
-    Immutable once built.
+    ``rows[n]`` stores the dense staircase slice k = 0..n·s, s being the
+    word's annihilator count; entries to the right of the staircase are
+    implicitly zero.  The word holds its counts and ``excess(word)`` gives
+    its excess; the matrix does not repeat them.  The rows follow from the
+    word and n_max, so the constructor takes those two and builds the rows
+    by :func:`_stirling_rows`, which checks n_max.  Immutable once built.
     """
 
     word: BosonWord
@@ -63,18 +63,6 @@ class GeneralizedStirlingMatrix:
         object.__setattr__(m, "word", word)
         object.__setattr__(m, "rows", rows)
         return m
-
-    @property
-    def s_tot(self) -> int:
-        return self.word.annihilator_count
-
-    @property
-    def r_tot(self) -> int:
-        return self.word.creator_count
-
-    @property
-    def d(self) -> int:
-        return excess(self.word)
 
     @property
     def n_max(self) -> int:
@@ -98,8 +86,8 @@ class GeneralizedStirlingMatrix:
     def to_json_obj(self) -> dict:
         return {
             "word": self.word.text,
-            "s_tot": self.s_tot,
-            "d": self.d,
+            "s_tot": self.word.annihilator_count,
+            "d": excess(self.word),
             "rows": [[str(v) for v in row] for row in self.rows],
         }
 

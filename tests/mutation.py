@@ -255,6 +255,9 @@ ROWS = [
      "killed"),
     (STIRLING, "if row != tuple(map(parse_integer, text)):", "if len(row) != len(text):",
      STIRLING_TESTS + "TestStirlingMatrix::test_json_rejects_before_rebuilding", "killed"),
+    # GeneralizedStirlingMatrix.to_json_obj writes the excess from the word.
+    (STIRLING, '"d": excess(self.word),', '"d": -excess(self.word),',
+     STIRLING_TESTS + "TestStirlingMatrix::test_json_round_trip", "killed"),
     # stirling.bell_polynomial: Horner's powers of q, the weights, the block.
     (STIRLING, "value = value * p_b + block * q_power", "value = value * p_b + block",
      ACTION, "killed"),
@@ -301,6 +304,12 @@ ROWS = [
     (SUBSTITUTION, '"matrix denominator", 1)', '"matrix denominator", 0)',
      INTEGER_ARGS + "test_one_past_the_bound_is_rejected[FiniteMatrix-denominator-lo]",
      "killed"),
+    # trial_stream reads its Philox key words through the integer rule: a
+    # float, bool or digit string would otherwise be cast to uint64.
+    (MONTECARLO, '    require_int(seed, "seed", 0, _MAX_KEY)\n', "",
+     INTEGER_ARGS + "test_rejects_every_non_int[trial_stream-seed-float]", "killed"),
+    (MONTECARLO, '    require_int(trial, "trial", 0, _MAX_KEY)\n', "",
+     INTEGER_ARGS + "test_rejects_every_non_int[trial_stream-trial-float]", "killed"),
     # SubstitutionReport.failing_columns.
     (SUBSTITUTION, "islice(columns, 1, None)", "islice(columns, 2, None)", ORACLE, "killed"),
     (SUBSTITUTION, "TruncatedSeries.from_egf_entries(column, m.denominator * scale)",

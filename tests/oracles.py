@@ -8,10 +8,11 @@ Stirling rows from it), the substitution check and the substitution
 matrix work on plain lists of Fractions with series division and powers of
 φ, the step oracles check the division-free column recurrence, one term
 by term and one with the per-row weights the verdict used before it read
-φ, the matrix file reader builds a Fraction per entry, the series stores
-one Fraction per coefficient, the Wilson interval is Wilson's formula in
-Fraction arithmetic with its square root bounded by `sqrt_above`, and the
-helpers below stay at that level.
+φ, the production-matrix verdict reads no column criterion at all but
+the diagonals of M⁻¹·M̄, the matrix file reader builds a Fraction per
+entry, the series stores one Fraction per coefficient, the Wilson interval
+is Wilson's formula in Fraction arithmetic with its square root bounded by
+`sqrt_above`, and the helpers below stay at that level.
 """
 
 from __future__ import annotations
@@ -289,6 +290,50 @@ def division_free_failure(rows) -> int | None:
             if (k + 1) * sum(map(mul, u[k + 1:], column)) != sum(map(mul, v[k:], previous)):
                 return k
     return None
+
+
+def production_verdict(rows) -> bool:
+    """The substitution verdict of a unipotent matrix, read off its production matrix.
+
+    Deutsch, Ferrari and Rinaldi (Ann. Comb. 13, 2009) characterise the
+    exponential Riordan arrays, the matrices of the pairs (g, φ), by their
+    production matrix P = M⁻¹·M̄, M̄ being M without its first row: M is the
+    array of (g, φ) exactly when P[i,j] = (i!/j!)·(z_{i−j} + j·a_{i−j+1}),
+    with φ' = A(φ) and g'/g = Z(φ).  So in the scaled matrix
+    Q[j+d, j] = P[j+d, j]·j!/(j+d)! each diagonal d ≥ 0 is z_d + j·a_{d+1},
+    affine in j, which is what this checks, by second differences.
+
+    Truncation is exact: M is lower triangular, so the (n−1)×(n−1) block of
+    P, for a matrix of size n, is fixed by r_{n−1}(M) alone, and it is
+    M₀⁻¹·M̄₀ with M₀ rows and columns 0..n−2 of M and M̄₀ rows 1..n−1 of
+    columns 0..n−2.  M₀ is unit lower triangular, so P is taken by forward
+    substitution, P[i,j] = M[i+1,j] − Σ_{k<i} M[i,k]·P[k,j], in Fraction.
+
+    The counts are the paper's.  Diagonal d of the block holds n−1−d
+    entries, so being affine is n−3−d equations, and Σ_d (n−3−d) =
+    (n−2)(n−3)/2 in all.  The parameters z_0..z_{n−2} and a_1..a_{n−2} are
+    2n−3 in number, as many as the free entries of columns 0 and 1, and
+    a_0 = 1 is forced by unipotence.  Conversely, sequences that fit the
+    block generate an array whose production matrix agrees with it, and a
+    unipotent M is rebuilt from P row by row (row i+1 is row i times P), so
+    M is a truncation of that array.
+
+    `rows` are the exact rows (``int`` or ``Fraction``) of a unipotent
+    matrix; no criterion on its columns is read.
+    """
+    m = [[Fraction(v) for v in row] for row in rows]
+    assert all(row[i] == 1 and not any(row[i + 1:]) for i, row in enumerate(m)), \
+        "not unipotent"
+    size = len(m) - 1
+    p: list[list[Fraction]] = []
+    for i in range(size):
+        p.append([m[i + 1][j] - sum(m[i][k] * p[k][j] for k in range(i))
+                  for j in range(size)])
+    for d in range(size):
+        diagonal = [p[j + d][j] * factorial(j) / factorial(j + d) for j in range(size - d)]
+        if any(a - 2 * b + c for a, b, c in zip(diagonal, diagonal[1:], diagonal[2:])):
+            return False
+    return True
 
 
 def closed_form_pair(r: int, p: int, order: int) -> tuple[list, list]:

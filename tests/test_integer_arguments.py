@@ -72,6 +72,8 @@ ARGUMENTS = {
     "count_free_parameters": Argument(count_free_parameters, "size", 2),
     "probability_bound-size": Argument(lambda v: probability_bound(v, 3), "size", 2),
     "probability_bound-range": Argument(lambda v: probability_bound(4, v), "range", 1),
+    "trial_stream-seed": Argument(lambda v: trial_stream(v, 0), "seed", 0, 2**64 - 1),
+    "trial_stream-trial": Argument(lambda v: trial_stream(1, v), "trial", 0, 2**64 - 1),
     "random_unipotent-size": Argument(
         lambda v: random_unipotent(v, 3, trial_stream(1, 0)), "size", 1, MAX_SIZE),
     "random_unipotent-range": Argument(

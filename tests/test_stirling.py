@@ -26,6 +26,7 @@ from bosonstirling import (
     bell_polynomial,
     classify_word,
     column_egf,
+    excess,
     normal_order,
     parse_word,
     stirling_matrix,
@@ -69,17 +70,17 @@ class TestGoldenTables:
     def test_stirling_second_kind(self):
         m = stirling_matrix(parse_word("d a"), 6)
         assert list(m.rows) == STIRLING2_ROWS
-        assert (m.s_tot, m.r_tot, m.d) == (1, 1, 0)
+        assert (m.word.annihilator_count, m.word.creator_count, excess(m.word)) == (1, 1, 0)
 
     def test_prefunction_word(self):
         m = stirling_matrix(parse_word("d a d"), 6)
         assert list(m.rows) == PREFUNCTION_ROWS
-        assert (m.s_tot, m.r_tot, m.d) == (1, 2, 1)
+        assert (m.word.annihilator_count, m.word.creator_count, excess(m.word)) == (1, 2, 1)
 
     def test_wide_staircase_word(self):
         m = stirling_matrix(parse_word("d a a d d"), 4)
         assert list(m.rows) == WIDE_STAIRCASE_ROWS
-        assert (m.s_tot, m.r_tot, m.d) == (2, 3, 1)
+        assert (m.word.annihilator_count, m.word.creator_count, excess(m.word)) == (2, 3, 1)
 
     def test_prefunction_closed_form(self):
         # S(n,k) = (n!/k!)·C(n,k) for w = a†aa†, computed independently.
@@ -112,7 +113,7 @@ class TestStirlingMatrix:
         for w in random_words(seed=5, count=15):
             m = stirling_matrix(w, 4)
             for n, row in enumerate(m.rows):
-                assert len(row) == n * m.s_tot + 1
+                assert len(row) == n * m.word.annihilator_count + 1
 
     def test_top_entry_is_one_for_nonnegative_excess(self):
         for w in random_words(seed=6, count=15, min_creators=1, min_excess=0):
@@ -128,7 +129,7 @@ class TestStirlingMatrix:
             unitriangular = all(
                 len(row) == n + 1 and row[n] == 1 for n, row in enumerate(m.rows)
             )
-            assert unitriangular == (m.s_tot == 1), w
+            assert unitriangular == (m.word.annihilator_count == 1), w
 
     # The CSV output checks only the last row's largest entry before its
     # first line, so no row may hold an entry above the last row's largest.
@@ -307,8 +308,8 @@ class TestStepsStopWherePermVanishes:
         w = parse_word(text)
         m, calls = self._comb_calls(monkeypatch, text, n_max)
         assert [list(row) for row in m.rows] == stirling_rows_by_action(w.text, n_max)
-        d_minus = max(-m.d, 0)
-        kappa_max = min(m.r_tot, max((n_max - 1) * (m.s_tot + d_minus), 0))
+        d_minus = max(-excess(m.word), 0)
+        kappa_max = min(m.word.creator_count, max((n_max - 1) * (m.word.annihilator_count + d_minus), 0))
         terms = normal_order(w).terms
         assert max(calls) == min(kappa_max, max(j for j, _ in terms))
         assert len(calls) == sum(min(j, kappa_max) + 1 for j, _ in terms)
@@ -347,7 +348,7 @@ class TestWeightsGrowWithRows:
     def test_each_weight_once_when_its_row_needs_it(self, monkeypatch, text, n_max):
         m, calls = self._perm_calls(monkeypatch, text, n_max)
         assert [list(row) for row in m.rows] == stirling_rows_by_action(m.word.text, n_max)
-        step = m.s_tot + max(-m.d, 0)
+        step = m.word.annihilator_count + max(-excess(m.word), 0)
         # While row n is built, rows 0..n−1 exist and row n reads L ≤ (n−1)·step.
         assert all(big_l <= (built - 1) * step for big_l, built in calls)
         # Row n_max reads every L up to its bound, and every L is evaluated
