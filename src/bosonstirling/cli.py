@@ -27,6 +27,7 @@ from .boson import double_dot, normal_order, parse_word
 from .errors import ValidationError, require_int
 from .montecarlo import (
     ExperimentConfig,
+    _require_printable_bound,
     count_free_parameters,
     probability_bound,
     run_experiment,
@@ -306,34 +307,6 @@ def _parse_sweep_range(text: str) -> list[int]:
         raise ValidationError(
             f"--sweep-range needs comma-separated integers, got {text!r}"
         ) from None
-
-
-def _require_printable_bound(size: int, range_r: int) -> None:
-    """ValidationError, before any work, if the bound 1/r^e is too long to print.
-
-    Python refuses to convert an integer of more than
-    ``sys.get_int_max_str_digits()`` digits to text; with that limit off
-    (0), the budget is 100,000 digits, printed in about 0.2 s.  With b the
-    bit length of r, r^e ≥ 2^((b−1)·e), so (b−1)·e ≥ 4·budget gives
-    r^e ≥ 16^budget > 10^budget and rejects without computing r^e.
-    Otherwise r^e < 2^(b·e) ≤ 2^(2(b−1)·e) < 2^(8·budget) is computed once.
-    It fits the budget if it has at most 3·budget bits, being below
-    8^budget, and else exactly if it is below 10^budget, the least integer
-    of budget + 1 digits.  A range below 2 is left to the usual checks.
-    """
-    budget = sys.get_int_max_str_digits() or 100_000
-    if range_r < 2:
-        return
-    determined, total = count_free_parameters(size)
-    exponent = total - determined
-    if (range_r.bit_length() - 1) * exponent < 4 * budget:
-        power = range_r**exponent
-        if power.bit_length() <= 3 * budget or power < 10**budget:
-            return
-    raise ValidationError(
-        f"the bound's denominator {range_r}^{exponent} has more than "
-        f"{budget} digits, too many to print"
-    )
 
 
 def cmd_montecarlo(args) -> int:

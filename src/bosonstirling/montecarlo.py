@@ -39,13 +39,21 @@ run with more than one job, so importing this module loads neither.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt
 from typing import NamedTuple
 
-from .errors import json_derived, json_list, json_value, require_int, require_items
+from .errors import (
+    ValidationError,
+    json_derived,
+    json_list,
+    json_value,
+    require_int,
+    require_items,
+)
 from .series import parse_rational
 from .substitution import FiniteMatrix, is_approximate_substitution
 
@@ -165,9 +173,42 @@ def count_free_parameters(size: int) -> FreeParameterCount:
     return FreeParameterCount(2 * size - 3, size * (size - 1) // 2)
 
 
+def _require_printable_bound(size: int, range_r: int) -> None:
+    """ValidationError, before any work, if the bound 1/r^e is too long to print.
+
+    Python refuses to convert an integer of more than
+    ``sys.get_int_max_str_digits()`` digits to text; with that limit off
+    (0), the budget is 100,000 digits, printed in about 0.2 s.  With b the
+    bit length of r, r^e ≥ 2^((b−1)·e), so (b−1)·e ≥ 4·budget gives
+    r^e ≥ 16^budget > 10^budget and rejects without computing r^e.
+    Otherwise r^e < 2^(b·e) ≤ 2^(2(b−1)·e) < 2^(8·budget) is computed once.
+    It fits the budget if it has at most 3·budget bits, being below
+    8^budget, and else exactly if it is below 10^budget, the least integer
+    of budget + 1 digits.  A range below 2 is left to the usual checks.
+    """
+    budget = sys.get_int_max_str_digits() or 100_000
+    if range_r < 2:
+        return
+    determined, total = count_free_parameters(size)
+    exponent = total - determined
+    if (range_r.bit_length() - 1) * exponent < 4 * budget:
+        power = range_r**exponent
+        if power.bit_length() <= 3 * budget or power < 10**budget:
+            return
+    raise ValidationError(
+        f"the bound's denominator {range_r}^{exponent} has more than "
+        f"{budget} digits, too many to print"
+    )
+
+
 def probability_bound(size: int, range_r: int) -> Fraction:
-    """Upper bound r^(2n−3)/r^(n(n−1)/2) = 1/r^((n−2)(n−3)/2) on the substitution probability."""
+    """Upper bound r^(2n−3)/r^(n(n−1)/2) = 1/r^((n−2)(n−3)/2) on the substitution probability.
+
+    A bound too long to print is refused by :func:`_require_printable_bound`
+    before r^e is computed, so no size asks for unbounded work.
+    """
     require_int(range_r, "range", 1)
+    _require_printable_bound(size, range_r)
     determined, total = count_free_parameters(size)
     return Fraction(1, range_r ** (total - determined))
 

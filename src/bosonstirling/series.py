@@ -226,20 +226,32 @@ def _egf_quotient(pairs, n: int, known=((), 1)):
     D₀ = 1.  A yielded list only grows after the yield, every entry over
     the same D, and a new list replaces it when D grows, so a yielded pair
     stays consistent.
+
+    Support.  C(i,j) ≥ 1 for j ≤ i, so the term of j is zero exactly when
+    den[j] is.  The dot product stops at the support s_i, the largest
+    j ≤ i with den[j] ≠ 0, or 0 when there is none and the sum is empty:
+    the terms j = s_i+1..i it does not read are all zero.  Entry i then
+    costs s_i products, and the whole quotient at most n·s when den[j] = 0
+    for j > s; a den with no zero tail costs what the sum over j = 1..i
+    did.
     """
     numerators, d = known
     numerators = list(numerators)
     binomials = _binomial_rows(n)
     dens = []  # den[1..i]
+    support = 0  # the largest j ≤ i with den[j] ≠ 0, or 0
     for i, (v, dj) in enumerate(pairs):
         if i:
             dens.append(dj)
+            if dj:
+                support = i
         else:
             d0 = dj
         if i < len(numerators):
             continue
-        # C(i,j)·den[j] for j = 1..i against N[i−1], ..., N[0].
-        t = v * d - sum(map(mul, map(mul, binomials[i][1:], dens), reversed(numerators)))
+        # C(i,j)·den[j] for j = 1..support against N[i−1], ..., N[i−support].
+        t = v * d - sum(map(mul, map(mul, binomials[i][1:support + 1], dens),
+                            reversed(numerators)))
         u = d * d0
         if u != 1:
             g = gcd(t, u) if u > 0 else -gcd(t, u)

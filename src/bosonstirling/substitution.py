@@ -395,6 +395,17 @@ def recurrence_failure(rows, phi: list | None = None) -> int | None:
     0, as integers over their LCM, which is D_i when row i's weights are
     formed.
 
+    Trailing zeros.  C(i,m) ≥ 1 for m ≤ i and D_i ≥ 1, so w_i[m] is zero
+    exactly when Φ[m] is.  Row i's weights are stored without their
+    trailing zeros, and the dot product stops at the shorter of the weights
+    and the column; the terms it no longer reads are the products of
+    dropped weights, all zero.  Φ[1] = 1 gives w_i[1] = i·D_i ≠ 0, so the
+    trim stops at index 1 or later and never empties the weights.  When
+    Φ[m] = 0 for m > s, as for a φ of degree s, each step and row costs at
+    most s+1 products, and the (n−1)(n−2)/2 pairs (k, i) fewer than
+    n²·(s+1)/2; a Φ with no zero tail, such as a Stirling matrix's, is
+    not trimmed and costs what it did.
+
     Laziness and order.  Each row's weights are formed once, when the scan
     first reaches that row, and Φ is computed only as far as they need,
     Φ[0] = 0 and Φ[1] = 1 being known.  The column of step k grows by one
@@ -453,8 +464,12 @@ def recurrence_failure(rows, phi: list | None = None) -> int | None:
                 if w is None:
                     while len(numerators) < i:
                         numerators, d = next(quotient)
-                    # (D_i, w_i[m] for m = 0..i−1), w_i[0] = D_i·Φ[0] = 0
-                    w = weights[i] = (d, list(map(mul, binomials[i], numerators)))
+                    # w_i[m] for m = 0..i−1, w_i[0] = D_i·Φ[0] = 0, less
+                    # its trailing zeros; w_i[1] = i·D_i ends the trim.
+                    w = list(map(mul, binomials[i], numerators))
+                    while not w[-1]:
+                        w.pop()
+                    w = weights[i] = (d, w)
                 scale, w = w
                 if (k + 1) * scale * rows[i][k + 1] != sum(map(mul, w, column)):
                     return k

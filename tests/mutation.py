@@ -68,6 +68,8 @@ EARLY_EXIT = QUOTIENT + "test_early_exit_computes_no_entry_past_the_failing_row"
 RESCALES = QUOTIENT + "test_quotient_rescales_to_the_lcm"
 ONCE = QUOTIENT + "test_check_subst_computes_each_entry_once"
 QUOTIENT_ORACLE = "tests/test_series.py::test_invert_matches_oracle"
+SPARSE_QUOTIENT = "tests/test_series.py::test_quotient_by_a_sparse_denominator_matches_oracle"
+SPARSE_PAIRS = "tests/test_substitution.py::TestSparsePairs"
 ROW_READER = "tests/test_substitution.py::TestRowReader::"
 NEAR_MISS = ROW_READER + "test_near_miss_agrees_with_parse_rational"
 CANONICAL = "tests/test_cli.py::TestCanonicalJson::test_pinned"
@@ -102,7 +104,7 @@ KERNELS = [
     (SERIES, "_lowest"),
     (SERIES, "_over_lcm"),
     (SERIES, "_read_exact"),
-    (CLI, "_require_printable_bound"),
+    (MONTECARLO, "_require_printable_bound"),
     (MONTECARLO, "ratio_to_bound"),
     (MONTECARLO, "wilson_interval_95"),
     (ERRORS, "json_derived"),
@@ -204,6 +206,11 @@ ROWS = [
     (SUBSTITUTION, "while len(numerators) < i:", "while len(numerators) <= i:", EARLY_EXIT,
      "killed"),
     (SUBSTITUTION, "rows), n, ((0, 1), 1))", "rows), n)", EARLY_EXIT, "killed"),
+    # Row i's weights lose their trailing zeros, and only those.
+    (SUBSTITUTION, "while not w[-1]:", "while len(w) > 2:", SPARSE_PAIRS, "killed"),
+    (SUBSTITUTION, "                    while not w[-1]:\n                        w.pop()\n", "",
+     SPARSE_PAIRS, "survives: every weight the trim drops is zero, so the verdict is the same "
+     "and only the product count changes"),
     # batch._philox4x64_10: rounds, carries.
     (BATCH, "for rnd in range(10):", "for rnd in range(9):", PER_TRIAL, "killed"),
     (BATCH, "        hi += v >> _SHIFT32\n", "", PER_TRIAL, "killed"),
@@ -277,6 +284,8 @@ ROWS = [
     (SERIES, "(numerators, _), d = _over_lcm(", "_, d = _over_lcm(", RESCALES, "killed"),
     (SERIES, "((), q)])", "((), d)])", RESCALES, "killed"),
     (SERIES, "if i < len(numerators):", "if i < len(numerators) - 1:", RESCALES, "killed"),
+    # The quotient's dot product stops at the last nonzero entry of den.
+    (SERIES, "support = i", "support = i - 1", SPARSE_QUOTIENT, "killed"),
     # SubstitutionReport._phi_entries continues from the verdict's entries,
     # through the last row.
     (SUBSTITUTION, "quotient = self._phi_prefix", "quotient = ((0, 1), 1)", ONCE, "killed"),
@@ -441,10 +450,10 @@ ROWS = [
     # cli.cmd_montecarlo checks --range in a sweep too.
     (PACKAGE + "cli.py", "range_r=args.range, seed", "range_r=ranges[0], seed",
      "tests/test_cli.py::TestMonteCarloCommand::test_sweep_checks_range", "killed"),
-    # cli._require_printable_bound's exact comparison and its early reject.
-    (PACKAGE + "cli.py", "power < 10**budget", "power < 10**(budget + 1)", PRINTABLE,
+    # montecarlo._require_printable_bound's exact comparison and its early reject.
+    (MONTECARLO, "power < 10**budget", "power < 10**(budget + 1)", PRINTABLE,
      "killed"),
-    (PACKAGE + "cli.py", "(range_r.bit_length() - 1) * exponent < 4 * budget",
+    (MONTECARLO, "(range_r.bit_length() - 1) * exponent < 4 * budget",
      "(range_r.bit_length() - 1) * exponent < 3 * budget", PRINTABLE, "killed"),
 ]
 

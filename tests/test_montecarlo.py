@@ -335,11 +335,28 @@ class TestSizeCap:
     def test_bound_digits_at_the_cap(self):
         # The printed bound is 1/r^((n−2)(n−3)/2).  At the cap it stays
         # below Python's 4,300-digit int-to-text limit for r = 10, and
-        # exceeds it for r = 2³²−1, as README says; nothing is printed here.
+        # exceeds it for r = 2³²−1, as README says, so that bound is refused.
         assert probability_bound(MAX_SIZE, 10) == Fraction(1, 10**1891)
-        big = probability_bound(MAX_SIZE, 2**32 - 1)
-        assert big == Fraction(1, (2**32 - 1) ** 1891)
-        assert big.denominator >= 10**18000
+        with pytest.raises(ValidationError, match=rf"^the bound's denominator {2**32 - 1}\^1891 "):
+            probability_bound(MAX_SIZE, 2**32 - 1)
+
+
+class TestUnprintableBoundRefused:
+    """The library refuses a bound it could not print, as the CLI does, so
+    no size asks probability_bound for unbounded work."""
+
+    def test_refused_with_its_exponent(self):
+        with pytest.raises(ValidationError, match=r"^the bound's denominator 10\^19503 has more "
+                                                  r"than 4300 digits, too many to print$"):
+            probability_bound(200, 10)
+
+    def test_refused_before_the_power(self):
+        # 2^499997500003 would take 62 GB; (b−1)·e ≥ 4·4300 refuses it unbuilt.
+        with pytest.raises(ValidationError, match=r"\^499997500003 has more than"):
+            probability_bound(10**6, 2)
+
+    def test_largest_printable_range_at_the_cap_returns(self):
+        assert probability_bound(MAX_SIZE, 187) == Fraction(1, 187**1891)
 
 
 # Entry counts 1, 3, 6, 10, 15, 21, 28 (sizes 2..8) cross the 8-draw block

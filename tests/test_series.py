@@ -321,3 +321,35 @@ def test_invert_matches_oracle(a, constant, numerator):
     *_, (numerators, d) = _egf_quotient(pairs, a.order)
     egf = FractionSeries(_series_divide(list(b.coeffs), list(a.coeffs))).egf_entries()
     assert [Fraction(v, d * b.denominator) for v in numerators] == egf
+
+
+#: Fractions p/q with |p| ≤ 6 and q ≤ 6, drawn as two integers, which is
+#: far cheaper than ``st.fractions``.
+_QUICK_RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+@st.composite
+def sparse_quotients(draw):
+    """(a, b): a series a of order 0–16 with a nonzero constant term and
+    1–6 leading coefficients, the rest zero (a zero tail, and interior
+    zeros), and a dense b of the same order."""
+    order = draw(st.integers(0, 16))
+    constant = draw(st.sampled_from([1, -1, 3, Fraction(-2, 5)]))
+    lead = draw(st.lists(st.one_of(st.just(Fraction(0)), _QUICK_RATIONALS), max_size=5))
+    a = TruncatedSeries.from_coeffs([constant, *lead][: order + 1], order)
+    b = draw(st.lists(_QUICK_RATIONALS, min_size=order + 1, max_size=order + 1))
+    return a, TruncatedSeries(b)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(sparse_quotients())
+def test_quotient_by_a_sparse_denominator_matches_oracle(pair):
+    """The quotient reads den up to its last nonzero entry and gives the
+    oracle's Q, run to its last pair and through invert."""
+    a, b = pair
+    one = [Fraction(1)] + [Fraction(0)] * a.order
+    assert list(a.invert().coeffs) == _series_divide(one, list(a.coeffs))
+    pairs = zip([a.denominator * v for v in b.entries], a.entries)
+    *_, (numerators, d) = _egf_quotient(pairs, a.order)
+    egf = FractionSeries(_series_divide(list(b.coeffs), list(a.coeffs))).egf_entries()
+    assert [Fraction(v, d * b.denominator) for v in numerators] == egf

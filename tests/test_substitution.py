@@ -110,7 +110,11 @@ def sympy_condition_verdict(rows):
     return True
 
 
-SMALL_FRACTIONS = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+#: The 49 fractions p/q with q ≤ 4 and |p/q| ≤ 4, by denominator, then size,
+#: positive first, so that a shrink goes to 0 and to small denominators.
+SMALL_FRACTIONS = st.sampled_from(sorted(
+    {Fraction(p, q) for q in range(1, 5) for p in range(-4 * q, 4 * q + 1)},
+    key=lambda v: (v.denominator, abs(v), v < 0)))
 
 
 @st.composite
@@ -650,6 +654,51 @@ class TestQuotientVerdict:
                 assert twin == report and hash(twin) == hash(report)
                 assert twin.verdict is report.verdict
                 assert twin.to_json_obj() == expected
+
+
+@st.composite
+def sparse_pair_rows(draw, changed=False):
+    """Rows of the matrix of a drawn pair (g, φ), size 2–24, integer or
+    rational: g = 1 + ... and φ = x + ... each have 1–6 leading
+    coefficients and the rest zero, interior zeros allowed.  With
+    `changed`, 1–3 entries below the diagonal are changed, columns 0 and 1
+    (which move the support of column 0 and of Φ) and the last row being
+    drawn as often as all the others."""
+    size = draw(st.integers(2, 24))
+    coeffs = draw(st.sampled_from([st.integers(-3, 3), SMALL_FRACTIONS]))
+    g = [1] + draw(st.lists(coeffs, max_size=5))
+    phi = [0, 1] + draw(st.lists(coeffs, max_size=5))
+    rows = [list(row) for row in build_substitution_matrix(
+        TruncatedSeries.from_coeffs(g[:size], size - 1),
+        TruncatedSeries.from_coeffs(phi[:size], size - 1), size).entries]
+    if changed:
+        for _ in range(draw(st.integers(1, 3))):
+            i = draw(st.one_of(st.just(size - 1), st.integers(1, size - 1)))
+            c = draw(st.one_of(st.integers(0, 1), st.integers(0, i - 1)))
+            rows[i][min(c, i - 1)] += draw(coeffs.filter(bool))
+    return rows
+
+
+class TestSparsePairs:
+    """The verdict reads each row's weights up to their last nonzero entry
+    and the quotient column 0 up to its last nonzero entry; on pairs whose
+    φ and g have zero tails it still gives the oracles' step and verdict."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(sparse_pair_rows())
+    def test_built_pairs_pass(self, rows):
+        m = FiniteMatrix.from_rows(rows)
+        assert recurrence_failure([list(row) for row in m.numerators]) is None
+        assert is_approximate_substitution(m).verdict
+
+    @settings(derandomize=True, max_examples=250, deadline=None)
+    @given(sparse_pair_rows(changed=True))
+    def test_changed_entries_fail_at_the_oracles_step(self, rows):
+        m = FiniteMatrix.from_rows(rows)
+        numerators = [list(row) for row in m.numerators]
+        assert recurrence_failure(numerators) == first_failing_step(numerators)
+        if len(rows) <= 12:
+            assert is_approximate_substitution(m).verdict == production_verdict(rows)
 
 
 class TestLazyDiagnostics:
