@@ -89,6 +89,8 @@ class ExperimentConfig:
         require_int(self.range_r, "range", 1, MAX_RANGE)
         require_int(self.seed, "seed", 0, _MAX_KEY)
         require_int(self.jobs, "jobs", 1)
+        # Refused here, so no run draws a trial for a result it cannot print.
+        probability_bound(self.size, self.range_r)
 
 
 @dataclass(frozen=True)
@@ -173,44 +175,33 @@ def count_free_parameters(size: int) -> FreeParameterCount:
     return FreeParameterCount(2 * size - 3, size * (size - 1) // 2)
 
 
-def _require_printable_bound(size: int, range_r: int) -> None:
-    """ValidationError, before any work, if the bound 1/r^e is too long to print.
+def probability_bound(size: int, range_r: int) -> Fraction:
+    """Upper bound r^(2n−3)/r^(n(n−1)/2) = 1/r^((n−2)(n−3)/2) on the substitution probability.
 
-    Python refuses to convert an integer of more than
-    ``sys.get_int_max_str_digits()`` digits to text; with that limit off
-    (0), the budget is 100,000 digits, printed in about 0.2 s.  With b the
-    bit length of r, r^e ≥ 2^((b−1)·e), so (b−1)·e ≥ 4·budget gives
-    r^e ≥ 16^budget > 10^budget and rejects without computing r^e.
-    Otherwise r^e < 2^(b·e) ≤ 2^(2(b−1)·e) < 2^(8·budget) is computed once.
-    It fits the budget if it has at most 3·budget bits, being below
+    ValidationError, before any work, if the bound is too long to print, so
+    no size asks for unbounded work.  Python refuses to convert an integer
+    of more than ``sys.get_int_max_str_digits()`` digits to text; with that
+    limit off (0), the budget is 100,000 digits, printed in about 0.2 s.
+    With b the bit length of r and e the exponent, r^e ≥ 2^((b−1)·e), so
+    (b−1)·e ≥ 4·budget gives r^e ≥ 16^budget > 10^budget and rejects
+    without computing r^e.  Otherwise r^e < 2^(b·e) ≤ 2^(2(b−1)·e) <
+    2^(8·budget) for r ≥ 2, and r^e = 1 for r = 1; it is computed once.  It
+    fits the budget if it has at most 3·budget bits, being below
     8^budget, and else exactly if it is below 10^budget, the least integer
-    of budget + 1 digits.  A range below 2 is left to the usual checks.
+    of budget + 1 digits.
     """
-    budget = sys.get_int_max_str_digits() or 100_000
-    if range_r < 2:
-        return
+    require_int(range_r, "range", 1)
     determined, total = count_free_parameters(size)
     exponent = total - determined
+    budget = sys.get_int_max_str_digits() or 100_000
     if (range_r.bit_length() - 1) * exponent < 4 * budget:
         power = range_r**exponent
         if power.bit_length() <= 3 * budget or power < 10**budget:
-            return
+            return Fraction(1, power)
     raise ValidationError(
         f"the bound's denominator {range_r}^{exponent} has more than "
         f"{budget} digits, too many to print"
     )
-
-
-def probability_bound(size: int, range_r: int) -> Fraction:
-    """Upper bound r^(2n−3)/r^(n(n−1)/2) = 1/r^((n−2)(n−3)/2) on the substitution probability.
-
-    A bound too long to print is refused by :func:`_require_printable_bound`
-    before r^e is computed, so no size asks for unbounded work.
-    """
-    require_int(range_r, "range", 1)
-    _require_printable_bound(size, range_r)
-    determined, total = count_free_parameters(size)
-    return Fraction(1, range_r ** (total - determined))
 
 
 def trial_stream(seed: int, trial: int) -> np.random.Generator:
@@ -233,6 +224,11 @@ def random_unipotent(
     """
     require_int(size, "size", 1, MAX_SIZE)
     require_int(range_r, "range", 1, MAX_RANGE)
+    # numpy is loaded already when `rng` is a Generator.
+    import numpy as np
+
+    if not isinstance(rng, np.random.Generator):
+        raise ValidationError(f"rng must be a numpy.random.Generator, got {rng!r}")
     count = size * (size - 1) // 2
     values = rng.integers(1, range_r, size=count, endpoint=True).tolist()
     return FiniteMatrix(_unipotent_rows(values, size))

@@ -104,7 +104,7 @@ KERNELS = [
     (SERIES, "_lowest"),
     (SERIES, "_over_lcm"),
     (SERIES, "_read_exact"),
-    (MONTECARLO, "_require_printable_bound"),
+    (MONTECARLO, "probability_bound"),
     (MONTECARLO, "ratio_to_bound"),
     (MONTECARLO, "wilson_interval_95"),
     (ERRORS, "json_derived"),
@@ -450,7 +450,14 @@ ROWS = [
     # cli.cmd_montecarlo checks --range in a sweep too.
     (PACKAGE + "cli.py", "range_r=args.range, seed", "range_r=ranges[0], seed",
      "tests/test_cli.py::TestMonteCarloCommand::test_sweep_checks_range", "killed"),
-    # montecarlo._require_printable_bound's exact comparison and its early reject.
+    # An experiment's config refuses a bound it cannot print, and
+    # random_unipotent an rng that is not a numpy Generator.
+    (MONTECARLO, "        probability_bound(self.size, self.range_r)\n", "",
+     "tests/test_montecarlo.py::TestConfig::test_refuses_a_bound_it_cannot_print", "killed"),
+    (MONTECARLO, "if not isinstance(rng, np.random.Generator):", "if False:",
+     "tests/test_montecarlo.py::TestRandomUnipotent::test_rejects_an_rng_that_is_not_a_generator",
+     "killed"),
+    # montecarlo.probability_bound's exact comparison and its early reject.
     (MONTECARLO, "power < 10**budget", "power < 10**(budget + 1)", PRINTABLE,
      "killed"),
     (MONTECARLO, "(range_r.bit_length() - 1) * exponent < 4 * budget",

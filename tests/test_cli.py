@@ -31,8 +31,10 @@ from bosonstirling import (
     classify_word,
     cli,
     is_approximate_substitution,
+    montecarlo,
     normal_order,
     parse_word,
+    probability_bound,
     run_experiment,
     stirling_matrix,
     truncate_rn,
@@ -639,6 +641,18 @@ class TestMonteCarloCommand:
         )
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    def test_sweep_checks_range_against_the_bound(self, capsys, monkeypatch):
+        # --range is held to the printable-bound rule as in a single run.
+        monkeypatch.setattr(montecarlo, "_count_successes", _refuse)
+        code, out, err = run_cli(
+            capsys, "montecarlo", "--size", "64", "--draws", "1", "--seed", "1",
+            "--range", str(2**32 - 1), "--sweep-range", "10",
+        )
+        assert (code, out, err) == (2, "", (
+            "error: the bound's denominator 4294967295^1891 has more than 4300 digits, "
+            "too many to print\n"
+        ))
+
     @pytest.mark.parametrize(
         "seed,message",
         [
@@ -708,8 +722,7 @@ class TestMonteCarloCommand:
         assert err == f"error: --sweep-range needs comma-separated integers, got {ranges!r}\n"
 
     def test_sweep_checks_every_range_against_the_cap_first(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "run_experiment", _refuse)
-        monkeypatch.setattr(cli, "run_sweep", _refuse)
+        monkeypatch.setattr(montecarlo, "_count_successes", _refuse)
         code, out, err = run_cli(
             capsys, "montecarlo", "--size", "4", "--draws", "3", "--range", "10",
             "--seed", "1", "--sweep-range", f"10,{2**63}",
@@ -998,9 +1011,9 @@ class TestUnprintableBoundRejectedEarly:
         ids=["bound", "bound-huge-size", "montecarlo", "montecarlo-sweep"],
     )
     def test_exit_2_before_any_work(self, capsys, monkeypatch, argv, exponent):
-        monkeypatch.setattr(cli, "probability_bound", _refuse)
-        monkeypatch.setattr(cli, "run_experiment", _refuse)
-        monkeypatch.setattr(cli, "run_sweep", _refuse)
+        # bound refuses before r^e is built: see
+        # TestUnprintableBoundRefused::test_refused_before_the_power.
+        monkeypatch.setattr(montecarlo, "_count_successes", _refuse)
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert f"^{exponent} has more than 4300 digits" in err
@@ -1024,7 +1037,7 @@ class TestUnprintableBoundRejectedEarly:
         exponent = (size - 2) * (size - 3) // 2
         printable = range_r**exponent < 10 ** sys.get_int_max_str_digits()
         try:
-            cli._require_printable_bound(size, range_r)
+            probability_bound(size, range_r)
         except ValidationError:
             assert not printable
         else:
@@ -1039,8 +1052,7 @@ class TestUnprintableBoundRejectedEarly:
             sys.set_int_max_str_digits(limit)
         assert code == 0 and len(out) > 18_000
 
-    def test_limit_zero_keeps_a_digit_budget(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "probability_bound", _refuse)
+    def test_limit_zero_keeps_a_digit_budget(self, capsys):
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
@@ -1055,15 +1067,14 @@ class TestUnprintableBoundRejectedEarly:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
-            cli._require_printable_bound(449, 10)
+            probability_bound(449, 10)
             with pytest.raises(ValidationError, match="100000 digits"):
-                cli._require_printable_bound(450, 10)
+                probability_bound(450, 10)
         finally:
             sys.set_int_max_str_digits(limit)
 
     def test_sweep_checks_every_range_first(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "run_experiment", _refuse)
-        monkeypatch.setattr(cli, "run_sweep", _refuse)
+        monkeypatch.setattr(montecarlo, "_count_successes", _refuse)
         code, out, err = run_cli(
             capsys, "montecarlo", "--size", "12", "--draws", "200000", "--range", "10",
             "--seed", "1", "--sweep-range", "10,0",

@@ -82,6 +82,24 @@ class TestConfig:
         with pytest.raises(ValidationError, match="range must be at most"):
             ExperimentConfig(size=4, draws=3, range_r=MAX_RANGE + 1, seed=1)
 
+    def test_refuses_a_bound_it_cannot_print(self):
+        # Refused when built, not when its result is printed.
+        with pytest.raises(ValidationError, match=r"^the bound's denominator 4294967295\^1891 "):
+            ExperimentConfig(size=64, draws=20, range_r=2**32 - 1, seed=1)
+
+    def test_sweep_refuses_each_range_before_any_trial(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_count_successes", _no_trials)
+        cfg = ExperimentConfig(size=64, draws=300, range_r=10, seed=3)
+        with pytest.raises(ValidationError, match=r"^the bound's denominator 1000\^1891 "):
+            run_sweep(cfg, [10, 1000])
+
+    def test_reader_refuses_the_config_before_its_derived_keys(self):
+        # No derived key is read: the config is refused first.
+        row = {"size": 64, "draws": 20, "range": 2**32 - 1, "seed": 1, "jobs": 1,
+               "successes": 0}
+        with pytest.raises(ValidationError, match=r"^the bound's denominator 4294967295\^1891 "):
+            ExperimentResult.from_json_obj(row)
+
 
 class TestRandomUnipotent:
     def test_size2_range1_is_forced(self):
@@ -112,6 +130,13 @@ class TestRandomUnipotent:
     def test_rejects_size_and_range_below_one(self, size, range_r, message):
         with pytest.raises(ValidationError, match=message):
             random_unipotent(size, range_r, trial_stream(1, 0))
+
+    @pytest.mark.parametrize(
+        "rng", [None, 42, np.random.RandomState(42)], ids=["None", "int", "RandomState"]
+    )
+    def test_rejects_an_rng_that_is_not_a_generator(self, rng):
+        with pytest.raises(ValidationError, match="^rng must be a numpy.random.Generator"):
+            random_unipotent(4, 3, rng)
 
     def test_size3_always_passes(self):
         for trial in range(200):
